@@ -58,8 +58,8 @@ func main() {
 		duration  = flag.Float64("duration", 0, "stop after this much workload time (0 = job-count stopping rule); with -duration and no explicit -jobs the run is purely time-bounded")
 		timeScale = flag.Float64("time-scale", 1, "time compression: divide arrivals and compute demands by this factor, so a -duration horizon simulates in 1/factor the events' original timespan")
 		startTime = flag.Float64("start-time", 0, "warm start: shift the workload to begin at this workload time and open the measurement window there")
-	diPeriod  = flag.Float64("diurnal-period", 0, "period of the sinusoidal day/night arrival-rate cycle, in workload time units (0 = no modulation)")
-	diAmp     = flag.Float64("diurnal-amplitude", 0, "relative amplitude of the day/night cycle in [0, 1): instantaneous rate swings between (1-a) and (1+a) times the mean")
+		diPeriod  = flag.Float64("diurnal-period", 0, "period of the sinusoidal day/night arrival-rate cycle, in workload time units (0 = no modulation)")
+		diAmp     = flag.Float64("diurnal-amplitude", 0, "relative amplitude of the day/night cycle in [0, 1): instantaneous rate swings between (1-a) and (1+a) times the mean")
 		timeline  = flag.String("timeline", "", "write periodic metric snapshots (time, throughput, queue, utilization, P95s) to FILE; requires -duration")
 		tlInt     = flag.Float64("timeline-interval", 0, "workload time between timeline snapshots (0 = duration/100)")
 		tlFmt     = flag.String("timeline-format", "csv", "timeline format: csv, json (JSON lines)")
@@ -136,6 +136,20 @@ func main() {
 	}
 	if *duration < 0 || *startTime < 0 {
 		fmt.Fprintln(os.Stderr, "meshsim: -duration and -start-time must be nonnegative")
+		os.Exit(1)
+	}
+	switch {
+	case !(*load > 0):
+		// NaN fails the comparison too.
+		fmt.Fprintf(os.Stderr, "meshsim: -load %g is invalid; the load must be positive\n", *load)
+		os.Exit(1)
+	case *jobs < 0:
+		fmt.Fprintf(os.Stderr, "meshsim: -jobs %d is invalid; jobs must be at least 0\n", *jobs)
+		os.Exit(1)
+	case *jobs == 0 && *duration <= 0 && *wl != "trace":
+		// No job cap and no horizon: an endless stochastic source would
+		// never stop. A trace is finite, so -jobs 0 replays all of it.
+		fmt.Fprintln(os.Stderr, "meshsim: -jobs 0 needs a positive -duration to bound a stochastic workload (or -workload trace)")
 		os.Exit(1)
 	}
 	cfg.Duration = *duration / *timeScale

@@ -1,6 +1,7 @@
 package mesh
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/stats"
@@ -32,12 +33,38 @@ func BenchmarkFirstFit(b *testing.B) {
 	}
 }
 
+// BenchmarkBestFit times BestFit on the paper's 16x22 mesh at ~40%
+// scattered occupancy, and on ~30%-fragmented fabrics wide enough for
+// the row kernel's per-row arrays to pay off: a 128x128 mesh, a 64x64
+// torus and a 32x32x8 volume.
 func BenchmarkBestFit(b *testing.B) {
-	m := fragmented(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.BestFit(4, 5)
+	cases := []struct {
+		name    string
+		m       *Mesh
+		w, l, h int
+	}{
+		{"16x22", nil, 4, 5, 1},
+		{"mesh128", New(128, 128), 6, 5, 1},
+		{"torus64", NewTorus(64, 64), 6, 5, 1},
+		{"volume32x32x8", New3D(32, 32, 8), 4, 3, 2},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			m := c.m
+			if m == nil {
+				m = fragmented(b)
+			} else {
+				occupyRandom(b, m, rand.New(rand.NewSource(9)), 0.3)
+				if _, ok := m.BestFit3D(c.w, c.l, c.h); !ok {
+					b.Fatal("no fit on the fragmented fabric")
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.BestFit3D(c.w, c.l, c.h)
+			}
+		})
 	}
 }
 

@@ -334,6 +334,20 @@ func (m *Mesh) torusRowAndInto(dst []uint64, y, l int) bool {
 	return true
 }
 
+// torusFitMaskInto builds the width-w torus fit mask of the wrapped
+// window rows y..y+l-1 into band (wordsPerRow(2W) words), using rowAnd
+// (wpr words) for the planar AND: set bits below W are exactly the
+// wrapped candidate bases (a bit in [W, 2W) is the same placement seen
+// from the second copy). False means no base survived the AND.
+func (m *Mesh) torusFitMaskInto(band, rowAnd []uint64, y, w, l int) bool {
+	if !m.torusRowAndInto(rowAnd, y, l) {
+		return false
+	}
+	m.doubleRowInto(band, rowAnd)
+	fitMask(band, w)
+	return true
+}
+
 // doubleRowInto builds the torus seam band of one W-bit row mask by
 // word rotation: dst (wordsPerRow(2W) words) holds the row followed by
 // itself, so a wrapped x span reads as a contiguous span of the band.
@@ -373,8 +387,7 @@ func firstMaskBit(words []uint64, limit int) int {
 
 // busyRowSpanBits counts the busy cells in columns [x1, x2] of
 // plane-row r: the span length minus the popcount of its free bits —
-// the boundary-pressure strip count read straight off the bitboard
-// instead of the summed-area table, journal-independent.
+// the busy counts behind BusyInRect, read straight off the bitboard.
 func (m *Mesh) busyRowSpanBits(r, x1, x2 int) int {
 	row := m.rowWords(r)
 	w0, w1 := x1>>6, x2>>6

@@ -6,22 +6,30 @@
 //
 // # Occupancy index
 //
-// Occupancy is backed by an incrementally maintained free-space index:
-//
-//   - a free-run table (rightRun) giving, per processor, the length of
-//     the free run starting there, kept per (row, plane);
-//   - lazily repaired per-row max-run aggregates (rowMax) that let the
-//     searches discard whole rows in O(1), stacked into a per-plane
-//     z-axis aggregate (planeMax) that discards whole planes;
-//   - a journaled far-corner summed-area table (sat) — a 3D prefix
-//     volume whose z = 0 slab is the classic 2D table on depth-1
-//     meshes — answering any cuboid's busy count in eight lookups
-//     (four on the 2D paths).
+// Occupancy lives in one authoritative store, a word-parallel bitboard:
+// one uint64 bit per processor, set when it is free, W/64 words per
+// (row, plane). Every mutation flips span masks in place, and every
+// query reads the words: a processor's state is one bit test, a
+// rectangle's busy count is a masked popcount per row, a free run is a
+// trailing-zero scan, and the candidate bases of a w x l window row
+// are a fit mask — the window rows' words ANDed and narrowed by width
+// with shift-AND steps. On top of the words sit lazily repaired
+// per-row max-run aggregates (rowMax), which let the searches discard
+// whole rows in O(1), stacked into a per-plane aggregate (planeMax)
+// that discards whole planes.
 //
 // The index is shared by every strategy; no operation rebuilds a full
 // table per allocation decision. See the Mesh type for the exact
-// invariants and maintenance costs, and docs/occupancy-index.md at the
-// repository root for a narrative walkthrough with diagrams.
+// invariants and docs/occupancy-index.md at the repository root for a
+// narrative walkthrough (§9 the bitboard, §13 how it replaced the
+// earlier scalar run tables and summed-area table, which survive only
+// as a test oracle behind the meshoracle build tag).
+//
+// BestFit scores a base row's candidates with one row kernel for every
+// topology (bestfit.go, docs/occupancy-index.md §14): the side faces
+// come from per-column busy counts that slide with the base row, the
+// other faces from per-row prefix sums, and the scan stops at the
+// first candidate whose score reaches its geometric ceiling.
 //
 // The constrained-largest search (LargestFree, the heart of GABL's
 // carving) runs as a best-first shape-probe phase backed by an O(W·L)
@@ -62,7 +70,7 @@
 // Every search also runs behind the Searcher interface: NewSerial
 // binds the scans above to the calling goroutine, and NewSharded runs
 // them on a pool of workers — the (z, y) base space split into
-// contiguous stripes, per-worker scratch, owner-side journal drains,
+// contiguous stripes, per-worker scratch, owner-side aggregate repairs,
 // and stripe-ordered reductions that reproduce the serial tie-breaks
 // exactly, so placements are bit-identical at every worker count
 // (sharded.go, docs/occupancy-index.md §8). The allocation strategies

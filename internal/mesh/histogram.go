@@ -73,6 +73,11 @@ type histScratch struct {
 	mw3     []int
 	cand3   []int
 	rowMin3 []int
+
+	// fit is the serial BestFit searches' scoring kernel (bestfit.go),
+	// allocated by the first BestFit: held by value it would grow every
+	// mesh by a few hundred bytes that most strategies never touch.
+	fit *fitScorer
 }
 
 // maxFailedShapes bounds the refuted-shape frontier; beyond it new

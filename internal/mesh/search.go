@@ -44,13 +44,10 @@ func (m *Mesh) CandidatesRow(y, w, l int) iter.Seq[int] {
 			if w <= 0 || l <= 0 || w > m.w || l > m.l || y < 0 || y >= m.l {
 				return
 			}
-			rowAnd := sizedWordScratch(&m.hist.rowAnd, m.wpr)
-			if !m.torusRowAndInto(rowAnd, y, l) {
+			band := sizedWordScratch(&m.hist.bandMask, wordsPerRow(2*m.w))
+			if !m.torusFitMaskInto(band, sizedWordScratch(&m.hist.rowAnd, m.wpr), y, w, l) {
 				return
 			}
-			band := sizedWordScratch(&m.hist.bandMask, wordsPerRow(2*m.w))
-			m.doubleRowInto(band, rowAnd)
-			fitMask(band, w)
 			for i, v := range band {
 				base := i << 6
 				for v != 0 {
@@ -149,10 +146,11 @@ func (m *Mesh) FirstFit(w, l int) (Submesh, bool) {
 // BestFit returns the free w x l sub-mesh whose placement touches the
 // most busy-or-border processors along its perimeter (Zhu-style best
 // fit: prefer corners and crevices, preserving large free regions).
-// The row-major-first candidate wins ties. On a torus the candidate
-// space includes seam-crossing placements and the score counts busy
-// neighbours only — a torus has no border to hug (see
-// torusBoundaryPressure).
+// Perimeter positions off the mesh count as border; corners are not
+// counted. The row-major-first candidate wins ties. On a torus the
+// candidate space includes seam-crossing placements and the score
+// counts busy neighbours only — a torus has no border to hug. Every
+// topology scores through the row kernel of bestfit.go.
 func (m *Mesh) BestFit(w, l int) (Submesh, bool) {
 	if m.torus {
 		return m.torusBestFit(w, l)
@@ -165,66 +163,21 @@ func (m *Mesh) BestFit(w, l int) (Submesh, bool) {
 		// faces (volume.go).
 		return m.BestFit3D(w, l, 1)
 	}
-	best := Submesh{}
-	bestScore := -1
+	k := m.hist.scorer()
+	k.reset(m, w, l, 1)
+	mask := sizedWordScratch(&m.hist.winMask, m.wpr)
 	fresh := true
 	for y := 0; ; y++ {
 		y = m.nextWindowRow(y, w, l, fresh)
 		if y+l > m.l {
 			break
 		}
-		for x := range m.CandidatesRow(y, w, l) {
-			s := SubAt(x, y, w, l)
-			score := m.boundaryPressure(s)
-			if score > bestScore {
-				bestScore = score
-				best = s
-			}
+		if m.planarFitMaskInto(mask, y, 0, w, l, 1) && k.scoreRow(m, mask, y, 0) {
+			break
 		}
 		fresh = false
 	}
-	if bestScore < 0 {
-		return Submesh{}, false
-	}
-	return best, true
-}
-
-// boundaryPressure counts perimeter positions of s that abut the mesh
-// border or a busy processor, straight off the bitboard words: the
-// horizontal strips are one-row pop-counts, the vertical strips one bit
-// probe per row. Strips falling off the mesh count whole as border.
-// Corners are not counted, matching the four perimeter edges.
-func (m *Mesh) boundaryPressure(s Submesh) int {
-	score := 0
-	if s.Y1 == 0 {
-		score += s.W()
-	} else {
-		score += m.busyRowSpanBits(s.Y1-1, s.X1, s.X2)
-	}
-	if s.Y2 == m.l-1 {
-		score += s.W()
-	} else {
-		score += m.busyRowSpanBits(s.Y2+1, s.X1, s.X2)
-	}
-	if s.X1 == 0 {
-		score += s.L()
-	} else {
-		for y := s.Y1; y <= s.Y2; y++ {
-			if !m.freeBitAt(y, s.X1-1) {
-				score++
-			}
-		}
-	}
-	if s.X2 == m.w-1 {
-		score += s.L()
-	} else {
-		for y := s.Y1; y <= s.Y2; y++ {
-			if !m.freeBitAt(y, s.X2+1) {
-				score++
-			}
-		}
-	}
-	return score
+	return k.result()
 }
 
 // LargestFree returns the free sub-mesh of maximum area subject to

@@ -1,7 +1,6 @@
 package mesh
 
 import (
-	"math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -89,6 +88,9 @@ type shardWorker struct {
 	winMask []uint64
 	rowAnd  []uint64
 	band    []uint64
+
+	// fit is the worker's BestFit scoring kernel (bestfit.go).
+	fit fitScorer
 }
 
 // Sharded is the parallel Searcher: contiguous stripes of the (z, y)
@@ -307,6 +309,7 @@ func (s *Sharded) BestFit(w, l, h int) (Submesh, bool) {
 	s.prepare()
 	s.req = shardReq{kind: opBestFit, w: w, l: l, h: h, k: k}
 	s.assign(B, k)
+	s.minStripe.Store(int32(k))
 	s.fanout(k)
 	best, bestScore, found := Submesh{}, -1, false
 	for i := 0; i < k; i++ {
@@ -401,64 +404,92 @@ func (m *Mesh) planeBlock(z, w, h int) int {
 	return -1
 }
 
-// torusBaseMask builds the width-w torus fit mask of the wrapped
-// window rows y..y+l-1 into the worker's band scratch and returns it,
-// or nil when some window column is nowhere free: AND the rows
-// planar-first, rotate into the doubled seam band, narrow by width —
-// set bits below W are exactly the wrapped candidate bases.
-func (wk *shardWorker) torusBaseMask(m *Mesh, y, w, l int) []uint64 {
-	rowAnd := sizedWordScratch(&wk.rowAnd, m.wpr)
-	if !m.torusRowAndInto(rowAnd, y, l) {
-		return nil
-	}
-	band := sizedWordScratch(&wk.band, wordsPerRow(2*m.w))
-	m.doubleRowInto(band, rowAnd)
-	fitMask(band, w)
-	return band
-}
-
 // firstFitStripe scans base rows [b0, b1) for the stripe-local first
 // free window, publishing a hit so later stripes can abandon. A stripe
 // aborts only when a strictly earlier stripe has already hit, so the
-// reduce's winner always completed its scan. Surviving windows are
-// answered by a bitboard fit mask built in per-worker scratch, exactly
-// the serial CandidatesRow/firstFit3D machinery.
+// reduce's winner always completed its scan.
 func (s *Sharded) firstFitStripe(id int) {
+	s.workers[id].found = false
+	s.windowStripe(id)
+}
+
+// bestFitStripe scans base rows [b0, b1) keeping the stripe's first
+// maximal-score candidate, scored by the worker's own row kernel. A
+// stripe whose candidate reaches the score ceiling is settled — no
+// later candidate can beat it — and publishes like a first-fit hit, so
+// later stripes, which can at best tie and lose the stripe-ordered
+// reduce, abandon.
+func (s *Sharded) bestFitStripe(id int) {
 	wk := &s.workers[id]
-	wk.found = false
+	q := &s.req
+	wk.fit.reset(s.m, q.w, q.l, q.h)
+	s.windowStripe(id)
+	wk.sub, wk.found = wk.fit.result()
+	wk.score = wk.fit.score
+}
+
+// visitWindow hands one surviving window's fit mask to the current
+// request — first-fit takes its lowest base, best-fit scores every
+// base — and reports whether the stripe is settled.
+func (s *Sharded) visitWindow(wk *shardWorker, mask []uint64, y, z int) bool {
+	m, q := s.m, &s.req
+	if q.kind == opBestFit {
+		return wk.fit.scoreRow(m, mask, y, z)
+	}
+	if x := firstMaskBit(mask, m.w); x >= 0 {
+		wk.sub, wk.found = SubAt3D(x, y, z, q.w, q.l, q.h), true
+		return true
+	}
+	return false
+}
+
+// windowStripe walks base rows [b0, b1) of the current window request
+// with the serial scans' pruning, repair-free, and builds each
+// surviving window's fit mask in per-worker scratch — exactly the
+// serial CandidatesRow/firstFit3D masks — for visitWindow. It stops
+// when the stripe is settled (publishing it) or a strictly earlier
+// stripe has settled.
+func (s *Sharded) windowStripe(id int) {
+	wk := &s.workers[id]
 	m, q := s.m, &s.req
 	switch {
 	case m.torus:
+		rowAnd := sizedWordScratch(&wk.rowAnd, m.wpr)
+		band := sizedWordScratch(&wk.band, wordsPerRow(2*m.w))
+		// The serial torusWindowSkip amortization, repair-free.
+		fresh := true
 		for y := wk.b0; y < wk.b1; {
 			if s.minStripe.Load() < int32(id) {
 				return
 			}
+			first := y
+			if !fresh {
+				first = y + q.l - 1
+			}
 			bad := -1
-			for i := q.l - 1; i >= 0; i-- {
-				yy := y + i
+			for i := y + q.l - 1; i >= first; i-- {
+				yy := i
 				if yy >= m.l {
 					yy -= m.l
 				}
 				if m.looseRowBound(yy) < q.w {
-					bad = yy
+					bad = i
 					break
 				}
 			}
 			switch {
-			case bad < 0:
-				if band := wk.torusBaseMask(m, y, q.w, q.l); band != nil {
-					if x := firstMaskBit(band, m.w); x >= 0 {
-						wk.sub, wk.found = SubAt(x, y, q.w, q.l), true
-						s.publish(id)
-						return
-					}
-				}
-				y++
-			case bad >= y:
-				y = bad + 1 // every base in [y, bad] contains row bad
-			default:
-				y++ // blocker wraps before the base; retry the next base
+			case bad >= m.l:
+				return // every later base's window wraps past the blocker too
+			case bad >= 0:
+				y, fresh = bad+1, true // every base in [y, bad] contains row bad
+				continue
 			}
+			fresh = false
+			if m.torusFitMaskInto(band, rowAnd, y, q.w, q.l) && s.visitWindow(wk, band, y, 0) {
+				s.publish(id)
+				return
+			}
+			y++
 		}
 	case m.h == 1:
 		// The serial nextWindowRow window amortization, repair-free: a
@@ -481,12 +512,9 @@ func (s *Sharded) firstFitStripe(id int) {
 				continue
 			}
 			fresh = false
-			if m.planarFitMaskInto(mask, y, 0, q.w, q.l, 1) {
-				if x := firstMaskBit(mask, m.w); x >= 0 {
-					wk.sub, wk.found = SubAt(x, y, q.w, q.l), true
-					s.publish(id)
-					return
-				}
+			if m.planarFitMaskInto(mask, y, 0, q.w, q.l, 1) && s.visitWindow(wk, mask, y, 0) {
+				s.publish(id)
+				return
 			}
 			y++
 		}
@@ -510,125 +538,9 @@ func (s *Sharded) firstFitStripe(id int) {
 				}
 				continue
 			}
-			if m.planarFitMaskInto(mask, y, z, q.w, q.l, q.h) {
-				if x := firstMaskBit(mask, m.w); x >= 0 {
-					wk.sub, wk.found = SubAt3D(x, y, z, q.w, q.l, q.h), true
-					s.publish(id)
-					return
-				}
-			}
-			b++
-		}
-	}
-}
-
-// bestFitStripe scans base rows [b0, b1) keeping the stripe's first
-// maximal-score candidate, enumerating each surviving window's bases
-// from a bitboard fit mask in per-worker scratch. The whole stripe is
-// always scanned — a later candidate can still win on score.
-func (s *Sharded) bestFitStripe(id int) {
-	wk := &s.workers[id]
-	wk.found, wk.score = false, -1
-	m, q := s.m, &s.req
-	switch {
-	case m.torus:
-		for y := wk.b0; y < wk.b1; {
-			bad := -1
-			for i := q.l - 1; i >= 0; i-- {
-				yy := y + i
-				if yy >= m.l {
-					yy -= m.l
-				}
-				if m.looseRowBound(yy) < q.w {
-					bad = yy
-					break
-				}
-			}
-			switch {
-			case bad < 0:
-				if band := wk.torusBaseMask(m, y, q.w, q.l); band != nil {
-				bases:
-					for i, v := range band {
-						base := i << 6
-						for v != 0 {
-							x := base + bits.TrailingZeros64(v)
-							if x >= m.w {
-								break bases // second-copy bits: same placements
-							}
-							v &= v - 1
-							sub := SubAt(x, y, q.w, q.l)
-							if sc := m.torusBoundaryPressure(sub); sc > wk.score {
-								wk.sub, wk.score, wk.found = sub, sc, true
-							}
-						}
-					}
-				}
-				y++
-			case bad >= y:
-				y = bad + 1
-			default:
-				y++
-			}
-		}
-	case m.h == 1:
-		mask := sizedWordScratch(&wk.winMask, m.wpr)
-		fresh := true
-		for y := wk.b0; y < wk.b1; {
-			if fresh {
-				if bad := m.windowRowBlock(y, 0, q.w, q.l, 1); bad >= 0 {
-					y = bad + 1
-					continue
-				}
-			} else if m.rowMax[y+q.l-1] < q.w {
-				y += q.l
-				fresh = true
-				continue
-			}
-			fresh = false
-			if m.planarFitMaskInto(mask, y, 0, q.w, q.l, 1) {
-				for i, v := range mask {
-					base := i << 6
-					for v != 0 {
-						x := base + bits.TrailingZeros64(v)
-						v &= v - 1
-						sub := SubAt(x, y, q.w, q.l)
-						if sc := m.boundaryPressure(sub); sc > wk.score {
-							wk.sub, wk.score, wk.found = sub, sc, true
-						}
-					}
-				}
-			}
-			y++
-		}
-	default:
-		mask := sizedWordScratch(&wk.winMask, m.wpr)
-		ny := m.l - q.l + 1
-		for b := wk.b0; b < wk.b1; {
-			z, y := b/ny, b%ny
-			if zBad := m.planeBlock(z, q.w, q.h); zBad >= 0 {
-				b = (zBad + 1) * ny
-				continue
-			}
-			if bad := m.windowRowBlock(y, z, q.w, q.l, q.h); bad >= 0 {
-				if bad+1 >= ny {
-					b = (z + 1) * ny
-				} else {
-					b = z*ny + bad + 1
-				}
-				continue
-			}
-			if m.planarFitMaskInto(mask, y, z, q.w, q.l, q.h) {
-				for i, v := range mask {
-					base := i << 6
-					for v != 0 {
-						x := base + bits.TrailingZeros64(v)
-						v &= v - 1
-						sub := SubAt3D(x, y, z, q.w, q.l, q.h)
-						if sc := m.boundaryPressure3D(sub); sc > wk.score {
-							wk.sub, wk.score, wk.found = sub, sc, true
-						}
-					}
-				}
+			if m.planarFitMaskInto(mask, y, z, q.w, q.l, q.h) && s.visitWindow(wk, mask, y, z) {
+				s.publish(id)
+				return
 			}
 			b++
 		}

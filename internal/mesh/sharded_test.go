@@ -186,6 +186,9 @@ func TestShardedZeroAllocSteadyState(t *testing.T) {
 			run := func() {
 				sh.FirstFit(5, 5, 1)
 				sh.BestFit(4, 6, 1)
+				if c.m.H() > 1 {
+					sh.BestFit(4, 6, 2)
+				}
 				sh.LargestFree(32, 32, c.m.H(), 512)
 				sh.FrameSlide(5, 5, 1)
 			}

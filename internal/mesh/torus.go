@@ -166,8 +166,9 @@ func (m *Mesh) wrapBusy(s Submesh) int {
 
 // torusSubFree reports whether every processor of the possibly
 // seam-crossing sub-mesh is free. Shallow rectangles are answered by
-// one wrap-aware run probe per row; tall ones by the seam-split
-// summed-area queries.
+// one wrap-aware run probe per row; tall ones by the busy count of its
+// seam-split planar pieces, masked popcounts off the bitboard words
+// (wrapBusy).
 func (m *Mesh) torusSubFree(s Submesh) bool {
 	if !m.wrapValid(s) {
 		return false
@@ -208,29 +209,36 @@ func (m *Mesh) torusBlockedUntil(x, y, w, l int) int {
 
 // torusWindowSkip prunes base rows for a w-wide, l-tall window whose
 // rows wrap: it returns the next base row >= y whose window contains no
-// row with rowBoundAt < w, or m.l when none remains. A blocking row at
-// or after the base lets the search jump straight past it; a blocking
-// row in the wrapped prefix only rules out the current base.
-func (m *Mesh) torusWindowSkip(y, w, l int) int {
+// row with rowBoundAt < w, or m.l when none remains. When fresh is
+// false the window of base y-1 was clean, so only row y+l-1 is new to
+// it. A blocking row at or after the base lets the search jump straight
+// past it; a blocking row in the wrapped prefix ends the search, since
+// every later base's window wraps at least as far. Amortized O(1) per
+// base row.
+func (m *Mesh) torusWindowSkip(y, w, l int, fresh bool) int {
 	for y < m.l {
+		first := y
+		if !fresh {
+			first = y + l - 1
+		}
 		bad := -1
-		for i := l - 1; i >= 0; i-- {
-			yy := y + i
+		for i := y + l - 1; i >= first; i-- {
+			yy := i
 			if yy >= m.l {
 				yy -= m.l
 			}
 			if !m.rowBoundFits(yy, w) {
-				bad = yy
+				bad = i
 				break
 			}
 		}
 		switch {
 		case bad < 0:
 			return y
-		case bad >= y:
-			y = bad + 1 // every base in [y, bad] contains row bad
+		case bad >= m.l:
+			return m.l
 		default:
-			y++ // blocker wraps before the base; retry the next base
+			y, fresh = bad+1, true // every base in [y, bad] contains row bad
 		}
 	}
 	return m.l
@@ -243,67 +251,44 @@ func (m *Mesh) torusFirstFit(w, l int) (Submesh, bool) {
 	if w <= 0 || l <= 0 || w > m.w || l > m.l {
 		return Submesh{}, false
 	}
+	fresh := true
 	for y := 0; y < m.l; y++ {
-		y = m.torusWindowSkip(y, w, l)
+		y = m.torusWindowSkip(y, w, l, fresh)
 		if y >= m.l {
 			break
 		}
 		for x := range m.CandidatesRow(y, w, l) {
 			return SubAt(x, y, w, l), true
 		}
+		fresh = false
 	}
 	return Submesh{}, false
 }
 
-// torusBestFit is BestFit over the torus candidate space, scored by
-// torusBoundaryPressure. The row-major-first candidate wins ties.
+// torusBestFit is BestFit over the torus candidate space. The score
+// counts busy perimeter neighbours only: a torus has no border, and a
+// side spanning its whole ring has no perimeter in that dimension (the
+// ring closes on itself). The row-major-first candidate wins ties.
 func (m *Mesh) torusBestFit(w, l int) (Submesh, bool) {
 	if w <= 0 || l <= 0 || w > m.w || l > m.l {
 		return Submesh{}, false
 	}
-	best := Submesh{}
-	bestScore := -1
+	k := m.hist.scorer()
+	k.reset(m, w, l, 1)
+	rowAnd := sizedWordScratch(&m.hist.rowAnd, m.wpr)
+	band := sizedWordScratch(&m.hist.bandMask, wordsPerRow(2*m.w))
+	fresh := true
 	for y := 0; y < m.l; y++ {
-		y = m.torusWindowSkip(y, w, l)
+		y = m.torusWindowSkip(y, w, l, fresh)
 		if y >= m.l {
 			break
 		}
-		for x := range m.CandidatesRow(y, w, l) {
-			s := SubAt(x, y, w, l)
-			if score := m.torusBoundaryPressure(s); score > bestScore {
-				bestScore = score
-				best = s
-			}
+		if m.torusFitMaskInto(band, rowAnd, y, w, l) && k.scoreRow(m, band, y, 0) {
+			break
 		}
+		fresh = false
 	}
-	if bestScore < 0 {
-		return Submesh{}, false
-	}
-	return best, true
-}
-
-// torusBoundaryPressure counts perimeter positions of the candidate
-// that abut a busy processor. A torus has no border, so — unlike the
-// planar score — there is no border bonus; and a side that spans its
-// whole ring has no perimeter in that dimension (the ring closes on
-// itself), so its strips are skipped. Each strip is a pop-count off the
-// bitboard words over one or two planar pieces (the strip may cross the
-// other seam) — pure reads, safe for concurrent scans.
-func (m *Mesh) torusBoundaryPressure(s Submesh) int {
-	score := 0
-	if s.L() < m.l {
-		below := (s.Y1 + m.l - 1) % m.l
-		above := (s.Y2 + 1) % m.l
-		score += m.wrapBusy(Submesh{X1: s.X1, Y1: below, X2: s.X2, Y2: below})
-		score += m.wrapBusy(Submesh{X1: s.X1, Y1: above, X2: s.X2, Y2: above})
-	}
-	if s.W() < m.w {
-		left := (s.X1 + m.w - 1) % m.w
-		right := (s.X2 + 1) % m.w
-		score += m.wrapBusy(Submesh{X1: left, Y1: s.Y1, X2: left, Y2: s.Y2})
-		score += m.wrapBusy(Submesh{X1: right, Y1: s.Y1, X2: right, Y2: s.Y2})
-	}
-	return score
+	return k.result()
 }
 
 // torusLargestFreeScan is the pre-histogram torus LargestFree, retained

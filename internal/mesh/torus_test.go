@@ -147,7 +147,7 @@ func TestTorusBestFitIgnoresBorder(t *testing.T) {
 	if !ok {
 		t.Fatal("BestFit failed on a nearly empty torus")
 	}
-	if got := m.torusBoundaryPressure(s); got != 2 {
+	if got := naiveTorusPressure(m, s.X1, s.Y1, s.W(), s.L()); got != 2 {
 		t.Fatalf("BestFit chose %v with pressure %d; the busy block offers 2", s, got)
 	}
 }

@@ -1,7 +1,5 @@
 package mesh
 
-import "math/bits"
-
 // This file is the 3D query and search layer of the occupancy index
 // (PR 4). The authoritative state is dimension-general (mesh.go): the
 // bitboard words are per-(row, plane), the per-row aggregates stack
@@ -10,10 +8,11 @@ import "math/bits"
 // pop-counts over the slab's rows. The searches here port the planar
 // ones:
 //
-//   - firstFit3D / bestFit3D scan candidate bases in (z, y, x) order,
+//   - firstFit3D / BestFit3D scan candidate bases in (z, y, x) order,
 //     pruning whole planes with planeMax (z-pruning) and whole window
-//     rows with rowMax, and skip blocked bases run by run exactly like
-//     the planar CandidatesRow;
+//     rows with rowMax, and read each surviving window row's bases off
+//     a bitboard fit mask exactly like the planar CandidatesRow;
+//     BestFit3D scores them with the row kernel of bestfit.go;
 //   - largestFree3D runs the PR 3 maximal-rectangle-in-histogram sweep
 //     per projected plane under a z-extent outer loop: for every
 //     (base plane, depth) pair the planes are AND-projected and one
@@ -176,9 +175,10 @@ func (m *Mesh) firstFit3D(w, l, h int) (Submesh, bool) {
 
 // BestFit3D returns the free w x l x h cuboid whose placement touches
 // the most busy-or-border processors across its six faces (the planar
-// boundary-pressure score generalized from perimeter edges to faces).
-// The (z, y, x)-first candidate wins ties. On a depth-1 mesh it is
-// exactly the planar BestFit.
+// boundary-pressure score generalized from perimeter edges to faces;
+// face cells off the mesh count as border, edges and corners are not
+// counted). The (z, y, x)-first candidate wins ties. On a depth-1 mesh
+// it is exactly the planar BestFit.
 func (m *Mesh) BestFit3D(w, l, h int) (Submesh, bool) {
 	if w <= 0 || l <= 0 || h <= 0 || w > m.w || l > m.l || h > m.h {
 		return Submesh{}, false
@@ -186,80 +186,25 @@ func (m *Mesh) BestFit3D(w, l, h int) (Submesh, bool) {
 	if m.h == 1 {
 		return m.BestFit(w, l)
 	}
-	best := Submesh{}
-	bestScore := -1
+	k := m.hist.scorer()
+	k.reset(m, w, l, h)
 	mask := sizedWordScratch(&m.hist.winMask, m.wpr)
 	for z := 0; ; z++ {
 		z = m.nextWindowPlane(z, w, h)
 		if z+h > m.h {
-			break
+			return k.result()
 		}
 		for y := 0; y+l <= m.l; {
 			if bad := m.blockingWindowRow(y, z, w, l, h); bad >= 0 {
 				y = bad + 1
 				continue
 			}
-			if m.planarFitMaskInto(mask, y, z, w, l, h) {
-				for i, v := range mask {
-					base := i << 6
-					for v != 0 {
-						x := base + bits.TrailingZeros64(v)
-						v &= v - 1
-						s := SubAt3D(x, y, z, w, l, h)
-						if score := m.boundaryPressure3D(s); score > bestScore {
-							bestScore = score
-							best = s
-						}
-					}
-				}
+			if m.planarFitMaskInto(mask, y, z, w, l, h) && k.scoreRow(m, mask, y, z) {
+				return k.result()
 			}
 			y++
 		}
 	}
-	if bestScore < 0 {
-		return Submesh{}, false
-	}
-	return best, true
-}
-
-// boundaryPressure3D counts face-adjacent positions of s that abut the
-// mesh border or a busy processor. Each of the six face slabs is a
-// pop-count over its plane-rows' masked words (scanBusyBox); slabs
-// falling off the mesh count whole as border. Edges and corners are
-// not counted, matching the planar score's edge-only perimeter.
-func (m *Mesh) boundaryPressure3D(s Submesh) int {
-	score := 0
-	if s.Y1 == 0 {
-		score += s.W() * s.H()
-	} else {
-		score += m.scanBusyBox(s.X1, s.Y1-1, s.Z1, s.X2, s.Y1-1, s.Z2)
-	}
-	if s.Y2 == m.l-1 {
-		score += s.W() * s.H()
-	} else {
-		score += m.scanBusyBox(s.X1, s.Y2+1, s.Z1, s.X2, s.Y2+1, s.Z2)
-	}
-	if s.X1 == 0 {
-		score += s.L() * s.H()
-	} else {
-		score += m.scanBusyBox(s.X1-1, s.Y1, s.Z1, s.X1-1, s.Y2, s.Z2)
-	}
-	if s.X2 == m.w-1 {
-		score += s.L() * s.H()
-	} else {
-		score += m.scanBusyBox(s.X2+1, s.Y1, s.Z1, s.X2+1, s.Y2, s.Z2)
-	}
-	if s.Z1 == 0 {
-		score += s.W() * s.L()
-	} else {
-		score += m.scanBusyBox(s.X1, s.Y1, s.Z1-1, s.X2, s.Y2, s.Z1-1)
-	}
-	if s.Z2 == m.h-1 {
-		score += s.W() * s.L()
-	} else {
-		score += m.scanBusyBox(s.X1, s.Y1, s.Z2+1, s.X2, s.Y2, s.Z2+1)
-	}
-	return score
 }
 
 // spread3 is the 3D shape tie-breaker: the spread between the longest

@@ -53,8 +53,8 @@ func naiveFirstFit3D(m *Mesh, w, l, h int) (Submesh, bool) {
 }
 
 // naivePressure3D counts busy-or-border cells across the cuboid's six
-// faces, edges and corners excluded — the seed-style per-cell walk of
-// boundaryPressure3D.
+// faces, edges and corners excluded, one cell at a time — the referee
+// for the row kernel's 3D faces (bestfit.go).
 func naivePressure3D(m *Mesh, s Submesh) int {
 	score := 0
 	cell := func(x, y, z int) {

@@ -505,9 +505,11 @@ func mutateCases(short bool) []Case {
 // large-mesh allocation-heavy runs of the PR 5 trajectory, each at
 // several worker counts with everything else identical (and the
 // placements bit-identical by construction, so every worker count
-// simulates exactly the same run). BestFit scans its entire candidate
-// space on every allocation — the workload the executor exists for;
-// GABL adds the probe + histogram-sweep path.
+// simulates exactly the same run). BestFit scores every fitting
+// candidate up to the first that reaches the score ceiling — the whole
+// candidate space when none does, which on a fragmented mesh is most
+// allocations, so its stripes rarely stop early; GABL adds the probe +
+// histogram-sweep path.
 func largeCases(short bool) []Case {
 	type cfg struct {
 		w, l, h  int
