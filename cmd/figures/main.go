@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"time"
@@ -54,16 +55,15 @@ func main() {
 		csvDir  = flag.String("csv", "", "write one CSV per experiment into this directory")
 		topo    = flag.String("topology", "", "override interconnect topology for every experiment: mesh, torus")
 		depth   = flag.Int("depth", 0, "override mesh depth for every experiment (0 keeps each experiment's own; above 1 runs 3D)")
-		workers = flag.Int("workers", 0, "search workers per simulation (0 = serial scans, cells already run one per core); cells x workers stays capped at GOMAXPROCS")
 		faults  = flag.String("faults", "", "fault plan JSON file injected into every run (each replication draws an independent failure schedule)")
 	)
 	flag.Parse()
 
-	if *workers < 0 {
-		fmt.Fprintf(os.Stderr, "figures: -workers %d is invalid; workers must be at least 0\n", *workers)
+	if *think < 0 || math.IsNaN(*think) {
+		fmt.Fprintf(os.Stderr, "figures: -think %g is invalid; the mean compute gap must be nonnegative\n", *think)
 		os.Exit(1)
 	}
-	opt := core.Options{BaseSeed: *seed, Think: *think, Workers: *workers}
+	opt := core.Options{BaseSeed: *seed, Think: *think}
 	if *faults != "" {
 		b, err := os.ReadFile(*faults)
 		if err != nil {

@@ -24,7 +24,6 @@ import (
 
 	"repro/internal/alloc"
 	"repro/internal/core"
-	"repro/internal/mesh"
 	"repro/internal/network"
 	"repro/internal/report"
 	"repro/internal/sim"
@@ -53,7 +52,6 @@ func main() {
 		think     = flag.Float64("think", 0, "mean compute gap between sends")
 		backfill  = flag.Int("backfill", 0, "aggressive backfilling depth (0 = paper semantics)")
 		topology  = flag.String("topology", "mesh", "interconnect topology: mesh, torus (torus wraps routing AND placement)")
-		workers   = flag.Int("workers", 0, "parallel search workers for the run's candidate scans (0 = one per core); results are identical at every count")
 		pattern   = flag.String("pattern", "all-to-all", "communication pattern: all-to-all, one-to-all, all-to-one, random-pairs, near-neighbour")
 		duration  = flag.Float64("duration", 0, "stop after this much workload time (0 = job-count stopping rule); with -duration and no explicit -jobs the run is purely time-bounded")
 		timeScale = flag.Float64("time-scale", 1, "time compression: divide arrivals and compute demands by this factor, so a -duration horizon simulates in 1/factor the events' original timespan")
@@ -121,9 +119,6 @@ func main() {
 	if *retries >= 0 {
 		cfg.Network.MaxRetries = *retries
 	}
-	// A single-run CLI owns the whole machine: 0 resolves to one
-	// worker per core (the library default stays serial).
-	cfg.Workers = mesh.DefaultWorkers(*workers)
 	cfg.Seed = *seed
 
 	// Time-compression mode: -duration/-start-time/-timeline-interval
@@ -208,9 +203,6 @@ func main() {
 	switch {
 	case *meshH < 1:
 		fmt.Fprintf(os.Stderr, "meshsim: -depth %d is invalid; depth must be at least 1\n", *meshH)
-		os.Exit(1)
-	case *workers < 0:
-		fmt.Fprintf(os.Stderr, "meshsim: -workers %d is invalid; workers must be at least 0 (0 selects one per core)\n", *workers)
 		os.Exit(1)
 	case *meshH > 1 && top == network.TorusTopology:
 		fmt.Fprintf(os.Stderr, "meshsim: -depth %d conflicts with -topology torus: the torus fabric is 2D-only; use -topology mesh or -depth 1\n", *meshH)

@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"repro/internal/stats"
@@ -32,8 +33,22 @@ func main() {
 	)
 	flag.Parse()
 
-	if *meshH < 1 {
+	switch {
+	case *jobs <= 0:
+		fmt.Fprintf(os.Stderr, "tracegen: -jobs %d is invalid; the trace needs at least one job\n", *jobs)
+		os.Exit(1)
+	case *meshW <= 0:
+		fmt.Fprintf(os.Stderr, "tracegen: -width %d is invalid; width must be at least 1\n", *meshW)
+		os.Exit(1)
+	case *meshL <= 0:
+		fmt.Fprintf(os.Stderr, "tracegen: -length %d is invalid; length must be at least 1\n", *meshL)
+		os.Exit(1)
+	case *meshH < 1:
 		fmt.Fprintf(os.Stderr, "tracegen: -depth %d is invalid; depth must be at least 1\n", *meshH)
+		os.Exit(1)
+	case !(*meanI > 0) || math.IsInf(*meanI, 1):
+		// The negated comparison also rejects NaN.
+		fmt.Fprintf(os.Stderr, "tracegen: -interarrival %g is invalid; the mean inter-arrival time must be positive and finite\n", *meanI)
 		os.Exit(1)
 	}
 	spec := workload.DefaultParagon()

@@ -123,19 +123,6 @@ type Allocator interface {
 	Mesh() *mesh.Mesh
 }
 
-// SearchUser is implemented by the strategies whose allocation
-// decisions run candidate scans — GABL (both variants), FirstFit,
-// BestFit, ANCA and FrameSliding. Their searches route through a
-// mesh.Searcher, so one executor swap parallelizes every scan without
-// touching a strategy's decision logic (executors are result-identical
-// by construction). The probe-and-stream strategies (MBS, Paging,
-// Random) have no scans to execute and do not implement it.
-type SearchUser interface {
-	// SetSearcher replaces the strategy's search executor. The executor
-	// must be bound to the strategy's mesh.
-	SetSearcher(mesh.Searcher)
-}
-
 // validate panics on malformed requests: the workload generators are
 // responsible for producing requests that fit the mesh, and a request
 // that can never fit would otherwise wedge a FCFS queue forever.

@@ -15,8 +15,7 @@ import (
 // like the other non-contiguous strategies, succeeds whenever enough
 // processors are free.
 type ANCA struct {
-	m      *mesh.Mesh
-	search mesh.Searcher
+	m *mesh.Mesh
 	// maxLevels bounds the subdivision; at the bound the remaining
 	// frames are filled processor by processor.
 	maxLevels int
@@ -25,11 +24,8 @@ type ANCA struct {
 // NewANCA builds an ANCA allocator with the conventional 4-level
 // subdivision bound before the single-processor fallback.
 func NewANCA(m *mesh.Mesh) *ANCA {
-	return &ANCA{m: m, search: mesh.NewSerial(m), maxLevels: 4}
+	return &ANCA{m: m, maxLevels: 4}
 }
-
-// SetSearcher implements SearchUser.
-func (a *ANCA) SetSearcher(s mesh.Searcher) { a.search = s }
 
 // Name implements Allocator.
 func (a *ANCA) Name() string { return "ANCA" }
@@ -74,9 +70,9 @@ func (a *ANCA) Allocate(req Request) (Allocation, bool) {
 func (a *ANCA) tryLevel(frames []Request) ([]mesh.Submesh, bool) {
 	var placed []mesh.Submesh
 	for _, f := range frames {
-		s, ok := a.search.FirstFit(f.W, f.L, f.Depth())
+		s, ok := a.m.FirstFit3D(f.W, f.L, f.Depth())
 		if !ok && f.W != f.L {
-			s, ok = a.search.FirstFit(f.L, f.W, f.Depth())
+			s, ok = a.m.FirstFit3D(f.L, f.W, f.Depth())
 		}
 		if !ok {
 			for _, p := range placed {

@@ -15,24 +15,20 @@ import (
 // strategies' contiguous steps are validated against.
 type Contiguous struct {
 	m       *mesh.Mesh
-	search  mesh.Searcher
 	bestFit bool
 	rotate  bool
 }
 
 // NewFirstFit builds a contiguous first-fit allocator.
 func NewFirstFit(m *mesh.Mesh, rotate bool) *Contiguous {
-	return &Contiguous{m: m, search: mesh.NewSerial(m), rotate: rotate}
+	return &Contiguous{m: m, rotate: rotate}
 }
 
 // NewBestFit builds a contiguous best-fit allocator (boundary-hugging
 // placement, Zhu-style).
 func NewBestFit(m *mesh.Mesh, rotate bool) *Contiguous {
-	return &Contiguous{m: m, search: mesh.NewSerial(m), bestFit: true, rotate: rotate}
+	return &Contiguous{m: m, bestFit: true, rotate: rotate}
 }
-
-// SetSearcher implements SearchUser.
-func (c *Contiguous) SetSearcher(s mesh.Searcher) { c.search = s }
 
 // Name implements Allocator.
 func (c *Contiguous) Name() string {
@@ -60,9 +56,9 @@ func (c *Contiguous) Allocate(req Request) (Allocation, bool) {
 		// request; skip the search (its answer is already known).
 		return Allocation{}, false
 	}
-	search := c.search.FirstFit
+	search := c.m.FirstFit3D
 	if c.bestFit {
-		search = c.search.BestFit
+		search = c.m.BestFit3D
 	}
 	h := req.Depth()
 	if s, ok := search(req.W, req.L, h); ok {
@@ -188,20 +184,10 @@ func Supports3D(name string) bool {
 	return false
 }
 
-// ByName constructs the named strategy on m with the default serial
-// search executor; rng is used only by "Random". Recognised names are
-// exactly Strategies(). It is the strategy factory used by the
-// command-line tools.
+// ByName constructs the named strategy on m; rng is used only by
+// "Random". Recognised names are exactly Strategies(). It is the
+// strategy factory used by the command-line tools.
 func ByName(name string, m *mesh.Mesh, rng *stats.Stream) (Allocator, error) {
-	return ByNameSearch(name, m, rng, nil)
-}
-
-// ByNameSearch is ByName with an explicit search executor: strategies
-// that scan (SearchUser) run their searches through it. A nil search
-// keeps every strategy on the serial scans. The executor must be bound
-// to m; passing a sharded executor parallelizes the candidate scans of
-// a single simulation with placements bit-identical to serial.
-func ByNameSearch(name string, m *mesh.Mesh, rng *stats.Stream, search mesh.Searcher) (Allocator, error) {
 	for _, e := range registry {
 		if e.name != name {
 			continue
@@ -209,11 +195,6 @@ func ByNameSearch(name string, m *mesh.Mesh, rng *stats.Stream, search mesh.Sear
 		a, err := e.build(m, rng)
 		if err != nil {
 			return nil, err
-		}
-		if search != nil {
-			if u, ok := a.(SearchUser); ok {
-				u.SetSearcher(search)
-			}
 		}
 		return a, nil
 	}

@@ -13,17 +13,13 @@ import (
 // motivation for non-contiguous allocation.
 type FrameSliding struct {
 	m      *mesh.Mesh
-	search mesh.Searcher
 	rotate bool
 }
 
 // NewFrameSliding builds a frame-sliding allocator.
 func NewFrameSliding(m *mesh.Mesh, rotate bool) *FrameSliding {
-	return &FrameSliding{m: m, search: mesh.NewSerial(m), rotate: rotate}
+	return &FrameSliding{m: m, rotate: rotate}
 }
-
-// SetSearcher implements SearchUser.
-func (f *FrameSliding) SetSearcher(s mesh.Searcher) { f.search = s }
 
 // Name implements Allocator.
 func (f *FrameSliding) Name() string {
@@ -43,15 +39,13 @@ func (f *FrameSliding) Allocate(req Request) (Allocation, bool) {
 		return Allocation{}, false
 	}
 	// The stride scan itself lives on the occupancy index
-	// (mesh.SlideFit) and runs through the search executor, so a
-	// sharded executor probes frame rows in parallel like any other
-	// candidate scan.
+	// (mesh.SlideFit).
 	h := req.Depth()
-	if s, ok := f.search.FrameSlide(req.W, req.L, h); ok {
+	if s, ok := f.m.SlideFit(req.W, req.L, h); ok {
 		return commitWhole(f.m, s), true
 	}
 	if f.rotate && req.W != req.L {
-		if s, ok := f.search.FrameSlide(req.L, req.W, h); ok {
+		if s, ok := f.m.SlideFit(req.L, req.W, h); ok {
 			return commitWhole(f.m, s), true
 		}
 	}

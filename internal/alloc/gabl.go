@@ -21,8 +21,7 @@ import (
 // free. Allocated pieces are kept in a busy list (the allocation's
 // Pieces), whose length stays small because GABL prefers large pieces.
 type GABL struct {
-	m      *mesh.Mesh
-	search mesh.Searcher
+	m *mesh.Mesh
 	// rotate enables trying the transposed request for the contiguous
 	// step, as the SIMPAT formulation does; the ablation bench turns it
 	// off to isolate the effect.
@@ -35,17 +34,14 @@ type GABL struct {
 
 // NewGABL builds a GABL allocator with request rotation enabled.
 func NewGABL(m *mesh.Mesh) *GABL {
-	return &GABL{m: m, search: mesh.NewSerial(m), rotate: true}
+	return &GABL{m: m, rotate: true}
 }
 
 // NewGABLNoRotate builds a GABL variant that never tries the transposed
 // request, for the ablation study.
 func NewGABLNoRotate(m *mesh.Mesh) *GABL {
-	return &GABL{m: m, search: mesh.NewSerial(m)}
+	return &GABL{m: m}
 }
-
-// SetSearcher implements SearchUser.
-func (g *GABL) SetSearcher(s mesh.Searcher) { g.search = s }
 
 // Name implements Allocator.
 func (g *GABL) Name() string {
@@ -73,12 +69,12 @@ func (g *GABL) Allocate(req Request) (Allocation, bool) {
 	// Step 1: whole-request contiguous allocation. Requests carry a
 	// depth on 3D meshes; rotation transposes the planar sides only.
 	h := req.Depth()
-	if s, ok := g.search.FirstFit(req.W, req.L, h); ok {
+	if s, ok := g.m.FirstFit3D(req.W, req.L, h); ok {
 		g.busyLen++
 		return commitWhole(g.m, s), true
 	}
 	if g.rotate && req.W != req.L {
-		if s, ok := g.search.FirstFit(req.L, req.W, h); ok {
+		if s, ok := g.m.FirstFit3D(req.L, req.W, h); ok {
 			g.busyLen++
 			return commitWhole(g.m, s), true
 		}
@@ -96,7 +92,7 @@ func (g *GABL) Allocate(req Request) (Allocation, bool) {
 	var pieces []mesh.Submesh
 	logical := 0
 	for remaining > 0 {
-		s, ok := g.search.LargestFree(capW, capL, capH, remaining)
+		s, ok := g.m.LargestFree3D(capW, capL, capH, remaining)
 		if !ok {
 			// Cannot happen with remaining <= free processors: a 1x1x1
 			// free sub-mesh always qualifies.

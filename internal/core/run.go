@@ -25,18 +25,10 @@ type Options struct {
 	// MaxReps caps replications (convenience override; 0 keeps the
 	// replicator's).
 	MaxReps int
-	// Parallelism bounds concurrent simulations (0 = a GOMAXPROCS
-	// budget shared with Workers, see below).
+	// Parallelism bounds concurrent simulations, one cell per core:
+	// values <= 0 or above GOMAXPROCS select GOMAXPROCS. Results are
+	// bit-identical at every setting — only wall-clock changes.
 	Parallelism int
-	// Workers is the per-simulation search-worker count forwarded to
-	// sim.Config.Workers (0 or 1 = serial scans). Cross-cell
-	// replication parallelism and intra-run search sharding compose
-	// without oversubscription: concurrent cells × workers is capped
-	// at GOMAXPROCS, so the default (serial scans, one cell per core)
-	// and an explicit Workers > 1 (fewer concurrent cells, each
-	// saturating several cores) schedule the same core budget. Results
-	// are bit-identical at every setting — only wall-clock changes.
-	Workers int
 	// BaseSeed perturbs every derived seed, giving an independent
 	// repetition of the whole experiment.
 	BaseSeed int64
@@ -101,20 +93,9 @@ func Run(exp Experiment, opt Options) Series {
 			rep.MinReps = rep.MaxReps
 		}
 	}
-	// Compose cross-cell parallelism with per-run search workers under
-	// one GOMAXPROCS budget: cells × workers never exceeds it, so a
-	// worker count above 1 trades concurrent cells for intra-run
-	// parallelism instead of oversubscribing the machine.
-	if opt.Workers < 1 {
-		opt.Workers = 1
-	}
 	par := opt.Parallelism
-	budget := runtime.GOMAXPROCS(0)
-	if par <= 0 || par*opt.Workers > budget {
-		par = budget / opt.Workers
-		if par < 1 {
-			par = 1
-		}
+	if budget := runtime.GOMAXPROCS(0); par <= 0 || par > budget {
+		par = budget
 	}
 
 	type cellJob struct {
@@ -170,7 +151,6 @@ func runCell(exp Experiment, c Combo, load float64, jobs int, rep stats.Replicat
 		cfg.WarmupJobs = exp.Warmup
 		cfg.MaxQueued = 4 * jobs
 		cfg.ThinkMean = opt.Think
-		cfg.Workers = opt.Workers
 		cfg.Seed = seed
 		if opt.Faults != nil {
 			plan := *opt.Faults

@@ -205,27 +205,3 @@ func TestGABLBeatsMBSBothWorkloads(t *testing.T) {
 		}
 	}
 }
-
-// TestRunWorkersBitIdentical pins the Workers knob at the harness
-// level: the whole series — every cell, every retained metric — must
-// be bit-identical whether the per-run searches are serial or sharded,
-// and the cells × workers budget must not change any seed derivation.
-func TestRunWorkersBitIdentical(t *testing.T) {
-	exp := quickExp()
-	// Large enough to clear the executor's fan-out gate, so the
-	// sharded path genuinely runs.
-	exp.MeshW, exp.MeshL = 32, 32
-	serial := Run(exp, quickOpts())
-	opt := quickOpts()
-	opt.Workers = 3
-	sharded := Run(exp, opt)
-	if len(serial.Cells) != len(sharded.Cells) {
-		t.Fatalf("cell counts differ: %d vs %d", len(serial.Cells), len(sharded.Cells))
-	}
-	for i := range serial.Cells {
-		if serial.Cells[i] != sharded.Cells[i] {
-			t.Fatalf("cell %d diverged under Workers=3:\nserial:  %+v\nsharded: %+v",
-				i, serial.Cells[i], sharded.Cells[i])
-		}
-	}
-}

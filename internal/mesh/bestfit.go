@@ -3,8 +3,7 @@ package mesh
 import "math/bits"
 
 // This file is the BestFit scoring kernel. Every BestFit search —
-// planar, torus or 3D, serial or one sharded stripe — walks its
-// candidate base rows, builds each row's fit mask, and hands the mask
+// planar, torus or 3D — walks its candidate base rows, builds each row's fit mask, and hands the mask
 // to one fitScorer, which scores the row's candidates in ascending x
 // off per-row arrays instead of probing their faces one by one:
 //
@@ -31,9 +30,9 @@ import "math/bits"
 // argument.
 
 // fitScorer is the per-search state of the BestFit kernel: the
-// request, the running best, and the per-row arrays. The serial scans
-// keep one in the mesh's scratch and every sharded worker keeps its
-// own; reset sizes the arrays once and reuses them after.
+// request, the running best, and the per-row arrays. The searches keep
+// one in the mesh's scratch; reset sizes the arrays once and reuses
+// them after.
 type fitScorer struct {
 	w, l, h int
 	ceiling int
@@ -59,7 +58,7 @@ type fitScorer struct {
 	nf    int
 }
 
-// scorer returns the serial searches' kernel, allocating it on first
+// scorer returns the BestFit searches' kernel, allocating it on first
 // use.
 func (h *histScratch) scorer() *fitScorer {
 	if h.fit == nil {

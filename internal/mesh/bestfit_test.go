@@ -3,9 +3,8 @@ package mesh
 // Edge-case differentials for the BestFit row kernel (bestfit.go): on
 // widths around the word boundaries, full-side and ring-minus-one
 // requests, 3D boxes touching the first and last planes, and pockets
-// that reach the score ceiling mid-row, the serial search and the
-// sharded executor at workers {2, 7} must return exactly what the naive
-// per-cell scans return.
+// that reach the score ceiling mid-row, the search must return exactly
+// what the naive per-cell scans return.
 
 import (
 	"math/rand"
@@ -31,19 +30,44 @@ func naiveBestFitAny(m *Mesh, w, l, h int) (Submesh, bool) {
 	}
 }
 
-// checkBestFitPaths runs one request through the serial search and
-// every executor and holds each to the naive scan.
-func checkBestFitPaths(t *testing.T, m *Mesh, shs []*Sharded, w, l, h int) {
+// checkBestFit runs one request through the search and holds it to
+// the naive scan.
+func checkBestFit(t *testing.T, m *Mesh, w, l, h int) {
 	t.Helper()
 	want, wantOK := naiveBestFitAny(m, w, l, h)
 	if got, ok := m.BestFit3D(w, l, h); got != want || ok != wantOK {
 		t.Fatalf("BestFit3D(%d,%d,%d) = %v,%v; naive scan says %v,%v\n%s",
 			w, l, h, got, ok, want, wantOK, m)
 	}
-	for _, sh := range shs {
-		if got, ok := sh.BestFit(w, l, h); got != want || ok != wantOK {
-			t.Fatalf("sharded(%d) BestFit(%d,%d,%d) = %v,%v; naive scan says %v,%v\n%s",
-				sh.Workers(), w, l, h, got, ok, want, wantOK, m)
+}
+
+// churnStep mutates m one step: a random free sub-mesh allocation or a
+// random single-cell release of a busy processor, keeping the
+// occupancy mixed.
+func churnStep(t *testing.T, m *Mesh, rng *rand.Rand) {
+	t.Helper()
+	if rng.Intn(3) > 0 || m.FreeCount() == 0 {
+		// Release pressure: clear a random busy cell if any.
+		if m.BusyCount() > 0 {
+			for tries := 0; tries < 64; tries++ {
+				c := Coord{rng.Intn(m.W()), rng.Intn(m.L()), rng.Intn(m.H())}
+				if m.Busy(c) {
+					if err := m.Release([]Coord{c}); err != nil {
+						t.Fatal(err)
+					}
+					return
+				}
+			}
+		}
+	}
+	w := 1 + rng.Intn(max(1, m.W()/3))
+	l := 1 + rng.Intn(max(1, m.L()/3))
+	h := 1 + rng.Intn(m.H())
+	if s, ok := m.FirstFit3D(w, l, h); ok {
+		for _, p := range m.SplitWrap(s) {
+			if err := m.AllocateSub(p); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }
@@ -105,7 +129,6 @@ func TestBestFitEdgeCases(t *testing.T) {
 			m := f.build()
 			rng := rand.New(rand.NewSource(int64(100*fi + di)))
 			occupyRandom(t, m, rng, frac)
-			shs := []*Sharded{NewSharded(m, 2), NewSharded(m, 7)}
 			W, L, H := m.W(), m.L(), m.H()
 			reqs := [][3]int{
 				{W, L, 1}, {W, 1, 1}, {1, L, 1}, {W, L, H},
@@ -116,10 +139,7 @@ func TestBestFitEdgeCases(t *testing.T) {
 				reqs = append(reqs, [3]int{1 + rng.Intn(W), 1 + rng.Intn(L), 1 + rng.Intn(H)})
 			}
 			for _, r := range reqs {
-				checkBestFitPaths(t, m, shs, r[0], r[1], r[2])
-			}
-			for _, sh := range shs {
-				sh.Close()
+				checkBestFit(t, m, r[0], r[1], r[2])
 			}
 		}
 	}
@@ -139,7 +159,6 @@ func TestBestFitEdgeCasesUnderChurn(t *testing.T) {
 		func() *Mesh { return New3D(64, 6, 4) },
 	} {
 		m := build()
-		shs := []*Sharded{NewSharded(m, 2), NewSharded(m, 7)}
 		rng := rand.New(rand.NewSource(5))
 		occupyRandom(t, m, rng, 0.3)
 		for i := 0; i < steps; i++ {
@@ -150,10 +169,7 @@ func TestBestFitEdgeCasesUnderChurn(t *testing.T) {
 			if rng.Intn(3) == 0 {
 				w, l = 1+rng.Intn(4), 1+rng.Intn(4)
 			}
-			checkBestFitPaths(t, m, shs, w, l, h)
-		}
-		for _, sh := range shs {
-			sh.Close()
+			checkBestFit(t, m, w, l, h)
 		}
 	}
 }
@@ -161,7 +177,7 @@ func TestBestFitEdgeCasesUnderChurn(t *testing.T) {
 // TestBestFitCeilingMidRow pins the early exit: a row whose candidates
 // before and after an exactly fitting pocket score less, so the search
 // must stop at the pocket — the ceiling — and return it, on every
-// fabric and executor.
+// fabric.
 func TestBestFitCeilingMidRow(t *testing.T) {
 	// carve frees the given boxes on an otherwise fully busy mesh.
 	carve := func(m *Mesh, boxes ...Submesh) *Mesh {
@@ -201,13 +217,7 @@ func TestBestFitCeilingMidRow(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			shs := []*Sharded{NewSharded(c.m, 2), NewSharded(c.m, 7)}
-			defer func() {
-				for _, sh := range shs {
-					sh.Close()
-				}
-			}()
-			checkBestFitPaths(t, c.m, shs, c.w, c.l, c.h)
+			checkBestFit(t, c.m, c.w, c.l, c.h)
 			got, ok := c.m.BestFit3D(c.w, c.l, c.h)
 			if !ok || got != c.want {
 				t.Fatalf("BestFit3D(%d,%d,%d) = %v,%v; want the pocket %v", c.w, c.l, c.h, got, ok, c.want)

@@ -473,8 +473,8 @@ func sweepRowWords(words []uint64, cols, maxL, capW int, heights, stackS, stackH
 }
 
 // bumpHeightsWords advances the column heights over one band row
-// without recording rectangles — the dominated-row shortcut and the
-// stripe-seeding fast path of the sweeps.
+// without recording rectangles — the dominated-row shortcut of the
+// sweep (maxWidthByHeight).
 func bumpHeightsWords(words []uint64, cols, maxL int, heights []int) {
 	x := 0
 	for x < cols {

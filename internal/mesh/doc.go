@@ -35,12 +35,12 @@
 // carving) runs as a best-first shape-probe phase backed by an O(W·L)
 // maximal-rectangle-in-histogram sweep — over the doubled seam band on
 // a torus — with release-epoch memoization of alloc-monotone facts;
-// the pre-histogram per-anchor scan is retained as the reference its
-// differential tests compare against (histogram.go,
+// the pre-histogram per-anchor scan is kept in the tests as the
+// reference its differential tests compare against (histogram.go,
 // docs/occupancy-index.md §6). Its volumetric counterpart
 // (LargestFree3D) runs the same sweep per AND-projected plane under a
-// z-extent outer loop, with the naive volumetric scan retained as
-// largestFreeScan3D (volume.go, docs/occupancy-index.md §7).
+// z-extent outer loop, with the naive volumetric scan kept in the
+// tests as largestFreeScan3D (volume.go, docs/occupancy-index.md §7).
 //
 // # Topologies
 //
@@ -64,18 +64,6 @@
 // planar machinery on depth-1 meshes, so 2D behaviour — placements,
 // tie-breaking, memoization — is bit-identical to the planar-only
 // engine by construction (volume.go).
-//
-// # Search executors
-//
-// Every search also runs behind the Searcher interface: NewSerial
-// binds the scans above to the calling goroutine, and NewSharded runs
-// them on a pool of workers — the (z, y) base space split into
-// contiguous stripes, per-worker scratch, owner-side aggregate repairs,
-// and stripe-ordered reductions that reproduce the serial tie-breaks
-// exactly, so placements are bit-identical at every worker count
-// (sharded.go, docs/occupancy-index.md §8). The allocation strategies
-// route their scans through a Searcher, which is how one -workers knob
-// parallelizes a whole simulation's searches.
 //
 // # Coordinates
 //

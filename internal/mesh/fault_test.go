@@ -5,9 +5,7 @@ package mesh
 // and randomized churn interleaving failures, recoveries, allocations
 // and releases is verified against a naive per-cell model that
 // distinguishes pinned from allocated cells — busy must always read as
-// allocated ∪ pinned, and the release paths must never free a pin. The
-// sharded determinism matrix reruns serial-vs-sharded search identity
-// on churn-plus-failure traces at every worker count.
+// allocated ∪ pinned, and the release paths must never free a pin.
 
 import (
 	"math/rand"
@@ -566,103 +564,4 @@ func TestTorusSeamPinSurvivesWrappedRelease(t *testing.T) {
 	if !m.FitsAt(6, 0, 4, 2) {
 		t.Fatal("FitsAt refuses the seam band after recovery")
 	}
-}
-
-// allocChurn3D places one FirstFit cuboid if any fits, the shared tail
-// of the fault churn step.
-func allocChurn3D(t *testing.T, m *Mesh, rng *rand.Rand) {
-	t.Helper()
-	w := 1 + rng.Intn(max(1, m.W()/3))
-	l := 1 + rng.Intn(max(1, m.L()/3))
-	h := 1 + rng.Intn(m.H())
-	if s, ok := m.FirstFit3D(w, l, h); ok {
-		for _, p := range m.SplitWrap(s) {
-			if err := m.AllocateSub(p); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-}
-
-// faultChurnStep is churnStep with failures and recoveries mixed in:
-// random cells fail (live allocations keep running under the overlay),
-// random pins recover, non-pinned busy cells release, and FirstFit
-// placements keep the occupancy mixed.
-func faultChurnStep(t *testing.T, m *Mesh, rng *rand.Rand, pins *[]Coord) {
-	t.Helper()
-	r := rng.Intn(8)
-	if r == 0 && m.PinnedCount() < m.Size()/4 {
-		for tries := 0; tries < 64; tries++ {
-			c := Coord{rng.Intn(m.W()), rng.Intn(m.L()), rng.Intn(m.H())}
-			if !m.Pinned(c) {
-				if err := m.Fail(c); err != nil {
-					t.Fatal(err)
-				}
-				*pins = append(*pins, c)
-				return
-			}
-		}
-	}
-	if r == 1 && len(*pins) > 0 {
-		i := rng.Intn(len(*pins))
-		c := (*pins)[i]
-		(*pins)[i] = (*pins)[len(*pins)-1]
-		*pins = (*pins)[:len(*pins)-1]
-		if err := m.Recover(c); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	if r < 5 && m.BusyCount() > m.PinnedCount() {
-		for tries := 0; tries < 64; tries++ {
-			c := Coord{rng.Intn(m.W()), rng.Intn(m.L()), rng.Intn(m.H())}
-			if m.Busy(c) && !m.Pinned(c) {
-				if err := m.Release([]Coord{c}); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-		}
-	}
-	allocChurn3D(t, m, rng)
-}
-
-// runShardedFaultMatrix is runShardedMatrix on churn-plus-failure
-// traces: for every worker count, the sharded searches must return
-// exactly the serial answers while failures and recoveries land
-// between searches, and the index must stay oracle-sound.
-func runShardedFaultMatrix(t *testing.T, build func() *Mesh, steps int) {
-	t.Helper()
-	if testing.Short() {
-		steps = steps / 4
-	}
-	for _, workers := range shardWorkerCounts {
-		m := build()
-		sh := NewSharded(m, workers)
-		rng := rand.New(rand.NewSource(int64(131 + workers)))
-		var pins []Coord
-		for i := 0; i < steps; i++ {
-			faultChurnStep(t, m, rng, &pins)
-			w := 1 + rng.Intn(m.W())
-			l := 1 + rng.Intn(m.L())
-			h := 1 + rng.Intn(m.H())
-			compareSearches(t, m, sh, w, l, h)
-			if i%20 == 19 {
-				checkTables(t, m)
-			}
-		}
-		sh.Close()
-	}
-}
-
-func TestShardedMatchesSerialUnderFaults2D(t *testing.T) {
-	runShardedFaultMatrix(t, func() *Mesh { return New(48, 40) }, 120)
-}
-
-func TestShardedMatchesSerialUnderFaultsTorus(t *testing.T) {
-	runShardedFaultMatrix(t, func() *Mesh { return NewTorus(40, 36) }, 120)
-}
-
-func TestShardedMatchesSerialUnderFaults3D(t *testing.T) {
-	runShardedFaultMatrix(t, func() *Mesh { return New3D(16, 16, 8) }, 120)
 }

@@ -2,11 +2,12 @@ package mesh
 
 // This file implements the histogram-based constrained-largest search
 // behind LargestFree. The per-anchor downward-growth scan it replaces
-// (retained as largestFreeScan / torusLargestFreeScan, the differential
-// oracle) is O(W·L·maxL) worst case even after pruning; the sweep here
-// is O(W·L): one maximal-rectangle-in-histogram pass per row band over
-// column heights derived from the busy map, O(W·L) on the planar mesh
-// and O(W·L) over the doubled seam band on the torus.
+// (kept in the tests as largestFreeScan / torusLargestFreeScan, the
+// differential oracle) is O(W·L·maxL) worst case even after pruning;
+// the sweep here is O(W·L): one maximal-rectangle-in-histogram pass
+// per row band over column heights derived from the busy map, O(W·L)
+// on the planar mesh and O(W·L) over the doubled seam band on the
+// torus.
 //
 // The search must return exactly what the scan returns — max capped
 // area, then squarest, then row-major-first base, first-found winning
@@ -66,15 +67,14 @@ type histScratch struct {
 	bandMask []uint64
 
 	// 3D-search scratch (volume.go): the word-AND projected plane, the
-	// MW(d, l) table, the per-projection sweep records and the naive
-	// scan's row minima. A mesh only ever exercises one family — the
-	// planar buffers above on depth 1, these below on depth > 1.
-	proj    []uint64
-	mw3     []int
-	cand3   []int
-	rowMin3 []int
+	// MW(d, l) table and the per-projection sweep records. A mesh only
+	// ever exercises one family — the planar buffers above on depth 1,
+	// these below on depth > 1.
+	proj  []uint64
+	mw3   []int
+	cand3 []int
 
-	// fit is the serial BestFit searches' scoring kernel (bestfit.go),
+	// fit is the BestFit searches' scoring kernel (bestfit.go),
 	// allocated by the first BestFit: held by value it would grow every
 	// mesh by a few hundred bytes that most strategies never touch.
 	fit *fitScorer
@@ -173,11 +173,8 @@ const (
 )
 
 // largestFreeHist is the histogram-backed LargestFree. Caps must be
-// positive and already clamped to the mesh sides. A non-nil sh runs
-// the FirstFit probes and the band sweep on the sharded executor —
-// both are result-identical to their serial forms (§8), so the
-// search's answer never depends on the executor.
-func (m *Mesh) largestFreeHist(maxW, maxL, maxArea int, sh *Sharded) (Submesh, bool) {
+// positive and already clamped to the mesh sides.
+func (m *Mesh) largestFreeHist(maxW, maxL, maxArea int) (Submesh, bool) {
 	// The cached sweep bounds this call's best area from above while no
 	// release intervened; zero means no candidate can exist under the
 	// caps at all.
@@ -195,18 +192,13 @@ func (m *Mesh) largestFreeHist(maxW, maxL, maxArea int, sh *Sharded) (Submesh, b
 	// pair with a placeable shape is the optimum — every strictly
 	// better pair was just proven empty — so a hit answers the call in
 	// a handful of pruned first-fit searches instead of a mesh sweep.
-	if s, ok, decided := m.bestFirstProbe(startArea, maxW, maxL, sh); decided {
+	if s, ok, decided := m.bestFirstProbe(startArea, maxW, maxL); decided {
 		return s, ok
 	}
 
 	// Phase 1: sweep the row bands for MW(l), then fold the capped
 	// (area, skew) optimum over heights.
-	var mw []int
-	if sh != nil {
-		mw = sh.sweep2D(maxL)
-	} else {
-		mw = m.maxWidthByHeight(maxL)
-	}
+	mw := m.maxWidthByHeight(maxL)
 	bestArea, bestSkew := 0, 0
 	for l := 1; l <= maxL; l++ {
 		w := mw[l]
@@ -233,7 +225,7 @@ func (m *Mesh) largestFreeHist(maxW, maxL, maxArea int, sh *Sharded) (Submesh, b
 
 	// Phase 2: the scan's winner is the row-major-first anchor
 	// admitting a winning shape.
-	s, ok := m.firstShapeBase(bestArea, bestSkew, maxW, maxL, maxArea, mw, sh)
+	s, ok := m.firstShapeBase(bestArea, bestSkew, maxW, maxL, maxArea, mw)
 	if !ok {
 		// MW(l) >= fw(l) guarantees a free fw(l) x l rectangle exists
 		// for every winning height; FirstFit not finding one means the
@@ -256,7 +248,7 @@ func (m *Mesh) largestFreeHist(maxW, maxL, maxArea int, sh *Sharded) (Submesh, b
 // base, ties to the shorter shape. decided is false when the budgets
 // ran out (the sweep must settle the call); an exhausted candidate
 // space — no free processor — is decided as not found.
-func (m *Mesh) bestFirstProbe(startArea, maxW, maxL int, sh *Sharded) (best Submesh, found, decided bool) {
+func (m *Mesh) bestFirstProbe(startArea, maxW, maxL int) (best Submesh, found, decided bool) {
 	probes, areas := probeBudget, areaBudget
 	long := maxW
 	if maxL > long {
@@ -289,7 +281,7 @@ func (m *Mesh) bestFirstProbe(startArea, maxW, maxL int, sh *Sharded) (best Subm
 			return Submesh{}, false
 		}
 		probes--
-		s, ok := ff2(m, sh, w, l)
+		s, ok := m.FirstFit(w, l)
 		if !ok {
 			m.noteRefuted(w, l)
 		}
@@ -357,7 +349,7 @@ func intSqrt(n int) int {
 // width fw(l) = min(mw[l], maxW, maxArea/l) satisfies fw(l)·l == area
 // and |fw(l)−l| == skew. Ties between shapes at the same base go to
 // the smaller height, matching the scan's within-anchor order.
-func (m *Mesh) firstShapeBase(area, skew, maxW, maxL, maxArea int, mw []int, sh *Sharded) (Submesh, bool) {
+func (m *Mesh) firstShapeBase(area, skew, maxW, maxL, maxArea int, mw []int) (Submesh, bool) {
 	var best Submesh
 	found := false
 	for l := 1; l <= maxL; l++ {
@@ -371,7 +363,7 @@ func (m *Mesh) firstShapeBase(area, skew, maxW, maxL, maxArea int, mw []int, sh 
 		if w == 0 || w*l != area || abs(w-l) != skew {
 			continue
 		}
-		s, ok := ff2(m, sh, w, l)
+		s, ok := m.FirstFit(w, l)
 		if !ok {
 			continue
 		}

@@ -319,9 +319,8 @@ func (m *Mesh) Busy(c Coord) bool { return !m.freeBitAt(m.rowIdx(c.Y, c.Z), c.X)
 
 // scanBusyBox counts the busy cells of the inclusive cuboid straight
 // off the bitboard: one masked popcount pass per plane-row
-// (busyRowSpanBits), W/64 word operations per row. Read-only and
-// journal-free, so it is safe under the sharded executor's concurrent
-// scans. The cuboid is assumed in bounds and valid.
+// (busyRowSpanBits), W/64 word operations per row. The cuboid is
+// assumed in bounds and valid.
 func (m *Mesh) scanBusyBox(x1, y1, z1, x2, y2, z2 int) int {
 	n := 0
 	for z := z1; z <= z2; z++ {
@@ -753,8 +752,7 @@ func (m *Mesh) ReleaseSub(s Submesh) error {
 // SubFree reports whether every processor of s is free (paper
 // Definition 3): one masked word compare per plane-row, the first busy
 // cell ending the probe. On a torus, s may cross the wrap-around
-// seams. Out-of-range sub-meshes are not free. Read-only, so it is
-// safe under the sharded executor's concurrent scans.
+// seams. Out-of-range sub-meshes are not free.
 func (m *Mesh) SubFree(s Submesh) bool {
 	if m.torus {
 		return m.torusSubFree(s)

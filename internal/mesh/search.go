@@ -11,24 +11,8 @@ import (
 // shift-AND fit mask narrows them to width w, and the surviving bits
 // are exactly the bases where the whole w x l window is free —
 // enumerated by TrailingZeros64 instead of probed one run at a time.
-// The run-table walk the mask replaced is retained as blockedUntil,
-// the reference the differential tests hold the mask enumeration to.
-
-// blockedUntil returns 0 when the w x l sub-mesh based at (x,y) is
-// free, and otherwise the number of bases to skip: the first blocking
-// row's busy processor at x+run blocks every base in [x, x+run]. It is
-// the run-probing reference for the bitboard fit mask (CandidatesRow) —
-// the churn differentials compare the two base enumerations window by
-// window. Runs are derived from the words on demand (runAtBits), so the
-// reference works in every build, not just oracle mode.
-func (m *Mesh) blockedUntil(x, y, w, l int) int {
-	for yy := y; yy < y+l; yy++ {
-		if r := m.runAtBits(yy, x); r < w {
-			return r + 1
-		}
-	}
-	return 0
-}
+// The run-table walk the mask replaced is kept in the tests as
+// blockedUntil, the reference they hold the mask enumeration to.
 
 // CandidatesRow yields, left to right, every base x in row y where the
 // w x l sub-mesh based at (x,y) is entirely free: the window rows'
@@ -180,6 +164,35 @@ func (m *Mesh) BestFit(w, l int) (Submesh, bool) {
 	return k.result()
 }
 
+// SlideFit returns the first entirely free w x l x h frame in the
+// frame-sliding stride pattern (Chuang & Tzeng): candidate bases step by
+// the frame sides from the origin — z outer, then y, then x — so a full
+// scan costs O((W/w)·(L/l)·(H/h)) O(1) probes regardless of frame size.
+// On a torus the stride pattern keeps going past the edges (the last
+// frame of a row or column wraps around the seam instead of being
+// dropped; the torus fabric is depth-1, so the z stride degenerates).
+func (m *Mesh) SlideFit(w, l, h int) (Submesh, bool) {
+	if w <= 0 || l <= 0 || h <= 0 || w > m.w || l > m.l || h > m.h {
+		return Submesh{}, false
+	}
+	ymax, xmax := m.l-l, m.w-w
+	if m.torus {
+		ymax, xmax = m.l-1, m.w-1
+	}
+	zmax := m.h - h
+	for z := 0; z <= zmax; z += h {
+		for y := 0; y <= ymax; y += l {
+			for x := 0; x <= xmax; x += w {
+				s := SubAt3D(x, y, z, w, l, h)
+				if m.SubFree(s) {
+					return s, true
+				}
+			}
+		}
+	}
+	return Submesh{}, false
+}
+
 // LargestFree returns the free sub-mesh of maximum area subject to
 // width <= maxW, length <= maxL and area <= maxArea. Ties prefer the
 // more nearly square candidate and then row-major base order. This is
@@ -189,9 +202,8 @@ func (m *Mesh) BestFit(w, l int) (Submesh, bool) {
 // includes seam-crossing placements.
 //
 // The search runs as an O(W·L) histogram sweep (histogram.go); the
-// per-anchor scan it replaced is retained as largestFreeScan — the
-// reference the differential tests hold the sweep to, result for
-// result.
+// per-anchor scan it replaced is kept in the tests as largestFreeScan
+// — the reference they hold the sweep to, result for result.
 func (m *Mesh) LargestFree(maxW, maxL, maxArea int) (Submesh, bool) {
 	if maxW <= 0 || maxL <= 0 || maxArea <= 0 {
 		return Submesh{}, false
@@ -205,103 +217,9 @@ func (m *Mesh) LargestFree(maxW, maxL, maxArea int) (Submesh, bool) {
 	if m.h > 1 {
 		// A 2D constrained-largest on a 3D mesh is the depth-capped-at-1
 		// volumetric search (volume.go).
-		return m.largestFree3D(maxW, maxL, 1, maxArea, nil)
+		return m.largestFree3D(maxW, maxL, 1, maxArea)
 	}
-	return m.largestFreeHist(maxW, maxL, maxArea, nil)
-}
-
-// largestFreeScan is the pre-histogram LargestFree: a per-anchor
-// downward-growth scan with upper-bound pruning, O(W·L·maxL) worst
-// case. It is retained verbatim as the reference implementation the
-// histogram sweep is differentially tested against (the torus
-// counterpart is torusLargestFreeScan). Caps follow LargestFree.
-func (m *Mesh) largestFreeScan(maxW, maxL, maxArea int) (Submesh, bool) {
-	if m.torus {
-		return m.torusLargestFreeScan(maxW, maxL, maxArea)
-	}
-	if maxW <= 0 || maxL <= 0 || maxArea <= 0 {
-		return Submesh{}, false
-	}
-	if m.h > 1 {
-		return m.largestFreeScan3D(maxW, maxL, 1, maxArea)
-	}
-	if maxW > m.w {
-		maxW = m.w
-	}
-	if maxL > m.l {
-		maxL = m.l
-	}
-	// Best conceivable candidate under the caps, occupancy aside: the
-	// search can stop the moment it records a candidate this good,
-	// since later candidates can at best tie (and first-found wins).
-	// idealArea = max over heights of the capped width times height;
-	// idealSkew = the squarest (w,l) factoring of that area.
-	idealArea, idealSkew := largestIdeal(maxW, maxL, maxArea)
-	var (
-		best      Submesh
-		bestArea  int
-		bestSkew  int // |w - l|, lower is better on equal area
-		bestFound bool
-	)
-	for y := 0; y < m.l; y++ {
-		lCap := maxL
-		if rest := m.l - y; rest < lCap {
-			lCap = rest
-		}
-		for x := 0; x < m.w; x++ {
-			// Anchor upper bound: no rectangle based at (x,y) can beat
-			// min(first-row run, maxW) · lCap clipped by the area cap.
-			// A strictly smaller bound than the best so far skips the
-			// anchor in O(1); equal bounds still scan, so area/skew
-			// tie-breaking is identical to the exhaustive search.
-			wCap := m.runAtBits(y, x)
-			if wCap == 0 {
-				continue
-			}
-			if wCap > maxW {
-				wCap = maxW
-			}
-			if ub := min(wCap*lCap, maxArea); ub < bestArea {
-				continue
-			}
-			// Grow the rectangle downward from (x,y), tracking the
-			// minimum free run; the widest rectangle of each height
-			// based here is minRun clipped by the caps.
-			minRun := wCap
-			for l := 1; l <= lCap; l++ {
-				run := m.runAtBits(y+l-1, x)
-				if run == 0 {
-					break
-				}
-				if run < minRun {
-					minRun = run
-				}
-				// Continuation bound: heights below can only narrow.
-				if ub := min(minRun*lCap, maxArea); ub < bestArea {
-					break
-				}
-				w := minRun
-				if w*l > maxArea {
-					w = maxArea / l
-				}
-				if w == 0 {
-					continue
-				}
-				area := w * l
-				skew := abs(w - l)
-				if area > bestArea || (area == bestArea && bestFound && skew < bestSkew) {
-					best = SubAt(x, y, w, l)
-					bestArea = area
-					bestSkew = skew
-					bestFound = true
-					if bestArea == idealArea && bestSkew == idealSkew {
-						return best, true
-					}
-				}
-			}
-		}
-	}
-	return best, bestFound
+	return m.largestFreeHist(maxW, maxL, maxArea)
 }
 
 // LargestFreeAnywhere returns the unconstrained largest free sub-mesh

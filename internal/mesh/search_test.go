@@ -292,3 +292,20 @@ func TestPropertyLargestFreeOptimal(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSlideFitMatchesFrameSlidingSemantics pins the stride pattern:
+// frames step by the request sides and the first free frame in
+// (z, y, x) stride order wins.
+func TestSlideFitMatchesFrameSlidingSemantics(t *testing.T) {
+	m := New(8, 8)
+	if err := m.AllocateSub(SubAt(0, 0, 4, 4)); err != nil {
+		t.Fatal(err)
+	}
+	s, ok := m.SlideFit(4, 4, 1)
+	if !ok || s != SubAt(4, 0, 4, 4) {
+		t.Fatalf("SlideFit(4,4) = %v, %v; want the (4,0) frame", s, ok)
+	}
+	if _, ok := m.SlideFit(5, 5, 1); ok {
+		t.Fatal("SlideFit(5,5) found a frame on the stride grid; none exists")
+	}
+}

@@ -188,25 +188,6 @@ func (m *Mesh) torusSubFree(s Submesh) bool {
 	return m.wrapBusy(s) == 0
 }
 
-// torusBlockedUntil returns 0 when the w x l sub-mesh based at (x, y)
-// — extents wrapping — is free, and otherwise the number of bases to
-// skip: the first blocking row's run ends at a busy processor that
-// blocks every base in [x, x+run], exactly as in the planar search.
-// Retained as the run-probing reference the torus fit-mask enumeration
-// (CandidatesRow) is differentially tested against.
-func (m *Mesh) torusBlockedUntil(x, y, w, l int) int {
-	for i := 0; i < l; i++ {
-		yy := y + i
-		if yy >= m.l {
-			yy -= m.l
-		}
-		if r := m.runAt(x, yy); r < w {
-			return r + 1
-		}
-	}
-	return 0
-}
-
 // torusWindowSkip prunes base rows for a w-wide, l-tall window whose
 // rows wrap: it returns the next base row >= y whose window contains no
 // row with rowBoundAt < w, or m.l when none remains. When fresh is
@@ -289,82 +270,6 @@ func (m *Mesh) torusBestFit(w, l int) (Submesh, bool) {
 		fresh = false
 	}
 	return k.result()
-}
-
-// torusLargestFreeScan is the pre-histogram torus LargestFree, retained
-// as the reference for the differential tests (see largestFreeScan):
-// anchors are every grid position, widths come from the wrap-aware
-// runs, and heights grow through the y seam. Pruning mirrors the
-// planar scan (anchor and continuation upper bounds, ideal
-// early-exit); tie-breaking — larger area, then squarer, then
-// row-major-first anchor — is identical.
-func (m *Mesh) torusLargestFreeScan(maxW, maxL, maxArea int) (Submesh, bool) {
-	if maxW <= 0 || maxL <= 0 || maxArea <= 0 {
-		return Submesh{}, false
-	}
-	if maxW > m.w {
-		maxW = m.w
-	}
-	if maxL > m.l {
-		maxL = m.l
-	}
-	idealArea, idealSkew := largestIdeal(maxW, maxL, maxArea)
-	var (
-		best      Submesh
-		bestArea  int
-		bestSkew  int
-		bestFound bool
-	)
-	for y := 0; y < m.l; y++ {
-		for x := 0; x < m.w; x++ {
-			wCap := m.runAt(x, y)
-			if wCap == 0 {
-				continue
-			}
-			if wCap > maxW {
-				wCap = maxW
-			}
-			if ub := min(wCap*maxL, maxArea); ub < bestArea {
-				continue
-			}
-			minRun := wCap
-			for l := 1; l <= maxL; l++ {
-				yy := y + l - 1
-				if yy >= m.l {
-					yy -= m.l
-				}
-				run := m.runAt(x, yy)
-				if run == 0 {
-					break
-				}
-				if run < minRun {
-					minRun = run
-				}
-				if ub := min(minRun*maxL, maxArea); ub < bestArea {
-					break
-				}
-				w := minRun
-				if w*l > maxArea {
-					w = maxArea / l
-				}
-				if w == 0 {
-					continue
-				}
-				area := w * l
-				skew := abs(w - l)
-				if area > bestArea || (area == bestArea && bestFound && skew < bestSkew) {
-					best = SubAt(x, y, w, l)
-					bestArea = area
-					bestSkew = skew
-					bestFound = true
-					if bestArea == idealArea && bestSkew == idealSkew {
-						return best, true
-					}
-				}
-			}
-		}
-	}
-	return best, bestFound
 }
 
 // largestIdeal returns the best conceivable (area, skew) under the

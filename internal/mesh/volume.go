@@ -18,7 +18,7 @@ package mesh
 //     (base plane, depth) pair the planes are AND-projected and one
 //     O(W·L) sweep yields the widest free cuboid per height, folded
 //     into the best capped (volume, spread) and located with
-//     firstFit3D. The naive volumetric scan is retained verbatim as
+//     firstFit3D. The naive volumetric scan is kept in the tests as
 //     largestFreeScan3D — the reference the differential tests hold
 //     the sweep to, result for result (mirroring largestFreeScan).
 //
@@ -76,24 +76,6 @@ func (m *Mesh) FitsAt3D(x, y, z, w, l, h int) bool {
 		}
 	}
 	return true
-}
-
-// blockedUntil3D returns 0 when the w x l x h cuboid based at (x, y, z)
-// is free, and otherwise the number of bases to skip: the first
-// blocking plane-row's busy processor at x+run blocks every base in
-// [x, x+run], exactly as in the planar search. Like blockedUntil it is
-// retained as the run-probing reference the bitboard fit-mask scans
-// are differentially tested against, with the runs derived from the
-// words on demand.
-func (m *Mesh) blockedUntil3D(x, y, z, w, l, h int) int {
-	for zz := z; zz < z+h; zz++ {
-		for yy := 0; yy < l; yy++ {
-			if r := m.runAtBits(m.rowIdx(y+yy, zz), x); r < w {
-				return r + 1
-			}
-		}
-	}
-	return 0
 }
 
 // nextWindowPlane advances the base plane past every z-window that
@@ -233,7 +215,7 @@ func spread3(w, l, h int) int {
 // width <= maxW, length <= maxL, height <= maxH and volume <= maxVol.
 // Ties prefer the smaller side spread (spread3) and then the first
 // base in (z, y, x) order, smaller heights then lengths winning at an
-// equal base — exactly the candidate and tie rules of the retained
+// equal base — exactly the candidate and tie rules of the reference
 // largestFreeScan3D, which the differential tests hold it to. On a
 // depth-1 mesh (and the torus) it is the planar LargestFree.
 func (m *Mesh) LargestFree3D(maxW, maxL, maxH, maxVol int) (Submesh, bool) {
@@ -255,7 +237,7 @@ func (m *Mesh) LargestFree3D(maxW, maxL, maxH, maxVol int) (Submesh, bool) {
 	if maxH > m.h {
 		maxH = m.h
 	}
-	return m.largestFree3D(maxW, maxL, maxH, maxVol, nil)
+	return m.largestFree3D(maxW, maxL, maxH, maxVol)
 }
 
 // largestFree3D is the sweep-backed LargestFree3D. Caps are positive
@@ -264,9 +246,7 @@ func (m *Mesh) LargestFree3D(maxW, maxL, maxH, maxVol int) (Submesh, bool) {
 // Phase 1 computes MW(d, l) — the widest free cuboid of height >= l
 // and depth >= d — by AND-projecting every (base plane, depth) pair
 // into a planar occupancy and running the monotonic-stack
-// maximal-rectangle sweep on it (sweepVolumeSerial; a non-nil sh deals
-// the base planes across the sharded executor's pool and max-reduces
-// the per-shape records, which is the same table — §8). Phase 2 folds
+// maximal-rectangle sweep on it (sweepVolumeSerial). Phase 2 folds
 // the capped (volume, spread) optimum over (d, l): every scan
 // candidate at (d, l) has width at most fw(d, l) = min(MW(d, l), maxW,
 // maxVol/(l·d)), and fw is itself achieved inside the maximal cuboid,
@@ -275,13 +255,8 @@ func (m *Mesh) LargestFree3D(maxW, maxL, maxH, maxVol int) (Submesh, bool) {
 // locates the winner: each shape achieving the optimum is placed with
 // firstFit3D and the (z, y, x)-first base wins, smaller d then l at an
 // equal base — the scan's own enumeration order.
-func (m *Mesh) largestFree3D(maxW, maxL, maxH, maxVol int, sh *Sharded) (Submesh, bool) {
-	var mw []int
-	if sh != nil {
-		mw = sh.sweepVolume(maxL, maxH)
-	} else {
-		mw = m.sweepVolumeSerial(maxL, maxH)
-	}
+func (m *Mesh) largestFree3D(maxW, maxL, maxH, maxVol int) (Submesh, bool) {
+	mw := m.sweepVolumeSerial(maxL, maxH)
 
 	// Phase 2: fold the capped (volume, spread) optimum over (d, l).
 	bestVol, bestSpr := 0, 0
@@ -329,7 +304,7 @@ func (m *Mesh) largestFree3D(maxW, maxL, maxH, maxVol int, sh *Sharded) (Submesh
 			if w == 0 || w*l*d != bestVol || spread3(w, l, d) != bestSpr {
 				continue
 			}
-			s, ok := ff3(m, sh, w, l, d)
+			s, ok := m.firstFit3D(w, l, d)
 			if !ok {
 				// MW(d, l) >= w guarantees a free w x l x d cuboid
 				// exists; firstFit3D not finding one means the sweep
@@ -347,9 +322,12 @@ func (m *Mesh) largestFree3D(maxW, maxL, maxH, maxVol int, sh *Sharded) (Submesh
 }
 
 // sweepVolumeSerial computes the MW(d, l) table of largestFree3D on
-// the calling goroutine with the mesh's own scratch. The sharded
-// executor's sweepVolume deals the base planes across its pool — both
-// run sweepVolumeInto, so the two paths cannot drift.
+// the mesh's scratch: every (base plane, depth) pair is AND-projected
+// and swept (sweepProjectionInto), the per-shape records folded by
+// max into mw[d*(maxL+1)+l]. The projection is a flat word-wise AND of
+// the slab's bitboard words (free semantics: a projected column is
+// free iff free in every plane of the slab) — W·L/64 word ops per
+// deepening instead of a per-cell loop.
 func (m *Mesh) sweepVolumeSerial(maxL, maxH int) []int {
 	mw := sizedScratch(&m.hist.mw3, (maxH+1)*(maxL+1))
 	clear(mw)
@@ -358,23 +336,8 @@ func (m *Mesh) sweepVolumeSerial(maxL, maxH int) []int {
 	heights := sizedScratch(&m.hist.heights, m.w)
 	stackS := sizedScratch(&m.hist.stackS, m.w+1)
 	stackH := sizedScratch(&m.hist.stackH, m.w+1)
-	m.sweepVolumeInto(0, 1, maxL, maxH, mw, proj, cand, heights, stackS, stackH)
-	return mw
-}
-
-// sweepVolumeInto folds the base planes z0 = start, start+stride, ...
-// into mw: every (base plane, depth) pair is AND-projected into proj
-// and swept (sweepProjectionInto), the per-shape records folded by
-// max into mw[d*(maxL+1)+l]. The projection is a flat word-wise AND of
-// the slab's bitboard words (free semantics: a projected column is
-// free iff free in every plane of the slab) — W·L/64 word ops per
-// deepening instead of a per-cell loop. All buffers are caller-owned,
-// so the serial path and every sharded worker share this one body — MW
-// is a max over base planes, so any partition of the start/stride
-// space max-reduces to the same table.
-func (m *Mesh) sweepVolumeInto(start, stride, maxL, maxH int, mw []int, proj []uint64, cand, heights, stackS, stackH []int) {
 	pw := m.l * m.wpr
-	for z0 := start; z0 < m.h; z0 += stride {
+	for z0 := 0; z0 < m.h; z0++ {
 		dMax := maxH
 		if rest := m.h - z0; rest < dMax {
 			dMax = rest
@@ -400,13 +363,13 @@ func (m *Mesh) sweepVolumeInto(start, stride, maxL, maxH int, mw []int, proj []u
 			}
 		}
 	}
+	return mw
 }
 
 // sweepProjectionInto is the projection sweep proper over a w x l free
 // mask of wpr words per row: cand[l] is set to the width of the widest
 // free rectangle of height exactly-or-more l in the projection, for l
-// in 1..maxL. O(W·L), allocation-free — every buffer is caller-owned,
-// so concurrent sweeps over disjoint scratch are safe.
+// in 1..maxL. O(W·L), allocation-free: every buffer is caller-owned.
 func sweepProjectionInto(w, l, wpr int, proj []uint64, maxL int, cand, heights, stackS, stackH []int) {
 	clear(heights)
 	clear(cand)
@@ -420,93 +383,4 @@ func sweepProjectionInto(w, l, wpr int, proj []uint64, maxL int, cand, heights, 
 			cand[h] = cand[h+1]
 		}
 	}
-}
-
-// largestFreeScan3D is the naive volumetric LargestFree3D: a per-anchor
-// growth scan over depth and height with anchor-maximal capped widths,
-// O(W·L·H·maxH·maxL) worst case. It is retained as the reference
-// implementation the per-plane sweep is differentially tested against,
-// exactly as largestFreeScan is for the planar search. Caps follow
-// LargestFree3D; on a depth-1 mesh it defers to largestFreeScan.
-func (m *Mesh) largestFreeScan3D(maxW, maxL, maxH, maxVol int) (Submesh, bool) {
-	if maxH <= 0 || maxVol <= 0 {
-		return Submesh{}, false
-	}
-	if m.h == 1 {
-		return m.largestFreeScan(maxW, maxL, maxVol)
-	}
-	if maxW <= 0 || maxL <= 0 {
-		return Submesh{}, false
-	}
-	if maxW > m.w {
-		maxW = m.w
-	}
-	if maxL > m.l {
-		maxL = m.l
-	}
-	if maxH > m.h {
-		maxH = m.h
-	}
-	rowMin := sizedScratch(&m.hist.rowMin3, maxL)
-	var (
-		best      Submesh
-		bestVol   int
-		bestSpr   int
-		bestFound bool
-	)
-	for z := 0; z < m.h; z++ {
-		hCap := maxH
-		if rest := m.h - z; rest < hCap {
-			hCap = rest
-		}
-		for y := 0; y < m.l; y++ {
-			lCap := maxL
-			if rest := m.l - y; rest < lCap {
-				lCap = rest
-			}
-			for x := 0; x < m.w; x++ {
-				if !m.freeBitAt(m.rowIdx(y, z), x) {
-					continue
-				}
-				for d := 1; d <= hCap; d++ {
-					zz := z + d - 1
-					for j := 0; j < lCap; j++ {
-						r := m.runAtBits(m.rowIdx(y+j, zz), x)
-						if d == 1 || r < rowMin[j] {
-							rowMin[j] = r
-						}
-					}
-					if rowMin[0] == 0 {
-						break // anchor column blocked at this depth and deeper
-					}
-					minRun := m.w
-					for l := 1; l <= lCap; l++ {
-						if rowMin[l-1] < minRun {
-							minRun = rowMin[l-1]
-						}
-						if minRun == 0 {
-							break
-						}
-						w := minRun
-						if w > maxW {
-							w = maxW
-						}
-						if w*l*d > maxVol {
-							w = maxVol / (l * d)
-						}
-						if w == 0 {
-							continue
-						}
-						vol, spr := w*l*d, spread3(w, l, d)
-						if vol > bestVol || (vol == bestVol && bestFound && spr < bestSpr) {
-							best = SubAt3D(x, y, z, w, l, d)
-							bestVol, bestSpr = vol, spr
-							bestFound = true
-						}
-					}
-				}
-			}
-		}
-	}
-	return best, bestFound
 }

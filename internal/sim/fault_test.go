@@ -4,8 +4,7 @@ package sim
 // fault-free runs, seeded fault schedules must reproduce exactly, kill
 // policies must settle edge cases (failure inside a live allocation,
 // seam-wrapped torus placements, whole-plane 3D outages, recovery
-// unblocking a starved queue head), and the whole engine must stay
-// deterministic across the sharded-search worker counts.
+// unblocking a starved queue head).
 
 import (
 	"testing"
@@ -16,9 +15,10 @@ import (
 	"repro/internal/workload"
 )
 
-// runFaultCase runs one workers-matrix cell with the given fault plan
-// (nil for a fault-free control run).
-func runFaultCase(t *testing.T, c workerMatrixCase, workers, jobs int, plan *FaultPlan) Result {
+// runFaultCase runs one Result-matrix cell with the given fault plan
+// (nil for a fault-free control run). The arrival rate keeps the mesh
+// busy enough that jobs queue, so a moved placement moves the metrics.
+func runFaultCase(t *testing.T, c matrixCase, jobs int, plan *FaultPlan) Result {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.MeshW, cfg.MeshL, cfg.MeshH = c.w, c.l, c.h
@@ -28,30 +28,29 @@ func runFaultCase(t *testing.T, c workerMatrixCase, workers, jobs int, plan *Fau
 	cfg.MaxCompleted = jobs
 	cfg.WarmupJobs = jobs / 10
 	cfg.MaxQueued = 4 * jobs
-	cfg.Workers = workers
 	cfg.Seed = 23
 	cfg.Faults = plan
-	src := workload.NewAllocStress3D(stats.NewStream(5), c.w, c.l, max(1, c.h), 0.05, 60)
+	src := workload.NewAllocStress3D(stats.NewStream(5), c.w, c.l, max(1, c.h), 0.2, 60)
 	res, err := Run(cfg, src)
 	if err != nil {
-		t.Fatalf("%+v workers=%d: %v", c, workers, err)
+		t.Fatalf("%v: %v", c, err)
 	}
 	return res
 }
 
 // TestZeroFailurePlanMatchesNoPlan pins the no-op guarantee: a plan
-// with zero MTBF and no outages must leave every cell of the workers
+// with zero MTBF and no outages must leave every cell of the Result
 // matrix byte-identical to Faults == nil — same placements, same
 // metrics, all resilience fields zero.
 func TestZeroFailurePlanMatchesNoPlan(t *testing.T) {
 	jobs := 60
-	cases := workersMatrix()
+	cases := resultMatrix()
 	if testing.Short() {
 		cases = cases[:8]
 	}
 	for _, c := range cases {
-		bare := runFaultCase(t, c, 1, jobs, nil)
-		noop := runFaultCase(t, c, 1, jobs, &FaultPlan{Seed: 7})
+		bare := runFaultCase(t, c, jobs, nil)
+		noop := runFaultCase(t, c, jobs, &FaultPlan{Seed: 7})
 		if bare != noop {
 			t.Fatalf("%+v: zero-failure plan drifted\nnil:  %+v\nplan: %+v", c, bare, noop)
 		}
@@ -72,16 +71,16 @@ func faultyPlan(seed int64) *FaultPlan {
 // (schedule changes, so metrics move, but the run still completes —
 // the workload stream is isolated from the fault stream).
 func TestFaultSeedReproducible(t *testing.T) {
-	c := workerMatrixCase{"GABL", "FCFS", network.MeshTopology, 32, 32, 1}
-	a := runFaultCase(t, c, 1, 80, faultyPlan(41))
-	b := runFaultCase(t, c, 1, 80, faultyPlan(41))
+	c := matrixCase{"GABL", "FCFS", network.MeshTopology, 32, 32, 1}
+	a := runFaultCase(t, c, 80, faultyPlan(41))
+	b := runFaultCase(t, c, 80, faultyPlan(41))
 	if a != b {
 		t.Fatalf("same fault seed diverged:\n%+v\n%+v", a, b)
 	}
 	if a.Failures == 0 {
 		t.Fatalf("plan injected no failures: %+v", a)
 	}
-	other := runFaultCase(t, c, 1, 80, faultyPlan(42))
+	other := runFaultCase(t, c, 80, faultyPlan(42))
 	if other.Failures == 0 {
 		t.Fatalf("reseeded plan injected no failures: %+v", other)
 	}
@@ -244,41 +243,6 @@ func TestRecoveryUnblocksQueueHead(t *testing.T) {
 	}
 }
 
-// TestFaultedWorkersDeterminism is the determinism matrix under live
-// faults: kills, requeues and repairs interleaved with the sharded
-// candidate scans must stay bit-identical at every worker count, on
-// mesh, torus and 3D geometry.
-func TestFaultedWorkersDeterminism(t *testing.T) {
-	cases := []workerMatrixCase{
-		{"GABL", "FCFS", network.MeshTopology, 32, 32, 1},
-		{"FirstFit", "SSD", network.TorusTopology, 32, 32, 1},
-		{"BestFit", "FCFS", network.MeshTopology, 16, 16, 4},
-	}
-	counts := shardWorkerCountsSim()
-	jobs := 80
-	if testing.Short() {
-		cases = cases[:1]
-		counts = []int{1, 7}
-	}
-	for _, c := range cases {
-		serial := runFaultCase(t, c, counts[0], jobs, faultyPlan(9))
-		if serial.Failures == 0 {
-			t.Fatalf("%+v: fault plan idle, matrix has no teeth: %+v", c, serial)
-		}
-		for _, workers := range counts[1:] {
-			got := runFaultCase(t, c, workers, jobs, faultyPlan(9))
-			if got != serial {
-				t.Fatalf("%+v workers=%d diverged under faults\nserial: %+v\ngot:    %+v",
-					c, workers, serial, got)
-			}
-		}
-	}
-}
-
-// shardWorkerCountsSim mirrors mesh.shardWorkerCounts (unexported
-// there): serial, small, odd, beyond-core.
-func shardWorkerCountsSim() []int { return []int{1, 2, 7, 16} }
-
 // TestFaultedCommRunKillsMidFlight runs the paper workload (all-to-all
 // communication phases) under random failures on the 16x22 mesh: kills
 // must land while packets are in flight without wedging or double
@@ -317,7 +281,7 @@ func TestFaultPlanValidate(t *testing.T) {
 		{MaxFailures: -2},
 		{Policy: "retry"},
 		{Outages: []Outage{{At: -1, Region: mesh.SubAt(0, 0, 1, 1)}}},
-		{Outages: []Outage{{Region: mesh.SubAt(3, 3, 4, 4)}}}, // spills off 4x4
+		{Outages: []Outage{{Region: mesh.SubAt(3, 3, 4, 4)}}},         // spills off 4x4
 		{Outages: []Outage{{Region: mesh.SubAt3D(0, 0, 1, 1, 1, 1)}}}, // z beyond 2D
 	} {
 		cfg := faultCfg(4, 4, 0, plan)

@@ -4,8 +4,7 @@ package sim
 // plans without a links section, seeded link schedules must reproduce,
 // scheduled cuts must detour or deterministically lose packets with
 // perfect end-to-end conservation, kills must race link recoveries
-// without wedging the drain accounting, and link churn must stay
-// deterministic across the sharded-search worker counts.
+// without wedging the drain accounting.
 
 import (
 	"testing"
@@ -172,39 +171,6 @@ func TestLinkFaultSeedReproducible(t *testing.T) {
 	}
 }
 
-// TestLinkChurnWorkersDeterminism is the determinism matrix under link
-// churn: bounces, detours, retries and losses interleaved with the
-// sharded candidate scans must stay bit-identical at every worker
-// count.
-func TestLinkChurnWorkersDeterminism(t *testing.T) {
-	counts := shardWorkerCountsSim()
-	if testing.Short() {
-		counts = []int{1, 7}
-	}
-	run := func(workers int) Result {
-		cfg := quickCfg("GABL", "FCFS")
-		cfg.Workers = workers
-		cfg.Faults = &FaultPlan{Seed: 21,
-			MTBF: 900000, MTTR: 2000, // node kills in the mix too
-			Links: &LinkPlan{MTBF: 500000, MTTR: 1500}}
-		res, err := Run(cfg, stochasticSrc(3, 0.004))
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		return res
-	}
-	serial := run(counts[0])
-	if serial.LinkFailures == 0 {
-		t.Fatalf("link plan idle, matrix has no teeth: %+v", serial)
-	}
-	for _, workers := range counts[1:] {
-		if got := run(workers); got != serial {
-			t.Fatalf("workers=%d diverged under link churn\nserial: %+v\ngot:    %+v",
-				workers, serial, got)
-		}
-	}
-}
-
 // TestLinkPlanValidate exercises the constructor-time links checks.
 func TestLinkPlanValidate(t *testing.T) {
 	bad := []*LinkPlan{
@@ -212,7 +178,7 @@ func TestLinkPlanValidate(t *testing.T) {
 		{MTTR: -2},
 		{MaxFailures: -3},
 		{Outages: []LinkOutage{{At: -1, Links: []LinkRef{{X: 0, Y: 0, Dir: "East"}}}}},
-		{Outages: []LinkOutage{{}}},                                              // names no links
+		{Outages: []LinkOutage{{}}}, // names no links
 		{Outages: []LinkOutage{{Links: []LinkRef{{X: 0, Y: 0, Dir: "Sideways"}}}}},
 		{Outages: []LinkOutage{{Links: []LinkRef{{X: 0, Y: 0, Dir: "Inject"}}}}}, // processor link
 		{Outages: []LinkOutage{{Links: []LinkRef{{X: 9, Y: 0, Dir: "East"}}}}},   // off the mesh

@@ -1,0 +1,158 @@
+package sim
+
+// Pinned-digest Result matrix: every strategy family under both
+// schedulers on the mesh, the torus and the 3D mesh, plus live node
+// faults and link churn, each run once and its full Result hashed.
+// The digests are committed below, so a refactor of the search,
+// allocation, scheduling, fault or network layers that moves a single
+// placement — or any metric — fails here with the digest it produced.
+// The table was generated on linux/amd64.
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"testing"
+
+	"repro/internal/network"
+)
+
+// matrixCase is one (strategy, scheduler, topology, geometry) cell of
+// the Result matrix.
+type matrixCase struct {
+	strategy  string
+	scheduler string
+	topology  network.Topology
+	w, l, h   int
+}
+
+func (c matrixCase) String() string {
+	return fmt.Sprintf("%s/%s/%s/%dx%dx%d", c.strategy, c.scheduler, c.topology, c.w, c.l, c.h)
+}
+
+// resultMatrix lists the fault-free cells: the scanning strategies plus
+// the probe strategies MBS and Paging(0), across FCFS/SSD, mesh/torus
+// and 2D/3D (torus and MBS stay 2D by design).
+func resultMatrix() []matrixCase {
+	var cases []matrixCase
+	for _, sch := range []string{"FCFS", "SSD"} {
+		for _, st := range []string{"GABL", "FirstFit", "BestFit", "ANCA", "FrameSliding", "MBS", "Paging(0)"} {
+			cases = append(cases,
+				matrixCase{st, sch, network.MeshTopology, 32, 32, 1},
+				matrixCase{st, sch, network.TorusTopology, 32, 32, 1})
+			if st != "MBS" {
+				cases = append(cases, matrixCase{st, sch, network.MeshTopology, 16, 16, 4})
+			}
+		}
+	}
+	return cases
+}
+
+// faultedMatrix lists the cells run under live node faults
+// (faultyPlan): kills, requeues and repairs on mesh, torus and 3D.
+func faultedMatrix() []matrixCase {
+	return []matrixCase{
+		{"GABL", "FCFS", network.MeshTopology, 32, 32, 1},
+		{"FirstFit", "SSD", network.TorusTopology, 32, 32, 1},
+		{"BestFit", "FCFS", network.MeshTopology, 16, 16, 4},
+	}
+}
+
+// resultDigest is the first 16 hex digits of the SHA-256 of the
+// Result's %+v rendering: every field, floats at full precision.
+func resultDigest(res Result) string {
+	sum := sha256.Sum256([]byte(fmt.Sprintf("%+v", res)))
+	return hex.EncodeToString(sum[:])[:16]
+}
+
+// pinnedResults maps each matrix cell to its Result digest.
+var pinnedResults = map[string]string{
+	"GABL/FCFS/mesh/32x32x1":             "db71b698786f7ce1",
+	"GABL/FCFS/torus/32x32x1":            "b00b65a3a748512c",
+	"GABL/FCFS/mesh/16x16x4":             "21fa81458bc22f99",
+	"FirstFit/FCFS/mesh/32x32x1":         "c83474a4ab2c8c41",
+	"FirstFit/FCFS/torus/32x32x1":        "3e8a2a4b38118778",
+	"FirstFit/FCFS/mesh/16x16x4":         "3a86ac4fbd8c038c",
+	"BestFit/FCFS/mesh/32x32x1":          "4969520359ee823a",
+	"BestFit/FCFS/torus/32x32x1":         "e0a4f3214f898b3c",
+	"BestFit/FCFS/mesh/16x16x4":          "fef1f824e139ffe3",
+	"ANCA/FCFS/mesh/32x32x1":             "6a474cb22f32babd",
+	"ANCA/FCFS/torus/32x32x1":            "56c163107e12d095",
+	"ANCA/FCFS/mesh/16x16x4":             "4b4444fce57ddb36",
+	"FrameSliding/FCFS/mesh/32x32x1":     "f0419dec2ace5b32",
+	"FrameSliding/FCFS/torus/32x32x1":    "bd8b3f4bba37e155",
+	"FrameSliding/FCFS/mesh/16x16x4":     "6c6184e0d0a0bd1c",
+	"MBS/FCFS/mesh/32x32x1":              "325911c12a743c43",
+	"MBS/FCFS/torus/32x32x1":             "325911c12a743c43",
+	"Paging(0)/FCFS/mesh/32x32x1":        "4bf2057a4f243a4f",
+	"Paging(0)/FCFS/torus/32x32x1":       "4bf2057a4f243a4f",
+	"Paging(0)/FCFS/mesh/16x16x4":        "b7c1f1dbd747bf5b",
+	"GABL/SSD/mesh/32x32x1":              "60d49848c0f6f2f5",
+	"GABL/SSD/torus/32x32x1":             "0e3bc7e610d2bd2f",
+	"GABL/SSD/mesh/16x16x4":              "21fa81458bc22f99",
+	"FirstFit/SSD/mesh/32x32x1":          "a7f27d91bee67167",
+	"FirstFit/SSD/torus/32x32x1":         "5fe4b1d23d6adca5",
+	"FirstFit/SSD/mesh/16x16x4":          "37aa340d1f25f7ed",
+	"BestFit/SSD/mesh/32x32x1":           "e5c59454a2121e2c",
+	"BestFit/SSD/torus/32x32x1":          "6e034f8786027a3f",
+	"BestFit/SSD/mesh/16x16x4":           "739268bf4e5580a8",
+	"ANCA/SSD/mesh/32x32x1":              "aa44631e4cfbb06f",
+	"ANCA/SSD/torus/32x32x1":             "5a278db57a5ad555",
+	"ANCA/SSD/mesh/16x16x4":              "4b4444fce57ddb36",
+	"FrameSliding/SSD/mesh/32x32x1":      "c40cdf3daa5f4dce",
+	"FrameSliding/SSD/torus/32x32x1":     "2b87f2797e4322a0",
+	"FrameSliding/SSD/mesh/16x16x4":      "9e8348452453babe",
+	"MBS/SSD/mesh/32x32x1":               "4d864ac38e5e236f",
+	"MBS/SSD/torus/32x32x1":              "4d864ac38e5e236f",
+	"Paging(0)/SSD/mesh/32x32x1":         "8842dad14edea256",
+	"Paging(0)/SSD/torus/32x32x1":        "8842dad14edea256",
+	"Paging(0)/SSD/mesh/16x16x4":         "b7c1f1dbd747bf5b",
+	"faulted/GABL/FCFS/mesh/32x32x1":     "5dffa65850e2d547",
+	"faulted/FirstFit/SSD/torus/32x32x1": "af59313c30f0292e",
+	"faulted/BestFit/FCFS/mesh/16x16x4":  "1f0302dfe940b280",
+	"linkchurn/GABL/FCFS/mesh/16x22x1":   "810b7a01175385b2",
+}
+
+// TestResultMatrixPinned runs every cell once and compares its Result
+// digest with the committed table.
+func TestResultMatrixPinned(t *testing.T) {
+	got := map[string]Result{}
+	for _, c := range resultMatrix() {
+		res := runFaultCase(t, c, 150, nil)
+		if res.Completed == 0 {
+			t.Fatalf("%v completed no jobs", c)
+		}
+		got[c.String()] = res
+	}
+	for _, c := range faultedMatrix() {
+		res := runFaultCase(t, c, 80, faultyPlan(9))
+		if res.Failures == 0 {
+			t.Fatalf("%v: fault plan idle, the cell has no teeth: %+v", c, res)
+		}
+		got["faulted/"+c.String()] = res
+	}
+	cfg := quickCfg("GABL", "FCFS")
+	cfg.Faults = &FaultPlan{Seed: 21,
+		MTBF: 900000, MTTR: 2000, // node kills in the mix too
+		Links: &LinkPlan{MTBF: 500000, MTTR: 1500}}
+	res, err := Run(cfg, stochasticSrc(3, 0.004))
+	if err != nil {
+		t.Fatalf("link churn: %v", err)
+	}
+	if res.LinkFailures == 0 {
+		t.Fatalf("link plan idle, the cell has no teeth: %+v", res)
+	}
+	got["linkchurn/GABL/FCFS/mesh/16x22x1"] = res
+
+	for name, res := range got {
+		want, ok := pinnedResults[name]
+		if d := resultDigest(res); !ok || d != want {
+			t.Errorf("%s: digest %s, pinned %q\n%+v", name, d, want, res)
+		}
+	}
+	for name := range pinnedResults {
+		if _, ok := got[name]; !ok {
+			t.Errorf("pinned cell %s is not in the matrix", name)
+		}
+	}
+}

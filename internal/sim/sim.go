@@ -61,18 +61,6 @@ type Config struct {
 	// attempts stop when they fail for the current queue head (§4).
 	BackfillDepth int
 
-	// Workers is the number of parallel workers the allocation
-	// strategies' candidate scans run on (mesh.Sharded): 0 or 1 keeps
-	// every search serial, above 1 shards one run's searches across
-	// that many goroutines. Placements and metrics are bit-identical
-	// at every worker count, so the knob only changes wall-clock time;
-	// negative values are rejected. The CLIs expose it as -workers
-	// with 0 resolving to a GOMAXPROCS-aware count; the library
-	// default stays serial so embedding callers (and the experiment
-	// harness, which parallelizes across replications instead) never
-	// oversubscribe unasked.
-	Workers int
-
 	// ThinkMean is the mean of the exponential compute gap a processor
 	// spends between its all-to-all sends (ProcSimity jobs alternate
 	// computation and communication). It desynchronises a job's
@@ -239,15 +227,14 @@ type sender struct {
 // Simulator couples the substrates for one run. Construct with New,
 // drive with Run; a Simulator is single-use.
 type Simulator struct {
-	cfg    Config
-	eng    *des.Engine
-	mesh   *mesh.Mesh
-	search mesh.Searcher    // the strategies' scan executor; closed by Run
-	net    *network.Network // built on first Send (see network)
-	alloc  alloc.Allocator
-	queue  sched.Queue[*jobState]
-	src    workload.Source
-	rng    *stats.Stream
+	cfg   Config
+	eng   *des.Engine
+	mesh  *mesh.Mesh
+	net   *network.Network // built on first Send (see network)
+	alloc alloc.Allocator
+	queue sched.Queue[*jobState]
+	src   workload.Source
+	rng   *stats.Stream
 
 	// Event functions are bound once here and passed to ScheduleEvent
 	// with their state as the argument, so the event loop schedules
@@ -388,32 +375,19 @@ func New(cfg Config, src workload.Source) (*Simulator, error) {
 	if err := cfg.Network.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Workers < 0 {
-		return nil, fmt.Errorf("sim: negative Workers %d (0 = serial, above 1 shards the searches)", cfg.Workers)
-	}
-	// The search executor: serial by default, sharded across Workers
-	// goroutines when asked. Both are result-identical, so this choice
-	// can never change what a run measures.
-	var search mesh.Searcher = mesh.NewSerial(m)
-	if cfg.Workers > 1 {
-		search = mesh.NewSharded(m, cfg.Workers)
-	}
-	al, err := alloc.ByNameSearch(cfg.Strategy, m, stats.NewStream(cfg.Seed+1), search)
+	al, err := alloc.ByName(cfg.Strategy, m, stats.NewStream(cfg.Seed+1))
 	if err != nil {
-		search.Close()
 		return nil, err
 	}
 	// Checked after ByName so a misspelled name reports "unknown
 	// strategy" rather than "2D-only".
 	if depth > 1 && !alloc.Supports3D(cfg.Strategy) {
-		search.Close()
 		return nil, fmt.Errorf("sim: strategy %q is 2D-only and cannot run on a depth-%d mesh", cfg.Strategy, depth)
 	}
 	s := &Simulator{
 		cfg:     cfg,
 		eng:     eng,
 		mesh:    m,
-		search:  search,
 		alloc:   al,
 		src:     src,
 		rng:     stats.NewStream(cfg.Seed),
@@ -546,10 +520,8 @@ func Run(cfg Config, src workload.Source) (Result, error) {
 }
 
 // Run drives the event loop until MaxCompleted measured jobs, source
-// exhaustion plus drain, or saturation. It releases the search
-// executor's worker pool on return (a Simulator is single-use).
+// exhaustion plus drain, or saturation. A Simulator is single-use.
 func (s *Simulator) Run() (Result, error) {
-	defer s.search.Close()
 	start := s.cfg.StartTime
 	s.busyInt.Observe(start, 0)
 	s.queueInt.Observe(start, 0)

@@ -32,12 +32,10 @@
 //     release) on 64x64 and 256x256 meshes, both topologies, plus the
 //     32x32x8 3D mesh, under the allocation-stress workload with zero
 //     communication;
-//   - large/*: the sharded-search trajectory — allocation-heavy runs
-//     on 512x512, 1024x1024 and 64x64x16 meshes with a workers axis
-//     (w1 = serial scans, wN = the N-worker sharded executor), so the
-//     serial-vs-sharded wall-clock ratio is recorded per PR. Workers
-//     beyond the machine's core count cannot speed anything up:
-//     read the ratios against the host's GOMAXPROCS;
+//   - large/*: allocation-heavy runs on 512x512, 1024x1024 and
+//     64x64x16 meshes, one case per mesh and strategy — the wide-mesh
+//     cost of the BestFit scoring kernel and of GABL's probe and
+//     histogram-sweep path;
 //   - stream/*: the streaming workload engine — stream/source/* is the
 //     per-job draw cost of each source family (one Next call per op;
 //     must stay allocation-free in steady state), and stream/sim/* is
@@ -96,9 +94,9 @@ type Case struct {
 type Snapshot struct {
 	Label string `json:"label"` // e.g. "PR3"
 	Go    string `json:"go"`    // toolchain the numbers were taken with
-	// Cores is the host's GOMAXPROCS: the ceiling on any large/*
-	// serial-vs-sharded speedup (a single-core host records ~1x at
-	// every worker count by construction).
+	// Cores is the host's GOMAXPROCS. Every case runs on one
+	// goroutine, so it tells snapshots from busier or idler hosts apart
+	// rather than bounding any speed-up.
 	Cores int    `json:"cores"`
 	Short bool   `json:"short"` // true when produced by a -short smoke run
 	Cases []Case `json:"cases"`
@@ -501,61 +499,52 @@ func mutateCases(short bool) []Case {
 	return cases
 }
 
-// largeCases measures the sharded-search executor end to end: the
-// large-mesh allocation-heavy runs of the PR 5 trajectory, each at
-// several worker counts with everything else identical (and the
-// placements bit-identical by construction, so every worker count
-// simulates exactly the same run). BestFit scores every fitting
+// largeCases measures large-mesh allocation-heavy runs end to end,
+// one case per mesh and strategy. BestFit scores every fitting
 // candidate up to the first that reaches the score ceiling — the whole
 // candidate space when none does, which on a fragmented mesh is most
-// allocations, so its stripes rarely stop early; GABL adds the probe +
-// histogram-sweep path.
+// allocations; GABL adds the probe + histogram-sweep path.
 func largeCases(short bool) []Case {
 	type cfg struct {
 		w, l, h  int
 		strategy string
 		jobs     int
-		workers  []int
 	}
 	cases := []cfg{
-		{512, 512, 1, "BestFit", 150, []int{1, 2, 4, 8}},
-		{1024, 1024, 1, "BestFit", 40, []int{1, 2, 4, 8}},
-		{1024, 1024, 1, "GABL", 400, []int{1, 8}},
-		{64, 64, 16, "GABL", 1000, []int{1, 8}},
+		{512, 512, 1, "BestFit", 150},
+		{1024, 1024, 1, "BestFit", 40},
+		{1024, 1024, 1, "GABL", 400},
+		{64, 64, 16, "GABL", 1000},
 	}
 	if short {
-		// One genuinely sharded end-to-end smoke for CI.
-		cases = []cfg{{256, 256, 1, "BestFit", 60, []int{4}}}
+		cases = []cfg{{256, 256, 1, "BestFit", 60}}
 	}
-	var out []Case
+	out := make([]Case, 0, len(cases))
 	for _, c := range cases {
 		geom := fmt.Sprintf("%dx%d", c.w, c.l)
 		if c.h > 1 {
 			geom = fmt.Sprintf("%dx%dx%d", c.w, c.l, c.h)
 		}
-		for _, wk := range c.workers {
-			name := fmt.Sprintf("large/%s/%s/w%d", geom, c.strategy, wk)
-			out = append(out, record(name, c.jobs, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					sc := sim.DefaultConfig()
-					sc.MeshW, sc.MeshL, sc.MeshH = c.w, c.l, c.h
-					sc.Strategy = c.strategy
-					sc.MaxCompleted = c.jobs
-					sc.WarmupJobs = c.jobs / 10
-					sc.MaxQueued = 4 * c.jobs
-					sc.Workers = wk
-					src := workload.NewAllocStress3D(stats.NewStream(29), c.w, c.l, c.h, 0.07, 100)
-					res, err := sim.Run(sc, src)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if res.Completed == 0 {
-						b.Fatal("run completed no jobs")
-					}
+		name := fmt.Sprintf("large/%s/%s", geom, c.strategy)
+		out = append(out, record(name, c.jobs, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sc := sim.DefaultConfig()
+				sc.MeshW, sc.MeshL, sc.MeshH = c.w, c.l, c.h
+				sc.Strategy = c.strategy
+				sc.MaxCompleted = c.jobs
+				sc.WarmupJobs = c.jobs / 10
+				sc.MaxQueued = 4 * c.jobs
+				src := workload.NewAllocStress3D(stats.NewStream(29), c.w, c.l, c.h, 0.07, 100)
+				res, err := sim.Run(sc, src)
+				if err != nil {
+					b.Fatal(err)
 				}
-			}))
-		}
+				if res.Completed == 0 {
+					b.Fatal("run completed no jobs")
+				}
+			}
+		}))
 	}
 	return out
 }
