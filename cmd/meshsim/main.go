@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -125,13 +126,19 @@ func main() {
 	// are in workload time units; dividing by -time-scale converts them
 	// to the compressed engine clock the simulator runs on (the
 	// workload itself is compressed by the same factor below).
-	if *timeScale <= 0 {
-		fmt.Fprintf(os.Stderr, "meshsim: -time-scale %g is invalid; the factor must be positive\n", *timeScale)
+	// The comparisons are written so that NaN fails them too.
+	if !(*timeScale > 0) || math.IsInf(*timeScale, 1) {
+		fmt.Fprintf(os.Stderr, "meshsim: -time-scale %g is invalid; the factor must be positive and finite\n", *timeScale)
 		os.Exit(1)
 	}
-	if *duration < 0 || *startTime < 0 {
-		fmt.Fprintln(os.Stderr, "meshsim: -duration and -start-time must be nonnegative")
-		os.Exit(1)
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"-duration", *duration}, {"-start-time", *startTime}, {"-think", *think}} {
+		if !(f.v >= 0) || math.IsInf(f.v, 1) {
+			fmt.Fprintf(os.Stderr, "meshsim: %s %g is invalid; it must be nonnegative and finite\n", f.name, f.v)
+			os.Exit(1)
+		}
 	}
 	switch {
 	case !(*load > 0):

@@ -39,27 +39,57 @@ func TestInvalidRunFlagsExitWithError(t *testing.T) {
 		{"zero jobs without duration", []string{"-jobs", "0"}, "-jobs"},
 		{"negative jobs", []string{"-jobs", "-3"}, "-jobs"},
 		{"negative jobs with duration", []string{"-jobs", "-3", "-duration", "1000"}, "-jobs"},
+		{"NaN think", []string{"-think", "NaN"}, "-think"},
+		{"NaN start time", []string{"-start-time", "NaN"}, "-start-time"},
+		{"NaN duration", []string{"-duration", "NaN"}, "-duration"},
+		{"infinite duration", []string{"-jobs", "0", "-duration", "Inf"}, "-duration"},
+		{"NaN time scale", []string{"-time-scale", "NaN"}, "-time-scale"},
 	}
 	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			defer cancel()
-			cmd := exec.CommandContext(ctx, os.Args[0], c.args...)
-			cmd.Env = append(os.Environ(), runEnv+"=1")
-			out, err := cmd.CombinedOutput()
-			if ctx.Err() != nil {
-				t.Fatalf("meshsim %v did not terminate within the deadline", c.args)
+		t.Run(c.name, func(t *testing.T) { expectRejected(t, c.args, c.flag) })
+	}
+}
+
+// expectRejected runs meshsim with args and requires a non-zero exit
+// within the deadline, without a panic, with a message naming what.
+func expectRejected(t *testing.T, args []string, what string) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, os.Args[0], args...)
+	cmd.Env = append(os.Environ(), runEnv+"=1")
+	out, err := cmd.CombinedOutput()
+	if ctx.Err() != nil {
+		t.Fatalf("meshsim %v did not terminate within the deadline", args)
+	}
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() == 0 {
+		t.Fatalf("meshsim %v: want a non-zero exit, got %v\n%s", args, err, out)
+	}
+	if strings.Contains(string(out), "panic") {
+		t.Fatalf("meshsim %v panicked:\n%s", args, out)
+	}
+	if !strings.Contains(string(out), what) {
+		t.Fatalf("meshsim %v: message does not name %s:\n%s", args, what, out)
+	}
+}
+
+// TestNonFiniteTraceExitsWithError replays traces with a NaN or
+// infinite time field: meshsim used to finish them with a NaN or
+// infinite clock and exit 0; each must fail, naming the line.
+func TestNonFiniteTraceExitsWithError(t *testing.T) {
+	for name, line := range map[string]string{
+		"NaN runtime":      "1 4 NaN",
+		"NaN arrival":      "NaN 4 10",
+		"infinite runtime": "1 4 +Inf",
+	} {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "jobs.txt")
+			if err := os.WriteFile(path, []byte("# arrival procs runtime\n"+line+"\n"), 0o644); err != nil {
+				t.Fatal(err)
 			}
-			var exit *exec.ExitError
-			if !errors.As(err, &exit) || exit.ExitCode() == 0 {
-				t.Fatalf("meshsim %v: want a non-zero exit, got %v\n%s", c.args, err, out)
-			}
-			if strings.Contains(string(out), "panic") {
-				t.Fatalf("meshsim %v panicked:\n%s", c.args, out)
-			}
-			if !strings.Contains(string(out), c.flag) {
-				t.Fatalf("meshsim %v: message does not name %s:\n%s", c.args, c.flag, out)
-			}
+			expectRejected(t, []string{"-workload", "trace", "-trace", path, "-jobs", "0",
+				"-width", "8", "-length", "8"}, "trace line 2")
 		})
 	}
 }

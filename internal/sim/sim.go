@@ -12,6 +12,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/alloc"
 	"repro/internal/des"
@@ -322,11 +323,13 @@ func New(cfg Config, src workload.Source) (*Simulator, error) {
 	if depth == 0 {
 		depth = 1
 	}
-	if cfg.Duration < 0 {
-		return nil, fmt.Errorf("sim: negative Duration %v", cfg.Duration)
-	}
-	if cfg.StartTime < 0 {
-		return nil, fmt.Errorf("sim: negative StartTime %v", cfg.StartTime)
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"Duration", cfg.Duration}, {"StartTime", cfg.StartTime}, {"ThinkMean", cfg.ThinkMean}} {
+		if err := checkTime(f.name, f.v); err != nil {
+			return nil, err
+		}
 	}
 	if err := cfg.Timeline.validate(cfg.Duration); err != nil {
 		return nil, err
@@ -366,9 +369,6 @@ func New(cfg Config, src workload.Source) (*Simulator, error) {
 		m = mesh.NewTorus(cfg.MeshW, cfg.MeshL)
 	default:
 		m = mesh.New3D(cfg.MeshW, cfg.MeshL, depth)
-	}
-	if cfg.ThinkMean < 0 {
-		return nil, fmt.Errorf("sim: negative ThinkMean %v", cfg.ThinkMean)
 	}
 	// The network itself is built lazily on first Send (see network),
 	// but its configuration must fail here, at setup, not mid-run.
@@ -433,6 +433,18 @@ func New(cfg Config, src workload.Source) (*Simulator, error) {
 		}
 	}
 	return s, nil
+}
+
+// checkTime rejects a negative, NaN or infinite time parameter, naming
+// the Config field. NaN fails every "< 0" check, so it is tested first.
+func checkTime(field string, v float64) error {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return fmt.Errorf("sim: %s %v is not finite", field, v)
+	}
+	if v < 0 {
+		return fmt.Errorf("sim: negative %s %v", field, v)
+	}
+	return nil
 }
 
 // network returns the interconnect, building it on first use: the

@@ -3,6 +3,8 @@ package sim
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -321,6 +323,28 @@ func parseFloatStrict(s string, out *float64) (float64, error) {
 	err := json.Unmarshal([]byte(s), &v)
 	*out = v
 	return v, err
+}
+
+// TestNewRejectsNonFiniteTimes: NaN passes every "< 0" check, so a NaN
+// Duration, StartTime or ThinkMean used to run as if unset; New must
+// reject it, and an infinite one, naming the field.
+func TestNewRejectsNonFiniteTimes(t *testing.T) {
+	src := workload.NewAllocStress3D(stats.NewStream(1), 16, 22, 1, 0.01, 400)
+	set := map[string]func(*Config, float64){
+		"Duration":  func(c *Config, v float64) { c.Duration = v },
+		"StartTime": func(c *Config, v float64) { c.StartTime = v },
+		"ThinkMean": func(c *Config, v float64) { c.ThinkMean = v },
+	}
+	for field, mut := range set {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			cfg := DefaultConfig()
+			mut(&cfg, v)
+			_, err := New(cfg, src)
+			if want := fmt.Sprintf("sim: %s %v is not finite", field, v); err == nil || err.Error() != want {
+				t.Errorf("%s = %v: New error %v, want %q", field, v, err, want)
+			}
+		}
+	}
 }
 
 // TestTimelineAndWindowValidation checks New rejects inconsistent

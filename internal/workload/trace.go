@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -24,7 +25,24 @@ import (
 //     submit time (2), run time (4) and allocated processors (5).
 //
 // Both readers drop unusable records (non-positive sizes, negative
-// runtimes) exactly as trace-driven studies conventionally do.
+// runtimes) exactly as trace-driven studies conventionally do. A NaN
+// or infinite arrival or runtime is an error, not an unusable record:
+// it would pass every "< 0" check and reach the simulator's clock.
+
+// finite reports whether a parsed time field is neither NaN nor
+// infinite.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
+// notFinite is the error for a NaN or infinite time field of a trace
+// record, naming the format, the line and the field. The materialized
+// and the streaming readers share it, so both report the same message.
+// It stays out of line so that its formatting does not grow the stack
+// frame of the per-record parsers.
+//
+//go:noinline
+func notFinite(format string, line int, field string, v float64) error {
+	return fmt.Errorf("workload: %s line %d: %s %v is not finite", format, line, field, v)
+}
 
 // ReadTrace parses a native-format trace. Shapes are derived with
 // ShapeFor against the given mesh geometry (a depth-d record shapes
@@ -50,6 +68,9 @@ func ReadTrace(r io.Reader, meshW, meshL int, numMes float64, rng *stats.Stream)
 		if err != nil {
 			return nil, fmt.Errorf("workload: trace line %d: bad arrival: %v", line, err)
 		}
+		if !finite(arrival) {
+			return nil, notFinite("trace", line, "arrival", arrival)
+		}
 		procs, err := strconv.Atoi(fields[1])
 		if err != nil {
 			return nil, fmt.Errorf("workload: trace line %d: bad processor count: %v", line, err)
@@ -57,6 +78,9 @@ func ReadTrace(r io.Reader, meshW, meshL int, numMes float64, rng *stats.Stream)
 		runtime, err := strconv.ParseFloat(fields[2], 64)
 		if err != nil {
 			return nil, fmt.Errorf("workload: trace line %d: bad runtime: %v", line, err)
+		}
+		if !finite(runtime) {
+			return nil, notFinite("trace", line, "runtime", runtime)
 		}
 		depth := 1
 		if len(fields) >= 4 {
@@ -215,6 +239,12 @@ func ReadSWF(r io.Reader, meshW, meshL int, numMes float64, rng *stats.Stream) (
 		procs, err3 := strconv.Atoi(fields[4])
 		if err1 != nil || err2 != nil || err3 != nil {
 			return nil, fmt.Errorf("workload: SWF line %d: malformed record", line)
+		}
+		if !finite(submit) {
+			return nil, notFinite("SWF", line, "submit time", submit)
+		}
+		if !finite(runtime) {
+			return nil, notFinite("SWF", line, "run time", runtime)
 		}
 		if procs <= 0 || procs > meshW*meshL || runtime < 0 {
 			continue

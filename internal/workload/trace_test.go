@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -136,5 +138,67 @@ func TestReadSWFMalformed(t *testing.T) {
 	}
 	if _, err := ReadSWF(strings.NewReader("1 x 5 60 100"), 16, 22, 5, stats.NewStream(1)); err == nil {
 		t.Fatal("malformed SWF record accepted")
+	}
+}
+
+// TestTraceReadersRejectNonFiniteTimes: a NaN or infinite arrival or
+// runtime passes every "< 0" usability check, so each reader must
+// reject it by name and line. ReadTrace, TraceSource and ScanTrace(File)
+// parse the native format and must agree on the message word for word.
+func TestTraceReadersRejectNonFiniteTimes(t *testing.T) {
+	native := []struct{ line, want string }{
+		{"NaN 4 10", "workload: trace line 3: arrival NaN is not finite"},
+		{"+Inf 4 10", "workload: trace line 3: arrival +Inf is not finite"},
+		{"-Inf 4 10", "workload: trace line 3: arrival -Inf is not finite"},
+		{"1 4 NaN", "workload: trace line 3: runtime NaN is not finite"},
+		{"1 4 Inf", "workload: trace line 3: runtime +Inf is not finite"},
+		{"1 4 -Inf", "workload: trace line 3: runtime -Inf is not finite"},
+		{"NaN 4 NaN 2", "workload: trace line 3: arrival NaN is not finite"},
+	}
+	for _, c := range native {
+		text := "# arrival procs runtime\n0 4 10\n" + c.line + "\n5 4 10\n"
+		readers := map[string]func() error{
+			"ReadTrace": func() error {
+				_, err := ReadTrace(strings.NewReader(text), 16, 22, 5, stats.NewStream(1))
+				return err
+			},
+			"TraceSource": func() error {
+				src := NewTraceSource(strings.NewReader(text), "t", 16, 22, 5, stats.NewStream(1), 64)
+				for {
+					if _, ok := src.Next(); !ok {
+						return src.Err()
+					}
+				}
+			},
+			"ScanTrace": func() error {
+				_, err := ScanTrace(strings.NewReader(text), 16, 22, 64)
+				return err
+			},
+			"ScanTraceFile": func() error {
+				path := filepath.Join(t.TempDir(), "trace.txt")
+				if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				_, err := ScanTraceFile(path, 16, 22, 64)
+				return err
+			},
+		}
+		for name, read := range readers {
+			if err := read(); err == nil || err.Error() != c.want {
+				t.Errorf("%s on %q: error %v, want %q", name, c.line, err, c.want)
+			}
+		}
+	}
+	swf := []struct{ line, want string }{
+		{"2 NaN 0 10 4", "workload: SWF line 3: submit time NaN is not finite"},
+		{"2 Inf 0 10 4", "workload: SWF line 3: submit time +Inf is not finite"},
+		{"2 1 0 NaN 4", "workload: SWF line 3: run time NaN is not finite"},
+		{"2 1 0 -Inf 4", "workload: SWF line 3: run time -Inf is not finite"},
+	}
+	for _, c := range swf {
+		text := "; SWF header\n1 0 0 10 4\n" + c.line + "\n"
+		if _, err := ReadSWF(strings.NewReader(text), 16, 22, 5, stats.NewStream(1)); err == nil || err.Error() != c.want {
+			t.Errorf("ReadSWF on %q: error %v, want %q", c.line, err, c.want)
+		}
 	}
 }

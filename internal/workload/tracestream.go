@@ -146,7 +146,7 @@ type traceRecord struct {
 // parseTraceLine parses one non-empty, non-comment line. It applies
 // the exact field semantics of the materialized ReadTrace: three
 // mandatory fields, an optional fourth depth field, the same error
-// messages, the same strconv conversions.
+// messages (non-finite times included), the same strconv conversions.
 func parseTraceLine(fields *[4][]byte, n, lineNo int) (traceRecord, error) {
 	var rec traceRecord
 	if n < 3 {
@@ -156,6 +156,9 @@ func parseTraceLine(fields *[4][]byte, n, lineNo int) (traceRecord, error) {
 	if err != nil {
 		return rec, fmt.Errorf("workload: trace line %d: bad arrival: %v", lineNo, err)
 	}
+	if !finite(arrival) {
+		return rec, notFinite("trace", lineNo, "arrival", arrival)
+	}
 	procs, err := strconv.Atoi(bstr(fields[1]))
 	if err != nil {
 		return rec, fmt.Errorf("workload: trace line %d: bad processor count: %v", lineNo, err)
@@ -163,6 +166,9 @@ func parseTraceLine(fields *[4][]byte, n, lineNo int) (traceRecord, error) {
 	runtime, err := strconv.ParseFloat(bstr(fields[2]), 64)
 	if err != nil {
 		return rec, fmt.Errorf("workload: trace line %d: bad runtime: %v", lineNo, err)
+	}
+	if !finite(runtime) {
+		return rec, notFinite("trace", lineNo, "runtime", runtime)
 	}
 	depth := 1
 	if n >= 4 {

@@ -5,8 +5,10 @@
 //
 // Three benchmark families are measured:
 //
-//   - des/*: the discrete-event core's steady-state schedule+fire cycle
-//     (must stay allocation-free);
+//   - des/*: the discrete-event core's steady-state schedule+fire cycle,
+//     alone (event_steady_state) and with ~160 events pending on few
+//     distinct times, the same-time chain path the paper's packet
+//     traffic takes (event_ties); both must stay allocation-free;
 //   - search/*: mesh occupancy searches on a fragmented mesh — planar,
 //     torus and the 32x32x8 volumetric LargestFree3D (all must stay
 //     allocation-free once warm);
@@ -179,7 +181,8 @@ func record(name string, jobs int, fn func(b *testing.B)) Case {
 	return c
 }
 
-// desCases measures the event core's warm schedule+fire cycle.
+// desCases measures the event core's warm schedule+fire cycle, alone
+// and in a tie-heavy hold model.
 func desCases() []Case {
 	return []Case{record("des/event_steady_state", 0, func(b *testing.B) {
 		e := des.NewEngine()
@@ -194,6 +197,34 @@ func desCases() []Case {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			e.ScheduleEvent(1, fn, nil)
+			e.Step()
+		}
+	}), record("des/event_ties", 0, func(b *testing.B) {
+		// The hold model of des.BenchmarkHoldTies: 160 events pending,
+		// each fired event rescheduled 1-8 whole cycles on, from three
+		// fractional base times, so most schedules join a chain.
+		e := des.NewEngine()
+		rng := stats.NewStream(5)
+		offsets := make([]des.Time, 1024)
+		for i := range offsets {
+			offsets[i] = des.Time(1 + rng.Intn(8))
+		}
+		k := 0
+		var hold des.EventFunc
+		hold = func(any) {
+			e.ScheduleEvent(offsets[k&1023], hold, nil)
+			k++
+		}
+		bases := [...]des.Time{0.25, 0.375, 0.8125}
+		for i := 0; i < 160; i++ {
+			e.AtEvent(bases[i%3]+offsets[i], hold, nil)
+		}
+		for i := 0; i < 1024; i++ { // warm the pool and the cache
+			e.Step()
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
 			e.Step()
 		}
 	})}
