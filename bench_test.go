@@ -1,6 +1,6 @@
 // Package repro's benchmark harness regenerates every table and figure
 // of the paper's evaluation (Figs. 2-16) plus the ablation studies of
-// DESIGN.md §4. Each benchmark runs one experiment's full load sweep at
+// core.Ablations. Each benchmark runs one experiment's full load sweep at
 // a reduced but statistically meaningful size (see benchOptions) and
 // reports the headline cells as custom metrics, so `go test -bench=.`
 // doubles as a regression check on the reproduction. cmd/figures runs
@@ -89,7 +89,7 @@ func BenchmarkFig14LatencyReal(b *testing.B)    { runFigure(b, "fig14") }
 func BenchmarkFig15LatencyUniform(b *testing.B) { runFigure(b, "fig15") }
 func BenchmarkFig16LatencyExp(b *testing.B)     { runFigure(b, "fig16") }
 
-// Ablation studies (DESIGN.md §4).
+// Ablation studies (core.Ablations).
 
 func BenchmarkAblationPagingIndexing(b *testing.B)  { runFigure(b, "ablA1") }
 func BenchmarkAblationPagingSizeIndex(b *testing.B) { runFigure(b, "ablA2") }
@@ -97,9 +97,8 @@ func BenchmarkAblationGABLContiguity(b *testing.B)  { runFigure(b, "ablA3") }
 func BenchmarkAblationSchedulers(b *testing.B)      { runFigure(b, "ablA4") }
 func BenchmarkAblationContiguousBase(b *testing.B)  { runFigure(b, "ablA5") }
 
-// BenchmarkAblationMessageIntensity sweeps num_mes sensitivity (A5 in
-// DESIGN.md §4 numbering): the communication volume knob behind the
-// paper's all-to-all pattern.
+// BenchmarkAblationMessageIntensity sweeps message intensity: the
+// communication volume knob behind the paper's all-to-all pattern.
 func BenchmarkAblationMessageIntensity(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

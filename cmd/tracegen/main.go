@@ -1,8 +1,8 @@
 // Command tracegen emits a synthetic SDSC Paragon workload trace in the
-// native "arrival procs runtime" format (see DESIGN.md §3.1 for the
-// statistical model and the substitution rationale). With -depth above
-// 1 each job's processors are redistributed into a cuboid request and
-// the four-field "arrival procs runtime depth" form is written. The
+// native "arrival procs runtime" format (workload.ParagonSpec documents
+// the statistical model). With -depth above 1 each job's processors are
+// redistributed into a cuboid request and the four-field
+// "arrival procs runtime depth" form is written. The
 // output feeds meshsim -workload trace or any external tool.
 //
 // Examples:

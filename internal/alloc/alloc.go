@@ -116,7 +116,10 @@ type Allocator interface {
 	// request in the current occupancy (the scheduler keeps the job
 	// queued). A returned allocation is already committed to the mesh.
 	Allocate(req Request) (Allocation, bool)
-	// Release returns a previously granted allocation's processors.
+	// Release returns a previously granted allocation's processors and
+	// takes back the storage behind a.Pieces: a later Allocate may
+	// reuse it, so the caller must not read a.Pieces (or any copy of
+	// a) after the call.
 	Release(a Allocation)
 	// Mesh exposes the underlying occupancy (shared across strategies
 	// in comparisons only sequentially, never concurrently).
@@ -150,23 +153,50 @@ func commit(m *mesh.Mesh, pieces []mesh.Submesh) Allocation {
 }
 
 // commitWhole commits one logical — possibly wrap-around seam-crossing
-// — sub-mesh: its planar pieces (mesh.SplitWrap) are allocated and the
-// allocation counts as a single placement.
-func commitWhole(m *mesh.Mesh, s mesh.Submesh) Allocation {
-	a := commit(m, m.SplitWrap(s))
+// — sub-mesh: its planar pieces (mesh.SplitWrap, appended to buf) are
+// allocated and the allocation counts as a single placement.
+func commitWhole(m *mesh.Mesh, buf []mesh.Submesh, s mesh.Submesh) Allocation {
+	a := commit(m, m.SplitWrap(buf, s))
 	a.Logical = 1
 	return a
 }
 
-// release frees every piece, panicking on double release. Pieces are
-// freed in reverse allocation order: strategies hand out pieces in
-// row-major sweeps, and freeing right-to-left lets the occupancy
-// index's run repair stop at the still-busy left neighbor instead of
-// re-propagating across the whole just-freed span.
-func release(m *mesh.Mesh, a Allocation) {
+// pieceBufs recycles the piece lists of released allocations: Release
+// takes a.Pieces back and the next Allocate appends into it, so once a
+// strategy holds as many lists as allocations are ever live at once,
+// its Allocate/Release cycle allocates nothing. It starts empty.
+type pieceBufs [][]mesh.Submesh
+
+// get returns an empty piece list, a recycled one when available.
+func (b *pieceBufs) get() []mesh.Submesh {
+	n := len(*b)
+	if n == 0 {
+		return nil
+	}
+	buf := (*b)[n-1]
+	(*b)[n-1] = nil
+	*b = (*b)[:n-1]
+	return buf
+}
+
+// release frees every piece of a, panicking on double release, then
+// recycles a.Pieces. Pieces are freed in reverse allocation order:
+// strategies hand out pieces in row-major sweeps, and freeing
+// right-to-left lets the occupancy index's run repair stop at the
+// still-busy left neighbor instead of re-propagating across the whole
+// just-freed span.
+func (b *pieceBufs) release(m *mesh.Mesh, a Allocation) {
 	for i := len(a.Pieces) - 1; i >= 0; i-- {
 		if err := m.ReleaseSub(a.Pieces[i]); err != nil {
 			panic(fmt.Sprintf("alloc: invalid release: %v", err))
 		}
+	}
+	b.put(a.Pieces)
+}
+
+// put recycles a piece list the caller no longer uses.
+func (b *pieceBufs) put(buf []mesh.Submesh) {
+	if cap(buf) > 0 {
+		*b = append(*b, buf[:0])
 	}
 }

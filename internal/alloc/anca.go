@@ -19,6 +19,7 @@ type ANCA struct {
 	// maxLevels bounds the subdivision; at the bound the remaining
 	// frames are filled processor by processor.
 	maxLevels int
+	bufs      pieceBufs
 }
 
 // NewANCA builds an ANCA allocator with the conventional 4-level
@@ -54,7 +55,7 @@ func (a *ANCA) Allocate(req Request) (Allocation, bool) {
 	// order (the level where every frame is a single processor),
 	// streamed off the occupancy index without materializing the whole
 	// free list.
-	pieces := make([]mesh.Submesh, 0, req.Size())
+	pieces := a.bufs.get()
 	for c := range a.m.FreeSeq() {
 		pieces = append(pieces, mesh.SubAt3D(c.X, c.Y, c.Z, 1, 1, 1))
 		if len(pieces) == req.Size() {
@@ -68,7 +69,7 @@ func (a *ANCA) Allocate(req Request) (Allocation, bool) {
 // the already-placed frames are rolled back. A frame placed across a
 // torus seam occupies several planar pieces, all tracked for rollback.
 func (a *ANCA) tryLevel(frames []Request) ([]mesh.Submesh, bool) {
-	var placed []mesh.Submesh
+	placed := a.bufs.get()
 	for _, f := range frames {
 		s, ok := a.m.FirstFit3D(f.W, f.L, f.Depth())
 		if !ok && f.W != f.L {
@@ -80,13 +81,15 @@ func (a *ANCA) tryLevel(frames []Request) ([]mesh.Submesh, bool) {
 					panic("alloc: anca rollback failed: " + err.Error())
 				}
 			}
+			a.bufs.put(placed)
 			return nil, false
 		}
-		for _, part := range a.m.SplitWrap(s) {
+		n := len(placed)
+		placed = a.m.SplitWrap(placed, s)
+		for _, part := range placed[n:] {
 			if err := a.m.AllocateSub(part); err != nil {
 				panic("alloc: anca placed busy frame: " + err.Error())
 			}
-			placed = append(placed, part)
 		}
 	}
 	return placed, true
@@ -131,4 +134,4 @@ func splitFrames(frames []Request) ([]Request, bool) {
 }
 
 // Release implements Allocator.
-func (a *ANCA) Release(al Allocation) { release(a.m, al) }
+func (a *ANCA) Release(al Allocation) { a.bufs.release(a.m, al) }

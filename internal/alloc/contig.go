@@ -17,6 +17,7 @@ type Contiguous struct {
 	m       *mesh.Mesh
 	bestFit bool
 	rotate  bool
+	bufs    pieceBufs
 }
 
 // NewFirstFit builds a contiguous first-fit allocator.
@@ -62,26 +63,27 @@ func (c *Contiguous) Allocate(req Request) (Allocation, bool) {
 	}
 	h := req.Depth()
 	if s, ok := search(req.W, req.L, h); ok {
-		return commitWhole(c.m, s), true
+		return commitWhole(c.m, c.bufs.get(), s), true
 	}
 	if c.rotate && req.W != req.L {
 		if s, ok := search(req.L, req.W, h); ok {
-			return commitWhole(c.m, s), true
+			return commitWhole(c.m, c.bufs.get(), s), true
 		}
 	}
 	return Allocation{}, false
 }
 
 // Release implements Allocator.
-func (c *Contiguous) Release(a Allocation) { release(c.m, a) }
+func (c *Contiguous) Release(a Allocation) { c.bufs.release(c.m, a) }
 
 // Random is the fully scattered non-contiguous baseline: a request for
 // p processors takes p uniformly random free processors with no regard
 // for contiguity. It bounds the worst case of communication dispersal
-// and anchors the GABL-contiguity ablation (DESIGN.md A3).
+// and anchors the GABL-contiguity ablation.
 type Random struct {
-	m   *mesh.Mesh
-	rng *stats.Stream
+	m    *mesh.Mesh
+	rng  *stats.Stream
+	bufs pieceBufs
 }
 
 // NewRandom builds a random-scatter allocator drawing from rng.
@@ -107,7 +109,7 @@ func (r *Random) Allocate(req Request) (Allocation, bool) {
 		return Allocation{}, false
 	}
 	perm := r.rng.Perm(len(free))
-	pieces := make([]mesh.Submesh, 0, p)
+	pieces := r.bufs.get()
 	for _, i := range perm[:p] {
 		c := free[i]
 		pieces = append(pieces, mesh.SubAt3D(c.X, c.Y, c.Z, 1, 1, 1))
@@ -116,7 +118,7 @@ func (r *Random) Allocate(req Request) (Allocation, bool) {
 }
 
 // Release implements Allocator.
-func (r *Random) Release(a Allocation) { release(r.m, a) }
+func (r *Random) Release(a Allocation) { r.bufs.release(r.m, a) }
 
 // strategyEntry pairs a registered strategy name with its factory; rng
 // reaches only the strategies that draw randomness. flat means the

@@ -14,6 +14,7 @@ import (
 type FrameSliding struct {
 	m      *mesh.Mesh
 	rotate bool
+	bufs   pieceBufs
 }
 
 // NewFrameSliding builds a frame-sliding allocator.
@@ -42,15 +43,15 @@ func (f *FrameSliding) Allocate(req Request) (Allocation, bool) {
 	// (mesh.SlideFit).
 	h := req.Depth()
 	if s, ok := f.m.SlideFit(req.W, req.L, h); ok {
-		return commitWhole(f.m, s), true
+		return commitWhole(f.m, f.bufs.get(), s), true
 	}
 	if f.rotate && req.W != req.L {
 		if s, ok := f.m.SlideFit(req.L, req.W, h); ok {
-			return commitWhole(f.m, s), true
+			return commitWhole(f.m, f.bufs.get(), s), true
 		}
 	}
 	return Allocation{}, false
 }
 
 // Release implements Allocator.
-func (f *FrameSliding) Release(a Allocation) { release(f.m, a) }
+func (f *FrameSliding) Release(a Allocation) { f.bufs.release(f.m, a) }

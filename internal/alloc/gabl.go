@@ -30,6 +30,7 @@ type GABL struct {
 	// busyLen tracks the busy-list length across current allocations
 	// for the scalability ablation (paper §6 claims it stays short).
 	busyLen int
+	bufs    pieceBufs
 }
 
 // NewGABL builds a GABL allocator with request rotation enabled.
@@ -71,12 +72,12 @@ func (g *GABL) Allocate(req Request) (Allocation, bool) {
 	h := req.Depth()
 	if s, ok := g.m.FirstFit3D(req.W, req.L, h); ok {
 		g.busyLen++
-		return commitWhole(g.m, s), true
+		return commitWhole(g.m, g.bufs.get(), s), true
 	}
 	if g.rotate && req.W != req.L {
 		if s, ok := g.m.FirstFit3D(req.L, req.W, h); ok {
 			g.busyLen++
-			return commitWhole(g.m, s), true
+			return commitWhole(g.m, g.bufs.get(), s), true
 		}
 	}
 
@@ -89,7 +90,7 @@ func (g *GABL) Allocate(req Request) (Allocation, bool) {
 	// parts.
 	capW, capL, capH := req.W, req.L, h
 	remaining := p
-	var pieces []mesh.Submesh
+	pieces := g.bufs.get()
 	logical := 0
 	for remaining > 0 {
 		s, ok := g.m.LargestFree3D(capW, capL, capH, remaining)
@@ -98,11 +99,12 @@ func (g *GABL) Allocate(req Request) (Allocation, bool) {
 			// free sub-mesh always qualifies.
 			panic("alloc: gabl found no piece despite free processors")
 		}
-		for _, part := range g.m.SplitWrap(s) {
+		n := len(pieces)
+		pieces = g.m.SplitWrap(pieces, s)
+		for _, part := range pieces[n:] {
 			if err := g.m.AllocateSub(part); err != nil {
 				panic("alloc: gabl proposed busy piece: " + err.Error())
 			}
-			pieces = append(pieces, part)
 		}
 		logical++
 		remaining -= s.Area()
@@ -115,5 +117,5 @@ func (g *GABL) Allocate(req Request) (Allocation, bool) {
 // Release implements Allocator.
 func (g *GABL) Release(a Allocation) {
 	g.busyLen -= a.PieceCount()
-	release(g.m, a)
+	g.bufs.release(g.m, a)
 }

@@ -31,6 +31,12 @@ type MBS struct {
 	// roots are the initial decomposition blocks; coalescing never
 	// crosses a root boundary.
 	roots []block
+
+	bufs pieceBufs
+	// need and digits are Allocate's per-request scratch (blocks owed
+	// per size, the request's base-4 digits), made on first use.
+	need   []int
+	digits []int
 }
 
 type blockBase struct{ x, y int }
@@ -114,16 +120,16 @@ func (a *MBS) FreeBlockCount(k int) int {
 // Factorize returns the base-4 digits of p, least significant first:
 // p = Σ digits[i] · 4^i with 0 ≤ digits[i] ≤ 3 (the paper's request
 // factorization).
-func Factorize(p int) []int {
-	if p <= 0 {
-		return nil
-	}
-	var digits []int
+func Factorize(p int) []int { return appendDigits(nil, p) }
+
+// appendDigits appends the base-4 digits of p to dst, least
+// significant first; nothing for p <= 0.
+func appendDigits(dst []int, p int) []int {
 	for p > 0 {
-		digits = append(digits, p%4)
+		dst = append(dst, p%4)
 		p /= 4
 	}
-	return digits
+	return dst
 }
 
 // Allocate implements Allocator. The admission check reads the mesh's
@@ -135,8 +141,13 @@ func (a *MBS) Allocate(req Request) (Allocation, bool) {
 	if p > a.m.FreeCount() {
 		return Allocation{}, false
 	}
-	need := make([]int, a.kmax+2)
-	for i, d := range Factorize(p) {
+	if a.need == nil {
+		a.need = make([]int, a.kmax+2)
+	}
+	need := a.need
+	clear(need)
+	a.digits = appendDigits(a.digits[:0], p)
+	for i, d := range a.digits {
 		if i > a.kmax {
 			// Request digit above the largest root size: e.g. a 352-
 			// processor request has a 4^4=256 digit but the largest
@@ -146,7 +157,7 @@ func (a *MBS) Allocate(req Request) (Allocation, bool) {
 		}
 		need[i] += d
 	}
-	var pieces []mesh.Submesh
+	pieces := a.bufs.get()
 	for i := a.kmax; i >= 0; i-- {
 		for need[i] > 0 {
 			if b, ok := a.take(i); ok {
@@ -261,7 +272,7 @@ func (a *MBS) Release(al Allocation) {
 		}
 		a.insertAndCoalesce(block{piece.X1, piece.Y1, k})
 	}
-	release(a.m, al)
+	a.bufs.release(a.m, al)
 }
 
 // insertAndCoalesce adds a free block, then repeatedly merges complete

@@ -52,9 +52,10 @@ type Paging struct {
 	pagesX    int   // pages per row
 	pagesY    int   // pages per column
 	pagesZ    int   // page planes (the mesh depth; pages are planar)
-	order     []int // page visit order (indices into page grid)
+	order     []int // page visit order (indices into page grid); nil for row-major, the identity
 	sizeIndex int
 	indexing  Indexing
+	bufs      pieceBufs
 }
 
 // NewPaging builds a Paging(sizeIndex) allocator with the given page
@@ -78,11 +79,17 @@ func NewPaging(m *mesh.Mesh, sizeIndex int, indexing Indexing) (*Paging, error) 
 		sizeIndex: sizeIndex,
 		indexing:  indexing,
 	}
-	plane := buildOrder(p.pagesX, p.pagesY, indexing)
-	p.order = make([]int, 0, len(plane)*p.pagesZ)
-	for z := 0; z < p.pagesZ; z++ {
-		for _, gi := range plane {
-			p.order = append(p.order, z*p.pagesX*p.pagesY+gi)
+	if indexing == RowMajor {
+		// Visiting pages in grid-index order needs no table.
+		return p, nil
+	}
+	// Plane 0's order, then each deeper plane's: the same walk offset
+	// by whole planes.
+	p.order = buildOrder(p.pagesX, p.pagesY, indexing)
+	perPlane := len(p.order)
+	for z := 1; z < p.pagesZ; z++ {
+		for _, gi := range p.order[:perPlane] {
+			p.order = append(p.order, z*perPlane+gi)
 		}
 	}
 	return p, nil
@@ -187,8 +194,12 @@ func (p *Paging) Allocate(req Request) (Allocation, bool) {
 	if need*pageArea > p.m.FreeCount() {
 		return Allocation{}, false
 	}
-	pieces := make([]mesh.Submesh, 0, need)
-	for _, gi := range p.order {
+	pieces := p.bufs.get()
+	for i := range p.pagesX * p.pagesY * p.pagesZ {
+		gi := i
+		if p.order != nil {
+			gi = p.order[i]
+		}
 		if p.side == 1 {
 			// Single-processor pages: one busy-map read per page.
 			perPlane := p.pagesX * p.pagesY
@@ -207,6 +218,7 @@ func (p *Paging) Allocate(req Request) (Allocation, bool) {
 	if len(pieces) != need {
 		// Enough processors but not in whole free pages: only possible
 		// when the mesh is shared with a non-page-aligned allocator.
+		p.bufs.put(pieces)
 		return Allocation{}, false
 	}
 	return commit(p.m, pieces), true
@@ -220,5 +232,5 @@ func (p *Paging) Release(a Allocation) {
 			panic(fmt.Sprintf("alloc: paging release of non-page piece %v", piece))
 		}
 	}
-	release(p.m, a)
+	p.bufs.release(p.m, a)
 }

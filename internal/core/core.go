@@ -70,8 +70,8 @@ type Workload int
 // The paper's three workloads (§5).
 const (
 	// RealTrace is the SDSC Paragon trace — reproduced synthetically,
-	// see workload.SyntheticParagon and DESIGN.md §3.1 — with arrival
-	// times scaled to the target load.
+	// see workload.SyntheticParagon — with arrival times scaled to the
+	// target load.
 	RealTrace Workload = iota
 	// StochasticUniform draws request sides uniformly over the mesh
 	// sides.

@@ -7,7 +7,7 @@ import (
 )
 
 // This file indexes every figure of the paper's evaluation (§5) as a
-// runnable experiment, plus the ablation studies listed in DESIGN.md §4.
+// runnable experiment, plus the ablation studies listed by Ablations.
 //
 // Load axes: the real-workload experiments use the paper's own load
 // ranges (our simulator's saturation knee for the synthetic Paragon
@@ -119,8 +119,8 @@ func FigureByID(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// Ablations returns the design-choice studies of DESIGN.md §4: they are
-// not paper figures but probe the knobs the paper's strategies embody.
+// Ablations returns the design-choice studies: they are not paper
+// figures but probe the knobs the paper's strategies embody.
 func Ablations() []Experiment {
 	midReal := []float64{0.005, 0.01}
 	midUnif := []float64{0.002, 0.003}

@@ -64,7 +64,7 @@ func churnStep(t *testing.T, m *Mesh, rng *rand.Rand) {
 	l := 1 + rng.Intn(max(1, m.L()/3))
 	h := 1 + rng.Intn(m.H())
 	if s, ok := m.FirstFit3D(w, l, h); ok {
-		for _, p := range m.SplitWrap(s) {
+		for _, p := range m.SplitWrap(nil, s) {
 			if err := m.AllocateSub(p); err != nil {
 				t.Fatal(err)
 			}

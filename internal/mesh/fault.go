@@ -211,7 +211,7 @@ func (m *Mesh) releaseSubPinnedAware(s Submesh) error {
 		m.freeCount += s.Area()
 		return nil
 	}
-	freed := make([]Coord, 0, s.Area()-pinnedIn)
+	freed := m.freed[:0]
 	for z := s.Z1; z <= s.Z2; z++ {
 		for y := s.Y1; y <= s.Y2; y++ {
 			row := (z*m.l + y) * m.w
@@ -231,5 +231,6 @@ func (m *Mesh) releaseSubPinnedAware(s Submesh) error {
 	if len(freed) > 0 {
 		m.noteCells(freed, -1)
 	}
+	m.freed = freed[:0]
 	return nil
 }

@@ -348,7 +348,7 @@ func TestFaultOracleTorus(t *testing.T) {
 			// seam; its planar pieces commit only when the model says the
 			// whole wrapped region is free.
 			s := SubAt(rng.Intn(m.W()), rng.Intn(m.L()), 1+rng.Intn(6), 1+rng.Intn(6))
-			pieces := m.SplitWrap(s)
+			pieces := m.SplitWrap(nil, s)
 			want := true
 			for _, p := range pieces {
 				for _, idx := range fm.boxCells(p) {
@@ -534,7 +534,7 @@ func TestFaultCloneResetString(t *testing.T) {
 func TestTorusSeamPinSurvivesWrappedRelease(t *testing.T) {
 	m := NewTorus(8, 8)
 	s := SubAt(6, 0, 4, 2) // wraps the x seam: pieces at x=6..7 and x=0..1
-	pieces := m.SplitWrap(s)
+	pieces := m.SplitWrap(nil, s)
 	if len(pieces) != 2 {
 		t.Fatalf("SplitWrap(%v) = %d pieces, want 2", s, len(pieces))
 	}

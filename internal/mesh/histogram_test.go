@@ -30,13 +30,13 @@ func checkLargestAgainstScan(t *testing.T, m *Mesh, maxW, maxL, maxArea int) {
 func capCombos(m *Mesh, rng *rand.Rand) [][3]int {
 	w, l := 1+rng.Intn(m.w), 1+rng.Intn(m.l)
 	return [][3]int{
-		{w, l, w * l},                                     // request-shaped
-		{l, w, w * l},                                     // rotated (l may exceed W: clamps)
-		{w, l, 1 + rng.Intn(w*l)},                         // area-capped carve
-		{m.w, m.l, m.w * m.l},                             // unconstrained
-		{m.w, m.l, 1 + rng.Intn(m.w*m.l)},                 // area-only cap
-		{1, m.l, m.l},                                     // vertical strip
-		{m.w, 1, m.w},                                     // horizontal strip
+		{w, l, w * l},                     // request-shaped
+		{l, w, w * l},                     // rotated (l may exceed W: clamps)
+		{w, l, 1 + rng.Intn(w*l)},         // area-capped carve
+		{m.w, m.l, m.w * m.l},             // unconstrained
+		{m.w, m.l, 1 + rng.Intn(m.w*m.l)}, // area-only cap
+		{1, m.l, m.l},                     // vertical strip
+		{m.w, 1, m.w},                     // horizontal strip
 		{1 + rng.Intn(m.w), 1 + rng.Intn(m.l), 1 + rng.Intn(m.w*m.l)}, // random
 	}
 }
@@ -59,12 +59,12 @@ func driveDifferential(t *testing.T, m *Mesh, seed int64, steps int) {
 			x, y := rng.Intn(m.w), rng.Intn(m.l)
 			s := SubAt(x, y, 1+rng.Intn(min(4, m.w)), 1+rng.Intn(min(4, m.l)))
 			if m.torus {
-				for _, p := range m.SplitWrap(s) {
+				for _, p := range m.SplitWrap(nil, s) {
 					if m.scanBusyRect(p.X1, p.Y1, p.X2, p.Y2) != 0 {
 						goto next
 					}
 				}
-				for _, p := range m.SplitWrap(s) {
+				for _, p := range m.SplitWrap(nil, s) {
 					if err := m.AllocateSub(p); err != nil {
 						t.Fatal(err)
 					}
@@ -133,10 +133,10 @@ func TestLargestFreeHistogramCapEdges(t *testing.T) {
 	for _, caps := range [][3]int{
 		{0, 5, 30}, {6, 0, 30}, {6, 5, 0}, // zero caps reject
 		{-1, 5, 30}, {6, 5, -2}, // negative caps reject
-		{100, 100, 10000},  // oversize caps clamp
-		{1, 1, 1},          // single processor
-		{6, 5, 1},          // area cap of one
-		{2, 5, 7},          // non-divisible area cap
+		{100, 100, 10000}, // oversize caps clamp
+		{1, 1, 1},         // single processor
+		{6, 5, 1},         // area cap of one
+		{2, 5, 7},         // non-divisible area cap
 	} {
 		checkLargestAgainstScan(t, m, caps[0], caps[1], caps[2])
 	}

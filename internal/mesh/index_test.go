@@ -687,7 +687,7 @@ func checkTorusQueries(t *testing.T, m *Mesh, rng *rand.Rand) {
 // disjoint pieces covering exactly the wrapped rectangle's cells.
 func checkSplitWrap(t *testing.T, m *Mesh, s Submesh) {
 	t.Helper()
-	pieces := m.SplitWrap(s)
+	pieces := m.SplitWrap(nil, s)
 	covered := map[Coord]bool{}
 	for _, p := range pieces {
 		if !p.Valid() || !m.InBounds(p.Base()) || !m.InBounds(p.End()) {
@@ -732,7 +732,7 @@ func TestTorusOracleRectOps(t *testing.T) {
 				t.Fatalf("SubFree(%v) = %v disagrees with naive walk", s, free)
 			}
 			if free {
-				for _, p := range m.SplitWrap(s) {
+				for _, p := range m.SplitWrap(nil, s) {
 					if err := m.AllocateSub(p); err != nil {
 						t.Fatalf("AllocateSub(%v) of free piece: %v", p, err)
 					}

@@ -130,6 +130,9 @@ type Mesh struct {
 	overlay      []bool
 	pinnedCount  int
 	overlayCount int
+	// freed is releaseSubPinnedAware's list of the cells it frees,
+	// reused across calls; nil until the first release over a pin.
+	freed []Coord
 }
 
 // satDelta is one occupancy change not yet folded into sat.

@@ -137,19 +137,19 @@ func (m *Mesh) wrapPieces(s Submesh) ([4]Submesh, int) {
 	return out, n
 }
 
-// SplitWrap resolves a possibly seam-crossing sub-mesh into its planar
-// pieces (see wrapPieces for the order). On a planar mesh — where
-// searches never produce seam-crossing sub-meshes — it returns s
-// unchanged as a single piece. Allocators commit a torus search result
-// through SplitWrap, so the mutation paths stay planar.
-func (m *Mesh) SplitWrap(s Submesh) []Submesh {
+// SplitWrap appends the planar pieces of a possibly seam-crossing
+// sub-mesh to dst and returns the extended slice (see wrapPieces for
+// the order). On a planar mesh — where searches never produce
+// seam-crossing sub-meshes — it appends s unchanged as a single piece.
+// Allocators commit a torus search result through SplitWrap, so the
+// mutation paths stay planar; passing a reused dst keeps the commit
+// allocation-free.
+func (m *Mesh) SplitWrap(dst []Submesh, s Submesh) []Submesh {
 	if !m.torus {
-		return []Submesh{s}
+		return append(dst, s)
 	}
 	ps, n := m.wrapPieces(s)
-	out := make([]Submesh, n)
-	copy(out, ps[:n])
-	return out
+	return append(dst, ps[:n]...)
 }
 
 // wrapBusy returns the busy count of a (wrapValid) possibly

@@ -83,7 +83,7 @@ func TestTorusRectCrossesBothSeams(t *testing.T) {
 	if !ok || got != s {
 		t.Fatalf("FirstFit(4,4) = %v,%v; want %v,true\n%s", got, ok, s, m)
 	}
-	pieces := m.SplitWrap(s)
+	pieces := m.SplitWrap(nil, s)
 	if len(pieces) != 4 {
 		t.Fatalf("SplitWrap(%v) = %d pieces, want 4", s, len(pieces))
 	}
@@ -114,8 +114,8 @@ func TestTorusRectCrossesXSeamOnly(t *testing.T) {
 	if !ok || s != SubAt(6, 0, 4, 2) {
 		t.Fatalf("FirstFit(4,2) = %v,%v; want (6,0)-based wrap", s, ok)
 	}
-	if ps := m.SplitWrap(s); len(ps) != 2 || ps[0] != Sub(6, 0, 7, 1) || ps[1] != Sub(0, 0, 1, 1) {
-		t.Fatalf("SplitWrap(%v) = %v, want [(6,0,7,1) (0,0,1,1)]", s, m.SplitWrap(s))
+	if ps := m.SplitWrap(nil, s); len(ps) != 2 || ps[0] != Sub(6, 0, 7, 1) || ps[1] != Sub(0, 0, 1, 1) {
+		t.Fatalf("SplitWrap(%v) = %v, want [(6,0,7,1) (0,0,1,1)]", s, m.SplitWrap(nil, s))
 	}
 	// The planar mesh with the same occupancy cannot place it.
 	p := New(8, 4)
@@ -133,8 +133,8 @@ func TestTorusRectCrossesYSeamOnly(t *testing.T) {
 	if !ok || s != SubAt(0, 5, 2, 4) {
 		t.Fatalf("FirstFit(2,4) = %v,%v; want (0,5)-based wrap", s, ok)
 	}
-	if ps := m.SplitWrap(s); len(ps) != 2 || ps[0] != Sub(0, 5, 1, 6) || ps[1] != Sub(0, 0, 1, 1) {
-		t.Fatalf("SplitWrap(%v) = %v, want [(0,5,1,6) (0,0,1,1)]", s, m.SplitWrap(s))
+	if ps := m.SplitWrap(nil, s); len(ps) != 2 || ps[0] != Sub(0, 5, 1, 6) || ps[1] != Sub(0, 0, 1, 1) {
+		t.Fatalf("SplitWrap(%v) = %v, want [(0,5,1,6) (0,0,1,1)]", s, m.SplitWrap(nil, s))
 	}
 }
 
@@ -193,7 +193,7 @@ func TestTorusMeshModeUnchanged(t *testing.T) {
 	if got := m.BusyInRect(SubAt(6, 0, 4, 2)); got != 0 {
 		t.Fatalf("planar BusyInRect of out-of-range rect = %d, want 0", got)
 	}
-	if len(m.SplitWrap(SubAt(6, 0, 4, 2))) != 1 {
+	if len(m.SplitWrap(nil, SubAt(6, 0, 4, 2))) != 1 {
 		t.Fatal("planar SplitWrap split a sub-mesh")
 	}
 }

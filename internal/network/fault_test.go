@@ -52,13 +52,13 @@ func TestLinkCheckErrors(t *testing.T) {
 		c mesh.Coord
 		d Direction
 	}{
-		{c2(4, 0), East},        // out of bounds
+		{c2(4, 0), East}, // out of bounds
 		{c2(0, 0), Direction(99)},
-		{c2(3, 0), East},        // mesh border: no wrap link
-		{c2(0, 0), West},        // mesh border
-		{c2(0, 3), North},       // mesh border
-		{c2(0, 0), South},       // mesh border
-		{c2(0, 0), Up},          // depth-1 fabric
+		{c2(3, 0), East},  // mesh border: no wrap link
+		{c2(0, 0), West},  // mesh border
+		{c2(0, 3), North}, // mesh border
+		{c2(0, 0), South}, // mesh border
+		{c2(0, 0), Up},    // depth-1 fabric
 		{c2(0, 0), Down},
 	}
 	for _, tc := range cases {

@@ -1,13 +1,13 @@
 // Package network simulates a wormhole-switched mesh interconnect — 2D
 // or, with New3D, 3D — at channel granularity on top of the des engine.
 //
-// Model (see DESIGN.md §3.2): every unidirectional link — including each
-// node's injection and ejection links — is a channel that one packet
-// (worm) holds at a time, with a FIFO queue of waiting headers. A packet
-// follows the XY dimension-ordered route from source to destination. The
-// header crosses a channel in one cycle and spends RouterDelay (the
-// paper's t_s) cycles in each router before requesting the next channel.
-// If the next channel is busy the header waits — while continuing to
+// Model: every unidirectional link — including each node's injection
+// and ejection links — is a channel that one packet (worm) holds at a
+// time, with a FIFO queue of waiting headers. A packet follows the XY
+// dimension-ordered route from source to destination. The header
+// crosses a channel in one cycle and spends RouterDelay (the paper's
+// t_s) cycles in each router before requesting the next channel. If
+// the next channel is busy the header waits — while continuing to
 // hold every channel the worm stretches over, which is wormhole's
 // chained blocking. Routers buffer BufferDepth flits per channel
 // (ProcSimity's routers have small per-channel FIFO buffers), so a worm
@@ -173,7 +173,7 @@ func (p *Packet) Latency() des.Time { return p.DeliveredAt - p.CreatedAt }
 
 type channel struct {
 	busy  bool
-	down  bool // link failed (fault.go): rejects new grants
+	down  bool      // link failed (fault.go): rejects new grants
 	queue []*Packet // FIFO of waiting headers
 }
 
@@ -394,14 +394,33 @@ func (n *Network) Send(src, dst mesh.Coord, onDelivered func(*Packet)) *Packet {
 // exists — possibly synchronously, when the source is already cut off
 // at injection time. Exactly one of onDelivered and onLost ever fires.
 func (n *Network) SendWithLoss(src, dst mesh.Coord, onDelivered, onLost func(*Packet)) *Packet {
+	p := new(Packet)
+	n.SendInto(p, src, dst, onDelivered, onLost)
+	return p
+}
+
+// SendInto is SendWithLoss into a caller-owned record: p is reset and
+// reused, path buffer included, so a caller that keeps one record per
+// sender sends without allocating once the buffer has grown. p must
+// not be in flight: the network holds no reference to a packet once
+// its delivery or loss callback has fired (the last tail-drain release
+// shares the delivery time and fires before it), so the record may be
+// re-sent from inside either callback.
+func (n *Network) SendInto(p *Packet, src, dst mesh.Coord, onDelivered, onLost func(*Packet)) {
 	n.checkCoord(src)
 	n.checkCoord(dst)
-	p := &Packet{
+	hops := n.cfg.Topology.Distance(n.w, n.l, src, dst)
+	path := p.path[:0]
+	if cap(path) < hops+2 {
+		path = make([]int32, 0, hops+2)
+	}
+	*p = Packet{
 		ID:          n.nextID,
 		Src:         src,
 		Dst:         dst,
 		CreatedAt:   n.eng.Now(),
-		Hops:        n.cfg.Topology.Distance(n.w, n.l, src, dst),
+		Hops:        hops,
+		path:        path,
 		onDelivered: onDelivered,
 		onLost:      onLost,
 	}
@@ -410,13 +429,12 @@ func (n *Network) SendWithLoss(src, dst mesh.Coord, onDelivered, onLost func(*Pa
 	if n.downLinks == 0 {
 		// Fault-free fast path: the XYZ route, identically to the
 		// pre-fault engine.
-		p.path = n.appendRoute(make([]int32, 0, p.Hops+2), src, dst)
+		p.path = n.appendRoute(p.path, src, dst)
 	} else if !n.reroute(p) {
 		n.lose(p)
-		return p
+		return
 	}
 	n.request(p)
-	return p
 }
 
 // request asks for the packet's next channel, queueing on contention.

@@ -219,6 +219,12 @@ type sender struct {
 	onLost    func(*network.Packet)
 	next      *sender // pool free-list link
 
+	// pkt is the slot's packet record, re-sent through
+	// network.SendInto for every packet. Sends are blocking, so at most
+	// one is in flight, and a slot returns to the pool (recycleJob,
+	// finalizeKill) only after its last packet was delivered or lost.
+	pkt network.Packet
+
 	// pending is the scheduled-but-not-yet-injected send event, so a
 	// kill can cancel sends that never reached the network (fault.go).
 	// A handle that already fired is invalid and costs nothing.
@@ -251,7 +257,7 @@ type Simulator struct {
 	completed int
 	done      bool
 	saturated bool
-	srcErr    error // abnormal stream end (workload.SourceErr)
+	srcErr    error // bad source: abnormal end (workload.SourceErr) or a job no mesh fits
 
 	// Timeline emission state (timeline.go); inert when cfg.Timeline
 	// is nil.
@@ -410,7 +416,7 @@ func New(cfg Config, src workload.Source) (*Simulator, error) {
 	s.completeFn = func(a any) { s.complete(a.(*jobState)) }
 	s.sendFn = func(a any) {
 		sd := a.(*sender)
-		s.network().SendWithLoss(sd.j.nodes[sd.i], sd.dst, sd.onDeliver, sd.onLost)
+		s.network().SendInto(&sd.pkt, sd.j.nodes[sd.i], sd.dst, sd.onDeliver, sd.onLost)
 	}
 	// Wire the fault engine only when the plan can fail something: an
 	// inactive plan stays bit-identical to no plan at all.
@@ -534,25 +540,7 @@ func Run(cfg Config, src workload.Source) (Result, error) {
 // Run drives the event loop until MaxCompleted measured jobs, source
 // exhaustion plus drain, or saturation. A Simulator is single-use.
 func (s *Simulator) Run() (Result, error) {
-	start := s.cfg.StartTime
-	s.busyInt.Observe(start, 0)
-	s.queueInt.Observe(start, 0)
-	if s.faults != nil {
-		// On a warm start the fault engine arms at StartTime, not at
-		// engine time zero: nothing exists before the window opens.
-		if start > 0 {
-			s.eng.At(start, s.armFaults)
-		} else {
-			s.armFaults()
-		}
-	}
-	if s.cfg.Duration > 0 {
-		s.eng.At(start+s.cfg.Duration, s.finish)
-	}
-	if s.cfg.Timeline != nil {
-		s.startTimeline()
-	}
-	s.scheduleNextArrival()
+	s.begin()
 	for !s.done && s.eng.Step() {
 	}
 	if s.srcErr != nil {
@@ -561,6 +549,7 @@ func (s *Simulator) Run() (Result, error) {
 	if s.timelineErr != nil {
 		return Result{}, s.timelineErr
 	}
+	start := s.cfg.StartTime
 	// A warm-started run that never executed an event still ends no
 	// earlier than its window opened.
 	end := s.eng.Now()
@@ -583,6 +572,30 @@ func (s *Simulator) Run() (Result, error) {
 		}
 	}
 	return s.result(), nil
+}
+
+// begin opens the measurement window and arms the event chains: the
+// fault engine, the time bound, the timeline and the first arrival.
+func (s *Simulator) begin() {
+	start := s.cfg.StartTime
+	s.busyInt.Observe(start, 0)
+	s.queueInt.Observe(start, 0)
+	if s.faults != nil {
+		// On a warm start the fault engine arms at StartTime, not at
+		// engine time zero: nothing exists before the window opens.
+		if start > 0 {
+			s.eng.At(start, s.armFaults)
+		} else {
+			s.armFaults()
+		}
+	}
+	if s.cfg.Duration > 0 {
+		s.eng.At(start+s.cfg.Duration, s.finish)
+	}
+	if s.cfg.Timeline != nil {
+		s.startTimeline()
+	}
+	s.scheduleNextArrival()
 }
 
 func (s *Simulator) result() Result {
@@ -672,8 +685,12 @@ func (s *Simulator) arrive(job workload.Job) {
 	}
 	if job.W <= 0 || job.L <= 0 || job.W > s.cfg.MeshW || job.L > s.cfg.MeshL ||
 		job.Depth() > s.mesh.H() {
-		panic(fmt.Sprintf("sim: job %d request %dx%dx%d does not fit %dx%dx%d mesh",
-			job.ID, job.W, job.L, job.Depth(), s.cfg.MeshW, s.cfg.MeshL, s.mesh.H()))
+		// A job no allocation can ever hold would wedge the queue: the
+		// source is at fault, so the run fails with its error.
+		s.srcErr = fmt.Errorf("sim: job %d request %dx%dx%d does not fit %dx%dx%d mesh",
+			job.ID, job.W, job.L, job.Depth(), s.cfg.MeshW, s.cfg.MeshL, s.mesh.H())
+		s.finish()
+		return
 	}
 	s.queue.Push(s.newJobState(job))
 	s.queueInt.Observe(s.eng.Now(), float64(s.queue.Len()))
@@ -762,12 +779,21 @@ func (s *Simulator) start(j *jobState, a alloc.Allocation) {
 		s.addRunning(j)
 	}
 
-	senders := s.cfg.Pattern.senders(a.Size())
+	size := a.Size()
+	senders := s.cfg.Pattern.senders(size)
 	if senders == 0 || j.job.Messages == 0 {
 		// No communication partner: residence is the compute demand,
 		// and the per-processor node list is never needed.
 		j.doneEv = s.eng.ScheduleEvent(j.job.Compute, s.completeFn, j)
 		return
+	}
+	// A pooled state keeps its buffers; one too small for this job
+	// grows once, to size.
+	if cap(j.nodes) < size {
+		j.nodes = make([]mesh.Coord, 0, size)
+	}
+	if cap(j.senders) < senders {
+		j.senders = make([]*sender, 0, senders)
 	}
 	j.nodes = a.AppendNodes(j.nodes[:0])
 	// Communication phase (paper §5, ProcSimity patterns; the paper
@@ -822,7 +848,7 @@ func (s *Simulator) packetDelivered(j *jobState, p *network.Packet) {
 	j.outstanding--
 	if j.outstanding == 0 {
 		// Communication phase done; the compute demand (zero for
-		// stochastic jobs) completes the service (DESIGN.md §3.3).
+		// stochastic jobs) completes the service.
 		j.doneEv = s.eng.ScheduleEvent(j.job.Compute, s.completeFn, j)
 	}
 }
@@ -836,6 +862,8 @@ func (s *Simulator) measuring() bool {
 func (s *Simulator) complete(j *jobState) {
 	now := s.eng.Now()
 	measure := s.measuring()
+	// Release takes back the piece list, so count the pieces first.
+	pieces := j.allocation.PieceCount()
 	s.alloc.Release(j.allocation)
 	s.busyInt.Observe(now, float64(s.mesh.AllocatedCount()))
 	if s.faults != nil {
@@ -848,7 +876,7 @@ func (s *Simulator) complete(j *jobState) {
 		s.service.Add(float64(now - j.allocAt))
 		s.wait.Add(float64(j.allocAt - j.job.Arrival))
 		s.waitP95.Add(float64(j.allocAt - j.job.Arrival))
-		s.pieces.Add(float64(j.allocation.PieceCount()))
+		s.pieces.Add(float64(pieces))
 		if s.cfg.MaxCompleted > 0 && int(s.turnaround.N()) >= s.cfg.MaxCompleted {
 			s.recycleJob(j)
 			s.finish()

@@ -325,15 +325,20 @@ func TestTraceSourceDrainsWithoutMaxCompleted(t *testing.T) {
 	}
 }
 
-func TestOversizeJobPanics(t *testing.T) {
-	jobs := []workload.Job{{ID: 0, Arrival: 0, W: 17, L: 1, Compute: 1}}
-	cfg := quickCfg("GABL", "FCFS")
-	defer func() {
-		if recover() == nil {
-			t.Fatal("oversize job did not panic")
-		}
-	}()
-	Run(cfg, workload.NewSliceSource("bad", jobs)) //nolint:errcheck
+// TestOversizeJobIsRunError feeds a library source whose eighth job
+// cannot fit the 16x22 mesh: the run ends with an error naming the job
+// and the mesh, not a panic.
+func TestOversizeJobIsRunError(t *testing.T) {
+	var jobs []workload.Job
+	for i := 0; i < 7; i++ {
+		jobs = append(jobs, workload.Job{ID: i, Arrival: float64(i), W: 4, L: 4, Compute: 10})
+	}
+	jobs = append(jobs, workload.Job{ID: 7, Arrival: 7, W: 17, L: 4, Compute: 10})
+	_, err := Run(DefaultConfig(), workload.NewSliceSource("oversize", jobs))
+	const want = "sim: job 7 request 17x4x1 does not fit 16x22x1 mesh"
+	if err == nil || err.Error() != want {
+		t.Fatalf("Run error = %v, want %q", err, want)
+	}
 }
 
 // Integration sanity: GABL's contiguity should yield lower packet

@@ -12,8 +12,7 @@ import (
 // 1186.7 seconds, mean size 34.5 nodes with the distribution favouring
 // non-powers of two. Runtimes follow a bursty two-phase hyper-
 // exponential (heavy-tailed, CV > 1), which is what makes SSD
-// scheduling profitable on real traces. See DESIGN.md §3.1 for why this
-// substitution preserves the paper's conclusions.
+// scheduling profitable on real traces.
 type ParagonSpec struct {
 	Jobs             int     // number of jobs (paper: 10658)
 	MeshW, MeshL     int     // partition geometry (16 x 22 = 352 nodes)

@@ -90,7 +90,7 @@ func NewParagonSource(spec ParagonSpec, seed int64) *ParagonSource {
 }
 
 // Name implements Source. The label matches the paper's "real"
-// workload, which this model substitutes for (DESIGN.md §3.1).
+// workload, which this model substitutes for (see ParagonSpec).
 func (s *ParagonSource) Name() string { return "real" }
 
 // Next implements Source: one job's draws — inter-arrival, size,

@@ -3,8 +3,7 @@
 // or exponential side-length distributions), a trace format
 // reader/writer (including an SWF-compatible parser), and a synthetic
 // generator reproducing the published statistics of the SDSC Intel
-// Paragon trace the paper uses (see DESIGN.md §3.1 for the
-// substitution rationale).
+// Paragon trace the paper uses (see ParagonSpec).
 package workload
 
 import (

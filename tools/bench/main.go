@@ -43,16 +43,24 @@
 //     must stay allocation-free in steady state), and stream/sim/* is
 //     an end-to-end time-bounded run over millions of streamed jobs
 //     whose jobs_per_sec and bytes_per_job axes demonstrate that
-//     workload-side memory does not grow with job count.
+//     workload-side memory does not grow with job count;
+//   - sim/steady/*: the simulator's warm event loop — heap allocations
+//     per simulated item (a completed job or a sent packet) on the
+//     paper's 16x22 all-to-all cells, a 64x64 FirstFit stream under
+//     node faults, and all-to-all cells on a torus and a 3D mesh; one
+//     op is one item, and each cell must stay under one allocation per
+//     item.
 //
 // Usage:
 //
 //	go run ./tools/bench [-short] [-check] [-o BENCH_PR5.json]
 //
 // -short trims the job counts and case list for CI smoke runs. -check
-// exits non-zero if any des/*, search/* or bitboard/* case reports a
-// non-zero allocs/op — the regression gate CI runs on every push. The output
-// schema is documented in README.md ("Benchmark trajectory").
+// is the allocation gate CI runs on every push: it exits non-zero if
+// any case of the gated families — des/*, search/*, bitboard/*,
+// fault/*, netfault/*, mutate/*, stream/source/* and sim/steady/* —
+// reports a non-zero allocs/op. The output schema is documented in
+// README.md ("Benchmark trajectory").
 package main
 
 import (
@@ -64,6 +72,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/des"
 	"repro/internal/mesh"
@@ -86,10 +95,13 @@ type Case struct {
 	// cumulative heap bytes per streamed job. The memory-independence
 	// evidence is bytes_per_job staying flat as the stream/sim job
 	// count grows 10x (the workload engine contributes 0 of it — see
-	// the stream/source/* cases; the residue is the allocator's
-	// per-placement piece list, constant per job and short-lived).
+	// the stream/source/* cases — and the warm simulator under one
+	// allocation per item, see sim/steady/*; the residue is set-up).
 	JobsPerSec  float64 `json:"jobs_per_sec,omitempty"`
 	BytesPerJob float64 `json:"bytes_per_job,omitempty"`
+	// AllocsPerItem is the unrounded allocs/op of the sim/steady/*
+	// cases, whose op is one simulated item.
+	AllocsPerItem float64 `json:"allocs_per_item,omitempty"`
 }
 
 // Snapshot is the BENCH_*.json document.
@@ -106,7 +118,7 @@ type Snapshot struct {
 
 func main() {
 	short := flag.Bool("short", false, "smoke mode: fewer jobs, fewer cases")
-	check := flag.Bool("check", false, "fail on alloc-count regressions in des/* and search/*")
+	check := flag.Bool("check", false, "fail if a gated case allocates: des/*, search/*, bitboard/*, fault/*, netfault/*, mutate/*, stream/source/* or sim/steady/*")
 	out := flag.String("o", "", "write the JSON snapshot to this file (default: stdout)")
 	label := flag.String("label", "PR5", "snapshot label")
 	flag.Parse()
@@ -121,6 +133,7 @@ func main() {
 	snap.Cases = append(snap.Cases, allocCases(*short)...)
 	snap.Cases = append(snap.Cases, largeCases(*short)...)
 	snap.Cases = append(snap.Cases, streamCases(*short)...)
+	snap.Cases = append(snap.Cases, steadyCases(*short)...)
 
 	for _, c := range snap.Cases {
 		fmt.Fprintf(os.Stderr, "%-40s %12d ns/op %8d allocs/op %10d B/op\n",
@@ -145,11 +158,7 @@ func main() {
 	if *check {
 		bad := false
 		for _, c := range snap.Cases {
-			if (strings.HasPrefix(c.Name, "des/") || strings.HasPrefix(c.Name, "search/") ||
-				strings.HasPrefix(c.Name, "bitboard/") || strings.HasPrefix(c.Name, "fault/") ||
-				strings.HasPrefix(c.Name, "netfault/") || strings.HasPrefix(c.Name, "mutate/") ||
-				strings.HasPrefix(c.Name, "stream/source/")) &&
-				c.AllocsPerOp != 0 {
+			if gated(c.Name) && c.AllocsPerOp != 0 {
 				fmt.Fprintf(os.Stderr, "bench: ALLOC REGRESSION: %s reports %d allocs/op, want 0\n",
 					c.Name, c.AllocsPerOp)
 				bad = true
@@ -158,8 +167,22 @@ func main() {
 		if bad {
 			os.Exit(1)
 		}
-		fmt.Fprintln(os.Stderr, "bench: alloc gate passed (des/*, search/*, fault/*, netfault/*, bitboard/*, mutate/* and stream/source/* at 0 allocs/op)")
+		fmt.Fprintf(os.Stderr, "bench: alloc gate passed (%s*: 0 allocs/op)\n", strings.Join(gatedFamilies, "*, "))
 	}
+}
+
+// gatedFamilies are the case-name prefixes -check holds at 0 allocs/op.
+var gatedFamilies = []string{"des/", "search/", "bitboard/", "fault/", "netfault/",
+	"mutate/", "stream/source/", "sim/steady/"}
+
+// gated reports whether the -check gate covers the named case.
+func gated(name string) bool {
+	for _, f := range gatedFamilies {
+		if strings.HasPrefix(name, f) {
+			return true
+		}
+	}
+	return false
 }
 
 // record runs one benchmark function and captures its result. Cases
@@ -591,8 +614,8 @@ func largeCases(short bool) []Case {
 // simulator over millions of streamed jobs on a zero-communication
 // mesh: the jobs_per_sec and bytes_per_job axes, compared across the
 // 1M and 10M cases, demonstrate workload-side memory independent of
-// job count — bytes_per_job stays flat (and small: the allocator's
-// per-placement piece list) while the job count grows 10x, where a
+// job count — bytes_per_job stays flat (and under a byte: set-up
+// spread over the jobs) while the job count grows 10x, where a
 // materialized workload would carry ~100 B of Job per job before the
 // run even starts.
 func streamCases(short bool) []Case {
@@ -745,6 +768,97 @@ func allocCases(short bool) []Case {
 				}
 			}
 		}))
+	}
+	return out
+}
+
+// steadyCases measures the simulator's warm event loop: heap
+// allocations per simulated item, an item being a completed job or a
+// sent packet. Each cell runs twice on the same seed, to a short and a
+// long job count. The two runs share set-up and warm-up allocation for
+// allocation, so the difference in allocations over the difference in
+// items is the steady-state cost. One op is one item: AllocsPerOp is
+// that cost rounded down, so the -check gate's 0 means fewer than one
+// allocation per item, and AllocsPerItem keeps the fraction.
+func steadyCases(short bool) []Case {
+	// The paper's stochastic stream on the 16x22 fabric, at load 0.003.
+	stochastic := func() workload.Source {
+		return workload.NewStochastic(stats.NewStream(1), 16, 22, workload.UniformSides, 0.003, 5)
+	}
+	churn := sim.DefaultConfig()
+	churn.MeshW, churn.MeshL = 64, 64
+	churn.Strategy = "FirstFit"
+	churn.MaxQueued = 4096
+	churn.Faults = &sim.FaultPlan{Seed: 2, MTBF: 2e7, MTTR: 2000, Policy: sim.KillRequeue}
+	torus := sim.DefaultConfig()
+	torus.Network.Topology = network.TorusTopology
+	cube := sim.DefaultConfig()
+	cube.MeshW, cube.MeshL, cube.MeshH = 8, 8, 4
+
+	type cell struct {
+		name        string
+		cfg         sim.Config
+		src         func() workload.Source
+		short, long int // job counts of the two runs
+	}
+	jobs := func(full int) int {
+		if short {
+			return full / 4
+		}
+		return full
+	}
+	var cells []cell
+	for _, st := range []string{"GABL", "Paging(0)", "MBS"} {
+		cfg := sim.DefaultConfig()
+		cfg.Strategy = st
+		cells = append(cells, cell{"sim/steady/paper16x22/" + st, cfg, stochastic, jobs(200), jobs(600)})
+	}
+	cells = append(cells,
+		cell{"sim/steady/mesh64x64/FirstFit/faults", churn, func() workload.Source {
+			return workload.NewAllocStress3D(stats.NewStream(1), 64, 64, 1, 0.07, 100)
+		}, jobs(40000), jobs(120000)},
+		cell{"sim/steady/torus16x22/GABL", torus, stochastic, jobs(200), jobs(600)},
+		cell{"sim/steady/mesh8x8x4/GABL", cube, func() workload.Source {
+			return workload.NewStochastic3D(stats.NewStream(1), 8, 8, 4, workload.UniformSides, 0.01, 5)
+		}, jobs(400), jobs(1200)},
+	)
+
+	// run completes jobs on the cell and returns the items it
+	// simulated with the heap allocations, bytes and wall time it took.
+	run := func(c cell, jobs int) (items, mallocs, bytes uint64, ns int64) {
+		cfg := c.cfg
+		cfg.MaxCompleted, cfg.WarmupJobs = jobs, 0
+		src := c.src()
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		start := time.Now()
+		res, err := sim.Run(cfg, src)
+		ns = time.Since(start).Nanoseconds()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			panic(fmt.Sprintf("bench: %s: %v", c.name, err))
+		}
+		if res.Completed != jobs || res.Saturated {
+			panic(fmt.Sprintf("bench: %s completed %d of %d jobs (saturated %v)", c.name, res.Completed, jobs, res.Saturated))
+		}
+		return uint64(res.Completed) + uint64(res.PacketsSent),
+			after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc, ns
+	}
+	out := make([]Case, 0, len(cells))
+	for _, c := range cells {
+		i0, m0, b0, t0 := run(c, c.short)
+		i1, m1, b1, t1 := run(c, c.long)
+		items := i1 - i0
+		perItem := float64(m1-m0) / float64(items)
+		out = append(out, Case{
+			Name:          c.name,
+			NsPerOp:       (t1 - t0) / int64(items),
+			AllocsPerOp:   int64(perItem),
+			BytesPerOp:    int64(b1-b0) / int64(items),
+			Ops:           int(items),
+			AllocsPerItem: perItem,
+		})
 	}
 	return out
 }
