@@ -49,7 +49,7 @@ func main() {
 		ts        = flag.Float64("ts", 3, "router delay t_s in cycles")
 		plen      = flag.Int("plen", 8, "packet length in flits")
 		buffers   = flag.Int("buffers", 1, "router buffer depth in flits")
-		numMes    = flag.Float64("nummes", core.NumMes, "mean messages per processor")
+		numMes    = flag.Float64("nummes", core.NumMes, fmt.Sprintf("mean messages per processor of -workload trace (the other workloads always use %g)", core.NumMes))
 		think     = flag.Float64("think", 0, "mean compute gap between sends")
 		backfill  = flag.Int("backfill", 0, "aggressive backfilling depth (0 = paper semantics)")
 		topology  = flag.String("topology", "mesh", "interconnect topology: mesh, torus (torus wraps routing AND placement)")
@@ -76,6 +76,9 @@ func main() {
 		memProf   = flag.String("memprofile", "", "write a heap profile (post-run) to this file")
 	)
 	flag.Parse()
+	// The flags set on the command line, as opposed to their defaults.
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
@@ -134,16 +137,26 @@ func main() {
 	for _, f := range []struct {
 		name string
 		v    float64
-	}{{"-duration", *duration}, {"-start-time", *startTime}, {"-think", *think}} {
+	}{
+		{"-duration", *duration}, {"-start-time", *startTime}, {"-think", *think},
+		{"-ts", *ts}, {"-timeline-interval", *tlInt}, {"-diurnal-period", *diPeriod},
+		{"-mtbf", *mtbf}, {"-mttr", *mttr}, {"-link-mtbf", *linkMTBF}, {"-link-mttr", *linkMTTR},
+	} {
 		if !(f.v >= 0) || math.IsInf(f.v, 1) {
 			fmt.Fprintf(os.Stderr, "meshsim: %s %g is invalid; it must be nonnegative and finite\n", f.name, f.v)
 			os.Exit(1)
 		}
 	}
 	switch {
-	case !(*load > 0):
+	case !(*load > 0) || math.IsInf(*load, 1):
 		// NaN fails the comparison too.
-		fmt.Fprintf(os.Stderr, "meshsim: -load %g is invalid; the load must be positive\n", *load)
+		fmt.Fprintf(os.Stderr, "meshsim: -load %g is invalid; the load must be positive and finite\n", *load)
+		os.Exit(1)
+	case set["nummes"] && *wl != "trace":
+		fmt.Fprintf(os.Stderr, "meshsim: -nummes applies to -workload trace only; the %s workload always uses %g messages per processor\n", *wl, core.NumMes)
+		os.Exit(1)
+	case !(*numMes > 0) || math.IsInf(*numMes, 1):
+		fmt.Fprintf(os.Stderr, "meshsim: -nummes %g is invalid; the mean must be positive and finite\n", *numMes)
 		os.Exit(1)
 	case *jobs < 0:
 		fmt.Fprintf(os.Stderr, "meshsim: -jobs %d is invalid; jobs must be at least 0\n", *jobs)
@@ -156,18 +169,10 @@ func main() {
 	}
 	cfg.Duration = *duration / *timeScale
 	cfg.StartTime = *startTime / *timeScale
-	if *duration > 0 {
+	if *duration > 0 && !set["jobs"] {
 		// A time-bounded run keeps -jobs as a cap only when the user
 		// asked for one; otherwise the horizon is the stopping rule.
-		jobsSet := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "jobs" {
-				jobsSet = true
-			}
-		})
-		if !jobsSet {
-			cfg.MaxCompleted = 0
-		}
+		cfg.MaxCompleted = 0
 	}
 	var tlFlush func() error
 	if *timeline != "" {
@@ -219,7 +224,7 @@ func main() {
 		// diagnostic; this branch is for real-but-planar strategies.
 		fmt.Fprintf(os.Stderr, "meshsim: -depth %d conflicts with -strategy %s: the strategy is 2D-only; pick a 3D-capable strategy or -depth 1\n", *meshH, *strategy)
 		os.Exit(1)
-	case *diAmp < 0 || *diAmp >= 1:
+	case !(*diAmp >= 0 && *diAmp < 1):
 		fmt.Fprintf(os.Stderr, "meshsim: -diurnal-amplitude %g is invalid; the amplitude must be in [0, 1)\n", *diAmp)
 		os.Exit(1)
 	case *diAmp > 0 && *diPeriod <= 0:

@@ -9,6 +9,7 @@ package core
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -104,8 +105,9 @@ const NumMes = 5.0
 // trace (the slice-materializing paragonCache this replaced held every
 // job of every (mesh, seed) pair for the process lifetime).
 func (w Workload) Source(meshW, meshL, meshH int, load float64, seed int64) workload.Source {
-	if load <= 0 {
-		panic("core: load must be positive")
+	if !(load > 0) || math.IsInf(load, 1) {
+		// NaN fails the comparison too.
+		panic("core: load must be positive and finite")
 	}
 	if meshH < 1 {
 		meshH = 1

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/workload"
@@ -100,12 +101,16 @@ func TestWorkloadSourceCachesTrace(t *testing.T) {
 }
 
 func TestWorkloadSourcePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("zero load did not panic")
-		}
-	}()
-	StochasticUniform.Source(16, 22, 1, 0, 1)
+	for _, load := range []float64{0, math.NaN(), math.Inf(1)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("load %v did not panic", load)
+				}
+			}()
+			StochasticUniform.Source(16, 22, 1, load, 1)
+		}()
+	}
 }
 
 func TestDeriveSeedDistinct(t *testing.T) {

@@ -21,9 +21,10 @@ import "math/bits"
 //     of a per-column copy, and the 3D AND-projected plane is a flat
 //     word-wise AND across z slabs (volume.go).
 //
-// Layout invariants (enforced against the run tables and the busy map
-// by checkTables after every mutation in the oracle tests and the fuzz
-// target; the design argument is docs/occupancy-index.md §9):
+// Layout invariants (enforced by checkTables after every mutation in
+// the model-checked tests and the fuzz target, where busy is the naive
+// per-cell model's view; the design argument is
+// docs/occupancy-index.md §9):
 //
 //	wpr == (w + 63) / 64 words per plane-row
 //	freeW[r*wpr : (r+1)*wpr] holds plane-row r, bit x at word x/64, bit x%64
@@ -208,8 +209,7 @@ func maskNextBusy(words []uint64, x, limit int) int {
 }
 
 // runAtBits returns the free-run length at (x, plane-row r) read off
-// the words — the bitboard's rightRun, and the differential the oracle
-// tests hold the two representations to after every mutation.
+// the words: the count of consecutive free cells from x rightward.
 func (m *Mesh) runAtBits(r, x int) int {
 	return maskNextBusy(m.rowWords(r), x, m.w) - x
 }

@@ -22,8 +22,7 @@
 // table per allocation decision. See the Mesh type for the exact
 // invariants and docs/occupancy-index.md at the repository root for a
 // narrative walkthrough (§9 the bitboard, §13 how it replaced the
-// earlier scalar run tables and summed-area table, which survive only
-// as a test oracle behind the meshoracle build tag).
+// earlier scalar run tables and summed-area table).
 //
 // BestFit scores a base row's candidates with one row kernel for every
 // topology (bestfit.go, docs/occupancy-index.md §14): the side faces

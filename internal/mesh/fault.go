@@ -3,12 +3,12 @@ package mesh
 import "fmt"
 
 // Pinned cells model failed processors: a failed cell reads as busy to
-// every query path — run tables, summed-volume table, bitboard words,
+// every query path — the bitboard words, the row and plane aggregates,
 // the torus seam band and the 3D plane projections — because Fail
-// routes the flip through exactly the same differential machinery every
-// allocation uses. No search or query ever consults the pin marks;
-// they only gate the mutation paths, so the five index invariants hold
-// verbatim on a faulty mesh.
+// flips its bit through the same span-flip and aggregate-settle path
+// every allocation uses. No search or query ever consults the pin
+// marks; they only gate the mutation paths, so the index invariants
+// hold verbatim on a faulty mesh.
 //
 // The occupancy state of a faulty mesh is the pair (allocated, pinned)
 // per cell, with busy = allocated ∪ pinned maintained as the derived
@@ -17,8 +17,8 @@ import "fmt"
 //   - Fail on a free cell marks it busy (one single-cell index update)
 //     and pins it.
 //   - Fail on an allocated cell pins it in place and records the live
-//     allocation underneath as an overlay — the busy map, and therefore
-//     every table, is untouched.
+//     allocation underneath as an overlay — the words, and therefore
+//     every aggregate, are untouched.
 //   - Release and ReleaseSub never free a pinned cell: releasing an
 //     allocation whose region contains an overlay clears the overlay
 //     and keeps the cell busy, so a failed processor can never leak
@@ -41,8 +41,7 @@ func (m *Mesh) ensureFault() {
 }
 
 // noteCell flips one cell's bit and settles the aggregates — the
-// single-cell analogue of flipBox. Oracle mode mirrors the flip into
-// the demoted tables.
+// single-cell analogue of flipBox.
 func (m *Mesh) noteCell(c Coord, toBusy bool) {
 	r := m.rowIdx(c.Y, c.Z)
 	m.markRowSpan(r, c.X, c.X, toBusy)
@@ -51,9 +50,6 @@ func (m *Mesh) noteCell(c Coord, toBusy bool) {
 	} else {
 		m.noteRelease()
 		m.aggCellFree(r, c.X)
-	}
-	if m.oracle {
-		m.oracleNoteCell(c, toBusy)
 	}
 }
 

@@ -3,9 +3,9 @@ package mesh
 // This file implements the histogram-based constrained-largest search
 // behind LargestFree. The per-anchor downward-growth scan it replaces
 // (kept in the tests as largestFreeScan / torusLargestFreeScan, the
-// differential oracle) is O(W·L·maxL) worst case even after pruning;
+// differential reference) is O(W·L·maxL) worst case even after pruning;
 // the sweep here is O(W·L): one maximal-rectangle-in-histogram pass
-// per row band over column heights derived from the busy map, O(W·L)
+// per row band over column heights derived from the bitboard, O(W·L)
 // on the planar mesh and O(W·L) over the doubled seam band on the
 // torus.
 //

@@ -1,15 +1,13 @@
 package mesh
 
 // White-box cross-checks of the occupancy index. The bitboard words are
-// authoritative, so every naive reference scan below runs against the
-// busy map derived from them (busySnapshot); checkTables verifies the
-// word invariants (geometry, sealed tail bits, freeCount, on-demand
-// runs, lazy aggregates) after every random mutation, and in oracle
-// mode additionally holds the independently maintained busy/run/SAT
-// tables — updated by the demoted incremental machinery — to the same
-// derived view, which is the production-vs-oracle differential. The
-// searches must return exactly what the seed's exhaustive scans
-// returned.
+// the only occupancy store, so every naive reference scan below runs
+// against the busy map derived from them (busySnapshot); checkTables
+// verifies the word invariants (geometry, sealed tail bits, freeCount,
+// on-demand runs, lazy aggregates), and the per-cell model
+// (model_test.go) that calls it after every random mutation holds the
+// words to the cells each operation should have left busy. The searches
+// must return exactly what the seed's exhaustive scans returned.
 
 import (
 	"math/rand"
@@ -47,42 +45,16 @@ func naiveRightRun(busy []bool, w, l int) []int {
 	return out
 }
 
-// naiveSAT recomputes the far-corner-anchored summed-volume table
-// ((w+1) x (l+1) x (h+1); h == 1 is the 2D summed-area table plus a
-// zero slab).
-func naiveSAT(busy []bool, w, l, h int) []int {
-	strideY := w + 1
-	strideZ := strideY * (l + 1)
-	out := make([]int, strideZ*(h+1))
-	for z := h - 1; z >= 0; z-- {
-		for y := l - 1; y >= 0; y-- {
-			for x := w - 1; x >= 0; x-- {
-				b := 0
-				if busy[(z*l+y)*w+x] {
-					b = 1
-				}
-				i := z*strideZ + y*strideY + x
-				out[i] = b +
-					out[i+strideZ] + out[i+strideY] + out[i+1] -
-					out[i+strideZ+strideY] - out[i+strideZ+1] - out[i+strideY+1] +
-					out[i+strideZ+strideY+1]
-			}
-		}
-	}
-	return out
-}
-
 // checkTables verifies the authoritative word state against full
-// recomputes of the busy map it encodes, and in oracle mode compares
-// the independently maintained tables to the same derived view. It is
-// depth-aware: a 2D mesh exercises exactly the planar invariants, a 3D
-// one additionally the plane aggregates and (oracle) the prefix volume.
+// recomputes of the busy map it encodes. It is depth-aware: a 2D mesh
+// exercises exactly the planar invariants, a 3D one additionally the
+// plane aggregates.
 func checkTables(t *testing.T, m *Mesh) {
 	t.Helper()
 	busy := busySnapshot(m)
 	wantRun := naiveRightRun(busy, m.w, m.l*m.h)
-	// Word invariants, every build: exact geometry, sealed tail bits,
-	// and on-demand run reads matching the from-scratch run recompute.
+	// Word invariants: exact geometry, sealed tail bits, and on-demand
+	// run reads matching the from-scratch run recompute.
 	if m.wpr != wordsPerRow(m.w) || len(m.freeW) != m.rows()*m.wpr {
 		t.Fatalf("bitboard geometry wpr=%d len=%d, want %d words x %d rows",
 			m.wpr, len(m.freeW), wordsPerRow(m.w), m.rows())
@@ -98,28 +70,6 @@ func checkTables(t *testing.T, m *Mesh) {
 		for b := m.w; b < m.wpr*64; b++ {
 			if words[b>>6]>>uint(b&63)&1 == 1 {
 				t.Fatalf("freeW tail bit %d of row %d set\n%s", b, r, m)
-			}
-		}
-	}
-	if m.oracle {
-		// Oracle differential: the demoted tables are maintained by the
-		// old per-mutation machinery; they must agree with the busy map
-		// the words encode, run for run and prefix for prefix.
-		m.drainSAT()
-		for i := range busy {
-			if m.busy[i] != busy[i] {
-				t.Fatalf("oracle busy[%v] = %v disagrees with words\n%s",
-					m.CoordOf(i), m.busy[i], m)
-			}
-			if m.rightRun[i] != wantRun[i] {
-				t.Fatalf("oracle rightRun[%v] = %d, recompute says %d\n%s",
-					m.CoordOf(i), m.rightRun[i], wantRun[i], m)
-			}
-		}
-		wantSAT := naiveSAT(busy, m.w, m.l, m.h)
-		for i := range wantSAT {
-			if m.sat[i] != wantSAT[i] {
-				t.Fatalf("oracle sat[%d] = %d, recompute says %d\n%s", i, m.sat[i], wantSAT[i], m)
 			}
 		}
 	}
@@ -714,292 +664,97 @@ func checkSplitWrap(t *testing.T, m *Mesh, s Submesh) {
 }
 
 // TestTorusOracleRectOps drives random possibly-seam-crossing
-// allocate/release sequences on a torus, verifying the planar index
-// invariants (unchanged by topology) and the wrap-aware queries and
-// searches against naive scans after every step.
+// allocate/release sequences on a torus through the model, committing
+// each free wrapped rectangle as its SplitWrap pieces, and checks the
+// wrap-aware queries and searches against naive scans every 25 steps.
 func TestTorusOracleRectOps(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	m := NewTorus(16, 22)
-	m.EnableOracle()
-	var live []Submesh // planar pieces of committed placements
-	for step := 0; step < 1200; step++ {
-		switch op := rng.Intn(10); {
-		case op < 5: // place a random wrapped rectangle if free
-			x, y := rng.Intn(m.w), rng.Intn(m.l)
-			s := SubAt(x, y, 1+rng.Intn(m.w), 1+rng.Intn(m.l))
-			free := m.SubFree(s)
-			if free != naiveTorusFits(m, x, y, s.W(), s.L()) {
-				t.Fatalf("SubFree(%v) = %v disagrees with naive walk", s, free)
-			}
-			if free {
-				for _, p := range m.SplitWrap(nil, s) {
-					if err := m.AllocateSub(p); err != nil {
-						t.Fatalf("AllocateSub(%v) of free piece: %v", p, err)
-					}
-					live = append(live, p)
-				}
-			}
-		case op < 8: // release a random live piece
-			if len(live) == 0 {
-				continue
-			}
-			k := rng.Intn(len(live))
-			if err := m.ReleaseSub(live[k]); err != nil {
-				t.Fatalf("ReleaseSub(%v): %v", live[k], err)
-			}
-			live[k] = live[len(live)-1]
-			live = live[:len(live)-1]
-		case op < 9: // clone must preserve the topology
-			c := m.Clone()
-			if !c.Torus() {
-				t.Fatal("clone lost torus topology")
-			}
-			checkTables(t, c)
-		default:
-			if rng.Intn(20) == 0 {
-				m.Reset()
-				live = live[:0]
-			}
-		}
-		checkTables(t, m)
-		if step%25 == 0 {
-			checkTorusQueries(t, m, rng)
-		}
-	}
+	runBoxOps(t, NewTorus(16, 22), 53, 1200, checkTorusQueries)
 }
 
 // TestIndexOracleRectOps drives random sub-mesh allocate/release
-// sequences, verifying the incremental tables and search results after
-// every step — including failed operations, which must not disturb the
-// index.
+// sequences through the model — including failed operations, which
+// must not disturb the index — and checks the search results against
+// the seed's scans every 25 steps.
 func TestIndexOracleRectOps(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	m := New(16, 22)
-	m.EnableOracle()
-	var live []Submesh
-	for step := 0; step < 2500; step++ {
-		switch op := rng.Intn(10); {
-		case op < 4: // allocate a random rectangle (may overlap: error path)
-			x, y := rng.Intn(m.w), rng.Intn(m.l)
-			s := SubAt(x, y, 1+rng.Intn(m.w-x), 1+rng.Intn(m.l-y))
-			if err := m.AllocateSub(s); err == nil {
-				live = append(live, s)
-			} else if m.SubFree(s) {
-				t.Fatalf("AllocateSub(%v) failed on free rect: %v", s, err)
-			}
-		case op < 7: // release a random live rectangle
-			if len(live) == 0 {
-				continue
-			}
-			k := rng.Intn(len(live))
-			if err := m.ReleaseSub(live[k]); err != nil {
-				t.Fatalf("ReleaseSub(%v): %v", live[k], err)
-			}
-			live[k] = live[len(live)-1]
-			live = live[:len(live)-1]
-		case op < 8: // doomed ops: out of bounds, double release
-			if err := m.AllocateSub(Sub(m.w-2, m.l-2, m.w+1, m.l+1)); err == nil {
-				t.Fatal("out-of-bounds AllocateSub succeeded")
-			}
-			if len(live) > 0 {
-				s := live[rng.Intn(len(live))]
-				if err := m.AllocateSub(s); err == nil {
-					t.Fatalf("double AllocateSub(%v) succeeded", s)
-				}
-			}
-		case op < 9: // Reset once in a while
-			if rng.Intn(20) == 0 {
-				m.Reset()
-				live = live[:0]
-			}
-		default: // clone must be independent and identical
-			c := m.Clone()
-			checkTables(t, c)
-			if c.String() != m.String() || c.FreeCount() != m.FreeCount() {
-				t.Fatal("clone differs from original")
-			}
-		}
-		checkTables(t, m)
-		if step%25 == 0 {
-			checkQueries(t, m, rng)
-		}
-	}
+	runBoxOps(t, New(16, 22), 41, 2500, checkQueries)
 }
 
 // TestIndexOracleCellOps drives random scattered (per-processor)
-// allocate/release sequences, covering the bulk-rebuild fallback and
-// the per-cell incremental path.
+// allocate/release sequences and their doomed variants through the
+// model, covering the per-cell aggregate settle and the duplicate
+// rollback.
 func TestIndexOracleCellOps(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	m := New(11, 13) // odd sides: no alignment accidents
-	m.EnableOracle()
-	for step := 0; step < 1500; step++ {
-		if rng.Intn(2) == 0 {
-			free := m.FreeNodes()
-			if len(free) > 0 {
-				rng.Shuffle(len(free), func(i, j int) { free[i], free[j] = free[j], free[i] })
-				n := 1 + rng.Intn(len(free))
-				if err := m.Allocate(free[:n]); err != nil {
-					t.Fatalf("Allocate(%d free nodes): %v", n, err)
-				}
-			}
-		} else {
-			var busyNodes []Coord
-			for i, b := range busySnapshot(m) {
-				if b {
-					busyNodes = append(busyNodes, m.CoordOf(i))
-				}
-			}
-			if len(busyNodes) > 0 {
-				rng.Shuffle(len(busyNodes), func(i, j int) {
-					busyNodes[i], busyNodes[j] = busyNodes[j], busyNodes[i]
-				})
-				n := 1 + rng.Intn(len(busyNodes))
-				if err := m.Release(busyNodes[:n]); err != nil {
-					t.Fatalf("Release(%d busy nodes): %v", n, err)
-				}
-			}
-		}
-		// Failed scattered ops must leave the index untouched.
-		if m.BusyCount() > 0 {
-			var c Coord
-			for i, b := range busySnapshot(m) {
-				if b {
-					c = m.CoordOf(i)
-					break
-				}
-			}
-			if err := m.Allocate([]Coord{c}); err == nil {
-				t.Fatalf("Allocate(busy %v) succeeded", c)
-			}
-		}
-		if m.FreeCount() > 0 {
-			c := m.FreeNodes()[0]
-			if err := m.Release([]Coord{c}); err == nil {
-				t.Fatalf("Release(free %v) succeeded", c)
-			}
-			if err := m.Allocate([]Coord{c, c}); err == nil {
-				t.Fatal("duplicate Allocate succeeded")
-			}
-		}
-		if m.BusyCount() > 0 {
-			var c Coord
-			for i, b := range busySnapshot(m) {
-				if b {
-					c = m.CoordOf(i)
-					break
-				}
-			}
-			if err := m.Release([]Coord{c, c}); err == nil {
-				t.Fatal("duplicate Release succeeded")
-			}
-		}
-		checkTables(t, m)
-		if step%25 == 0 {
-			checkQueries(t, m, rng)
-		}
-	}
-}
-
-// TestIndexJournalBursts mutates without any intervening rectangle
-// query, so the SAT journal accumulates: bursts below the fold
-// threshold exercise per-delta folding, longer ones the bulk recompute
-// and the overflow cap.
-func TestIndexJournalBursts(t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
-	cap := New(16, 22).satCap
-	for _, burst := range []int{1, 2, 3, 4, 5, 9, cap - 1, cap, cap + 1, 3 * cap} {
-		m := New(16, 22)
-		m.EnableOracle()
-		var live []Submesh
-		for ops := 0; ops < burst; {
-			if len(live) > 6 && rng.Intn(2) == 0 {
-				k := rng.Intn(len(live))
-				if err := m.ReleaseSub(live[k]); err != nil {
-					t.Fatal(err)
-				}
-				live[k] = live[len(live)-1]
-				live = live[:len(live)-1]
-				ops++
-				continue
-			}
-			x, y := rng.Intn(m.w), rng.Intn(m.l)
-			s := SubAt(x, y, 1+rng.Intn(4), 1+rng.Intn(4))
-			if m.InBounds(s.End()) && m.AllocateSub(s) == nil {
-				live = append(live, s)
-				ops++
-			}
-		}
-		if got := len(m.pending); got > m.satCap {
-			t.Fatalf("burst %d: journal length %d exceeds cap", burst, got)
-		}
-		checkTables(t, m)
-	}
+	runCellOps(t, New(11, 13), 43, 1500, checkQueries) // odd sides: no alignment accidents
 }
 
 // FuzzIndexOps interprets the fuzz input as a mutation program over a
-// small mesh and checks the index invariants after every instruction.
-// The same program runs on a planar mesh, a torus mesh and a 3D mesh:
-// the mutation paths are topology- and dimension-independent, so all
-// three must stay sound, and the torus and volumetric queries are
-// cross-checked against their naive scans at the end. The 3D mesh
+// small mesh and runs every instruction through the per-cell model, so
+// each verdict and the cells each instruction leaves busy are checked
+// at once. The same program runs on a planar mesh, a torus mesh and a
+// 3D mesh: the mutation paths are topology- and dimension-independent,
+// so all three must stay sound, and the torus and volumetric queries
+// are cross-checked against their naive scans at the end. The 3D mesh
 // receives the planar rectangle extruded to a cuboid whose z extent is
 // derived from the op byte, so in-bounds, out-of-bounds and
-// overlapping cuboids all occur. Ops with bit 0x40 set are fault ops —
-// Fail (or Recover, bit 0x80) of one cell — checked against their
-// contract by checkFail/checkRecover (fault_test.go), so the fuzzer
-// interleaves failures and recoveries with the allocation churn and
-// releases that land on pinned cells exercise the overlay paths.
+// overlapping cuboids all occur. Bit 0x80 of the op selects release
+// over allocation, and bits 0x60 the kind: 0 a box (AllocateSub,
+// ReleaseSub), 0x40 a fault of the box's base cell (Fail, Recover),
+// 0x60 the box's cells as one scattered request (Allocate, Release),
+// its base listed twice when bit 0x10 is set. Releases that land on
+// pinned cells exercise the overlay paths.
 func FuzzIndexOps(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 2, 2, 1, 0, 0, 0x80, 1, 1, 3, 3})
 	f.Add([]byte{0, 1, 1, 3, 4, 0, 0, 0, 7, 8, 0x80, 1, 1, 3, 4})
 	f.Add([]byte{0, 0, 0, 7, 8, 0x80, 0, 0, 7, 8, 0, 2, 3, 5, 5})
 	f.Add([]byte{0x41, 3, 3, 0, 0, 0, 1, 1, 5, 5, 0x80, 1, 1, 5, 5, 0xc1, 3, 3, 0, 0})
 	f.Add([]byte{0x42, 2, 2, 0, 0, 0x43, 5, 5, 0, 0, 0, 0, 0, 7, 8, 0x80, 0, 0, 7, 8})
+	f.Add([]byte{0x61, 1, 1, 3, 2, 0x41, 2, 1, 0, 0, 0xe1, 1, 1, 3, 2, 0x71, 4, 4, 5, 5, 0x61, 4, 4, 5, 5})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m := New(8, 9)
-		tor := NewTorus(8, 9)
-		vol := New3D(8, 9, 4)
-		m.EnableOracle()
-		tor.EnableOracle()
-		vol.EnableOracle()
+		models := []*cellModel{
+			newCellModel(New(8, 9)),
+			newCellModel(NewTorus(8, 9)),
+			newCellModel(New3D(8, 9, 4)),
+		}
 		rng := rand.New(rand.NewSource(7))
 		for len(data) >= 5 {
 			op, x1, y1, x2, y2 := data[0], data[1], data[2], data[3], data[4]
 			data = data[5:]
 			s := Sub(int(x1)%10-1, int(y1)%11-1, int(x2)%10-1, int(y2)%11-1)
-			s3 := s
-			s3.Z1 = int(op&0x0f)%6 - 1
-			s3.Z2 = s3.Z1 + int(op>>4&0x07)%4
-			switch {
-			case op&0x40 != 0:
-				c := Coord{X: s.X1, Y: s.Y1}
-				c3 := c
-				c3.Z = s3.Z1
-				if op&0x80 == 0 {
-					checkFail(t, m, c)
-					checkFail(t, tor, c)
-					checkFail(t, vol, c3)
-				} else {
-					checkRecover(t, m, c)
-					checkRecover(t, tor, c)
-					checkRecover(t, vol, c3)
+			for _, cm := range models {
+				b := s
+				if cm.m.h > 1 {
+					b.Z1 = int(op&0x0f)%6 - 1
+					b.Z2 = b.Z1 + int(op>>4&0x07)%4
 				}
-			case op&0x80 == 0:
-				m.AllocateSub(s) // errors are fine; state must stay sound
-				tor.AllocateSub(s)
-				vol.AllocateSub(s3)
-			default:
-				m.ReleaseSub(s)
-				tor.ReleaseSub(s)
-				vol.ReleaseSub(s3)
+				release := op&0x80 != 0
+				switch op & 0x60 {
+				case 0x40:
+					if release {
+						cm.recoverCell(t, b.Base())
+					} else {
+						cm.failCell(t, b.Base())
+					}
+				case 0x60:
+					nodes := b.Nodes()
+					if op&0x10 != 0 && len(nodes) > 0 {
+						nodes = append(nodes, nodes[0])
+					}
+					if release {
+						cm.release(t, nodes)
+					} else {
+						cm.allocate(t, nodes)
+					}
+				default:
+					if release {
+						cm.releaseSub(t, b)
+					} else {
+						cm.allocSub(t, b)
+					}
+				}
 			}
-			checkTables(t, m)
-			checkTables(t, tor)
-			checkTables(t, vol)
 		}
-		checkQueries(t, m, rng)
-		checkTorusQueries(t, tor, rng)
-		checkQueries3D(t, vol, rng)
+		checkQueries(t, models[0].m, rng)
+		checkTorusQueries(t, models[1].m, rng)
+		checkQueries3D(t, models[2].m, rng)
 	})
 }

@@ -43,23 +43,14 @@ import "fmt"
 //     repairing a row downward marks the plane stale (planeStale), and
 //     only searches re-derive stale planes from the row aggregates.
 //
-// The pre-bitboard structures — the per-cell busy map, the eager
-// rightRun table and the journaled far-corner summed-volume table — are
-// demoted to oracle mode (oracle.go): nil and never touched in
-// production, allocated and maintained in lockstep when EnableOracle or
-// the meshoracle build tag arms the per-mutation differentials the
-// tests and the fuzz target run.
-//
-// The invariants (checked word-derived after every mutation, and
-// against the independently maintained oracle tables when oracle mode
-// is on — index_test.go) are, for all in-range x and plane-rows r:
+// The invariants (checkTables in index_test.go checks them after every
+// mutation, beside a naive per-cell model that predicts which cells
+// each operation leaves busy) are, for all in-range x and plane-rows r:
 //
 //	freeW bit x of plane-row r set <=> the cell is free; bits >= w zero
 //	freeCount == Σ OnesCount64 over all words
 //	rowMax[r] >= the widest free run of row r, equality unless rowStale[r]
 //	planeMax[z] >= max over rows r of plane z of rowMax[r], equality unless planeStale[z]
-//	oracle mode: busy[r*w+x] <=> bit clear; rightRun is the exact run
-//	table; sat + Σ pending overlaps == Σ busy per far-corner quadrant
 type Mesh struct {
 	w, l, h int
 
@@ -96,20 +87,6 @@ type Mesh struct {
 	planeMax   []int
 	planeStale []bool
 
-	// Oracle mode (oracle.go): the demoted occupancy structures, nil
-	// and unmaintained in production. busy is the per-cell map the
-	// index originally ran on, rightRun the eager run table, sat the
-	// journaled far-corner summed-volume table with its bounded pending
-	// journal. EnableOracle (or the meshoracle build tag) allocates
-	// them, rebuilds them from the words, and arms their maintenance on
-	// every mutation so the tests' differentials can compare.
-	oracle   bool
-	busy     []bool // plane-row-major: index = (z*l + y)*w + x
-	rightRun []int
-	sat      []int // (w+1) x (l+1) x (h+1)
-	pending  []satDelta
-	satCap   int // journal bound, scaled to the mesh (see New)
-
 	// hist holds the reusable buffers of the histogram-based
 	// constrained-largest searches (histogram.go, volume.go); lazily
 	// sized, never part of the occupancy state (Clone starts fresh).
@@ -135,12 +112,6 @@ type Mesh struct {
 	freed []Coord
 }
 
-// satDelta is one occupancy change not yet folded into sat.
-type satDelta struct {
-	x1, y1, z1, x2, y2, z2 int
-	sign                   int // +1 allocate, -1 release
-}
-
 // New returns an empty (fully free) w x l mesh of depth 1 — the paper's
 // 2D fabric.
 func New(w, l int) *Mesh { return New3D(w, l, 1) }
@@ -163,15 +134,8 @@ func New3D(w, l, h int) *Mesh {
 		rowStale:   make([]bool, l*h),
 		planeMax:   make([]int, h),
 		planeStale: make([]bool, h),
-		// Scaling the oracle journal bound with the mesh keeps the
-		// amortized overflow cost at O(size)/(size/4) ≈ a few operations
-		// per mutation for oracle-mode builds; production never journals.
-		satCap: max(64, w*l*h/4),
 	}
 	m.resetTables()
-	if oracleDefault {
-		m.EnableOracle()
-	}
 	return m
 }
 
@@ -182,8 +146,7 @@ func (m *Mesh) rows() int { return m.l * m.h }
 func (m *Mesh) rowIdx(y, z int) int { return z*m.l + y }
 
 // resetTables sets the index to the all-free state: every word filled,
-// aggregates at W, and — in oracle mode — the oracle tables rebuilt to
-// match.
+// aggregates at W.
 func (m *Mesh) resetTables() {
 	for r := 0; r < m.rows(); r++ {
 		fillRowFree(m.rowWords(r), m.w)
@@ -195,95 +158,6 @@ func (m *Mesh) resetTables() {
 		m.planeMax[z] = m.w
 		m.planeStale[z] = false
 	}
-	if m.oracle {
-		m.syncOracle()
-	}
-}
-
-// queueSAT journals one cuboid's occupancy delta for the oracle SAT;
-// the caller must have applied the busy flips already. The append is
-// O(1); a full journal folds by one recompute instead — which, because
-// the busy map is current, covers the new delta too, so nothing is
-// appended and the recompute cost is amortized over at least satCap
-// mutations. Oracle mode only.
-func (m *Mesh) queueSAT(x1, y1, z1, x2, y2, z2, sign int) {
-	if len(m.pending) >= m.satCap {
-		m.recomputeSAT()
-		return
-	}
-	m.pending = append(m.pending, satDelta{x1, y1, z1, x2, y2, z2, sign})
-}
-
-// drainSAT folds every journaled delta into the oracle SAT. A handful
-// of deltas fold individually (each touches only the block x <= x2,
-// y <= y2, z <= z2); more than that and one recompute pass is cheaper.
-// Only the oracle-mode differentials read the table, so only they
-// drain; no production query touches the journal.
-func (m *Mesh) drainSAT() {
-	if len(m.pending) <= 4 {
-		for _, d := range m.pending {
-			m.foldSAT(d)
-		}
-		m.pending = m.pending[:0]
-		return
-	}
-	m.recomputeSAT()
-}
-
-// foldSAT applies one cuboid delta: the SAT entry at (x,y,z) counts
-// the quadrant X >= x, Y >= y, Z >= z, so it gains sign times the
-// overlap of the cuboid with that quadrant — zero beyond (x2, y2, z2).
-func (m *Mesh) foldSAT(d satDelta) {
-	strideY := m.w + 1
-	rw := d.x2 - d.x1 + 1
-	rl := d.y2 - d.y1 + 1
-	for z := 0; z <= d.z2; z++ {
-		rd := d.z2 + 1 - z
-		if z < d.z1 {
-			rd = d.z2 - d.z1 + 1
-		}
-		for y := 0; y <= d.y2; y++ {
-			rh := d.y2 + 1 - y
-			if y < d.y1 {
-				rh = rl
-			}
-			base := (z*(m.l+1) + y) * strideY
-			full := d.sign * rd * rh * rw
-			for x := 0; x <= d.x1; x++ {
-				m.sat[base+x] += full
-			}
-			step := d.sign * rd * rh
-			acc := full - step
-			for x := d.x1 + 1; x <= d.x2; x++ {
-				m.sat[base+x] += acc
-				acc -= step
-			}
-		}
-	}
-}
-
-// recomputeSAT rebuilds the SAT from the busy map in one pass and
-// clears the journal. Reached only through journal overflow or bulk
-// folds — never per allocation decision.
-func (m *Mesh) recomputeSAT() {
-	strideY := m.w + 1
-	strideZ := strideY * (m.l + 1)
-	for z := m.h - 1; z >= 0; z-- {
-		for y := m.l - 1; y >= 0; y-- {
-			for x := m.w - 1; x >= 0; x-- {
-				b := 0
-				if m.busy[(z*m.l+y)*m.w+x] {
-					b = 1
-				}
-				i := z*strideZ + y*strideY + x
-				m.sat[i] = b +
-					m.sat[i+strideZ] + m.sat[i+strideY] + m.sat[i+1] -
-					m.sat[i+strideZ+strideY] - m.sat[i+strideZ+1] - m.sat[i+strideY+1] +
-					m.sat[i+strideZ+strideY+1]
-			}
-		}
-	}
-	m.pending = m.pending[:0]
 }
 
 // W returns the mesh width.
@@ -334,26 +208,6 @@ func (m *Mesh) scanBusyBox(x1, y1, z1, x2, y2, z2 int) int {
 	return n
 }
 
-// scanBusyRect is scanBusyBox restricted to plane 0, kept for the 2D
-// internals.
-func (m *Mesh) scanBusyRect(x1, y1, x2, y2 int) int {
-	return m.scanBusyBox(x1, y1, 0, x2, y2, 0)
-}
-
-// boxBusy is the cuboid busy count — an alias for the word popcount
-// scan now that the bitboard is authoritative (the SAT dispatch it used
-// to route to lives on only in oracle mode).
-func (m *Mesh) boxBusy(x1, y1, z1, x2, y2, z2 int) int {
-	return m.scanBusyBox(x1, y1, z1, x2, y2, z2)
-}
-
-// rectBusy is boxBusy restricted to plane 0 — the form the planar query
-// layer and the torus layer run on (depth-1 meshes only, where plane 0
-// is the whole mesh).
-func (m *Mesh) rectBusy(x1, y1, x2, y2 int) int {
-	return m.scanBusyRect(x1, y1, x2, y2)
-}
-
 // BusyInRect returns the number of allocated processors inside s: a
 // masked popcount per plane-row off the bitboard. On a torus, s may
 // cross the wrap-around seams (X2 >= W or Y2 >= L) and is answered as
@@ -369,7 +223,7 @@ func (m *Mesh) BusyInRect(s Submesh) int {
 	if !s.Valid() || !m.InBounds(s.Base()) || !m.InBounds(s.End()) {
 		return 0
 	}
-	return m.boxBusy(s.X1, s.Y1, s.Z1, s.X2, s.Y2, s.Z2)
+	return m.scanBusyBox(s.X1, s.Y1, s.Z1, s.X2, s.Y2, s.Z2)
 }
 
 // FreeInRect returns the number of free processors inside s — the
@@ -385,7 +239,7 @@ func (m *Mesh) FreeInRect(s Submesh) int {
 	if !s.Valid() || !m.InBounds(s.Base()) || !m.InBounds(s.End()) {
 		return 0
 	}
-	return s.Area() - m.boxBusy(s.X1, s.Y1, s.Z1, s.X2, s.Y2, s.Z2)
+	return s.Area() - m.scanBusyBox(s.X1, s.Y1, s.Z1, s.X2, s.Y2, s.Z2)
 }
 
 // FitsAt reports whether the w x l sub-mesh based at (x,y) in plane 0
@@ -421,66 +275,6 @@ func (m *Mesh) FitsAt(x, y, w, l int) bool {
 		}
 	}
 	return true
-}
-
-// updateRowRuns restores the oracle rightRun invariant for plane-row r
-// after the busy state of columns [x1,x2] changed. It recomputes from
-// x2 leftward, stopping at the first unchanged value left of the
-// touched span (the run recurrence is a suffix chain, so everything
-// further left is already correct). Oracle mode only — the production
-// aggregates settle off the words (aggSpanBusy/aggSpanFree).
-func (m *Mesh) updateRowRuns(r, x1, x2 int) {
-	row := r * m.w
-	run := 0
-	if x2+1 < m.w {
-		run = m.rightRun[row+x2+1] // columns right of x2 are untouched
-	}
-	for x := x2; x >= 0; x-- {
-		if m.busy[row+x] {
-			run = 0
-		} else {
-			run++
-		}
-		if x < x1 && m.rightRun[row+x] == run {
-			break
-		}
-		m.rightRun[row+x] = run
-	}
-}
-
-// updateRowRunsSpan is updateRowRuns specialized for a uniformly
-// flipped span (oracleFlipBox): the span's new run values need no
-// busy-map probes — zeros when it went busy, an incrementing suffix
-// chain off the right neighbour when it went free — and only the cells
-// left of the span walk the generic repair with its early stop. Oracle
-// mode only.
-func (m *Mesh) updateRowRunsSpan(r, x1, x2 int, toBusy bool) {
-	row := r * m.w
-	var run int
-	if toBusy {
-		for x := x1; x <= x2; x++ {
-			m.rightRun[row+x] = 0
-		}
-	} else {
-		if x2+1 < m.w {
-			run = m.rightRun[row+x2+1]
-		}
-		for x := x2; x >= x1; x-- {
-			run++
-			m.rightRun[row+x] = run
-		}
-	}
-	for x := x1 - 1; x >= 0; x-- {
-		if m.busy[row+x] {
-			run = 0
-		} else {
-			run++
-		}
-		if m.rightRun[row+x] == run {
-			break
-		}
-		m.rightRun[row+x] = run
-	}
 }
 
 // aggSpanBusy settles plane-row r's aggregate after columns [x1,x2]
@@ -524,8 +318,8 @@ func (m *Mesh) aggSpanFree(r, x1, x2 int) {
 func (m *Mesh) aggCellFree(r, x int) { m.aggSpanFree(r, x, x) }
 
 // rowMaxRescan re-derives plane-row r's exact widest run by extracting
-// runs from the bitboard words (the first strictly wider run wins, the
-// same max and position the retained rightRun hop derives). Called by
+// runs from the bitboard words (the first strictly wider run wins, so
+// the position is the leftmost run of the maximum width). Called by
 // searches on stale rows only. Lowering the row bound may strand the
 // plane aggregate as an over-estimate, so a plane whose record matched
 // the lowered row goes stale too (planeMaxAt repairs it).
@@ -572,8 +366,7 @@ func (m *Mesh) rowFitsWidth(r, w int) bool {
 
 // flipBox marks the (validated) cuboid busy or free: whole-word writes
 // per plane-row (markRowSpan) with the O(1) aggregate settle riding
-// along — no per-cell loop anywhere on the path. Oracle mode mirrors
-// the flip into the demoted tables.
+// along — no per-cell loop anywhere on the path.
 func (m *Mesh) flipBox(x1, y1, z1, x2, y2, z2 int, toBusy bool) {
 	if !toBusy {
 		m.noteRelease()
@@ -589,16 +382,12 @@ func (m *Mesh) flipBox(x1, y1, z1, x2, y2, z2 int, toBusy bool) {
 			}
 		}
 	}
-	if m.oracle {
-		m.oracleFlipBox(x1, y1, z1, x2, y2, z2, toBusy)
-	}
 }
 
 // noteCells settles the aggregates after the given cells' bits changed
 // by sign (+1 busy, -1 free). The callers flip the bits themselves
 // (the flips double as duplicate detectors); this fold is one O(1)
-// settle per cell, allocation-free. Oracle mode mirrors the batch into
-// the demoted tables.
+// settle per cell, allocation-free.
 func (m *Mesh) noteCells(nodes []Coord, sign int) {
 	if sign < 0 {
 		m.noteRelease()
@@ -610,9 +399,6 @@ func (m *Mesh) noteCells(nodes []Coord, sign int) {
 		} else {
 			m.aggCellFree(r, c.X)
 		}
-	}
-	if m.oracle {
-		m.oracleNoteCells(nodes, sign)
 	}
 }
 
@@ -786,8 +572,7 @@ func (m *Mesh) FreeNodes() []Coord {
 
 // Clone returns an independent copy of the mesh occupancy, preserving
 // the topology and geometry: the words, aggregates and pin marks copy
-// over, and an oracle-mode source rebuilds the clone's oracle tables
-// from the copied words.
+// over.
 func (m *Mesh) Clone() *Mesh {
 	n := New3D(m.w, m.l, m.h)
 	n.torus = m.torus
@@ -804,9 +589,6 @@ func (m *Mesh) Clone() *Mesh {
 		copy(n.overlay, m.overlay)
 		n.pinnedCount = m.pinnedCount
 		n.overlayCount = m.overlayCount
-	}
-	if m.oracle {
-		n.EnableOracle()
 	}
 	return n
 }

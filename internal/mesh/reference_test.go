@@ -11,8 +11,8 @@ package mesh
 // row's busy processor at x+run blocks every base in [x, x+run]. It is
 // the run-probing reference for the bitboard fit mask (CandidatesRow) —
 // the churn differentials compare the two base enumerations window by
-// window. Runs are derived from the words on demand (runAtBits), so the
-// reference works in every build, not just oracle mode.
+// window. Runs are derived from the words on demand (runAtBits), a
+// path independent of the fit masks it checks.
 func (m *Mesh) blockedUntil(x, y, w, l int) int {
 	for yy := y; yy < y+l; yy++ {
 		if r := m.runAtBits(yy, x); r < w {

@@ -159,7 +159,7 @@ func (m *Mesh) wrapBusy(s Submesh) int {
 	busy := 0
 	for i := 0; i < n; i++ {
 		p := ps[i]
-		busy += m.rectBusy(p.X1, p.Y1, p.X2, p.Y2)
+		busy += m.scanBusyBox(p.X1, p.Y1, 0, p.X2, p.Y2, 0)
 	}
 	return busy
 }

@@ -256,103 +256,19 @@ func checkFitMask3D(t *testing.T, m *Mesh, y, z, w, l, h int) {
 }
 
 // TestVolumeOracleBoxOps drives random cuboid allocate/release
-// sequences on a 3D mesh, verifying the incremental tables and search
-// results after every step — including failed operations, which must
-// not disturb the index.
+// sequences on a 3D mesh through the model — including failed
+// operations, which must not disturb the index — and checks the search
+// results against the naive scans every 25 steps.
 func TestVolumeOracleBoxOps(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	m := New3D(8, 7, 5)
-	var live []Submesh
-	for step := 0; step < 1500; step++ {
-		switch op := rng.Intn(10); {
-		case op < 4: // allocate a random cuboid (may overlap: error path)
-			x, y, z := rng.Intn(m.w), rng.Intn(m.l), rng.Intn(m.h)
-			s := SubAt3D(x, y, z,
-				1+rng.Intn(m.w-x), 1+rng.Intn(m.l-y), 1+rng.Intn(m.h-z))
-			if err := m.AllocateSub(s); err == nil {
-				live = append(live, s)
-			} else if m.SubFree(s) {
-				t.Fatalf("AllocateSub(%v) failed on free cuboid: %v", s, err)
-			}
-		case op < 7: // release a random live cuboid
-			if len(live) == 0 {
-				continue
-			}
-			k := rng.Intn(len(live))
-			if err := m.ReleaseSub(live[k]); err != nil {
-				t.Fatalf("ReleaseSub(%v): %v", live[k], err)
-			}
-			live[k] = live[len(live)-1]
-			live = live[:len(live)-1]
-		case op < 8: // doomed ops: out of bounds, double allocation
-			if err := m.AllocateSub(Sub3D(m.w-2, m.l-2, m.h-2, m.w+1, m.l+1, m.h+1)); err == nil {
-				t.Fatal("out-of-bounds AllocateSub succeeded")
-			}
-			if len(live) > 0 {
-				s := live[rng.Intn(len(live))]
-				if err := m.AllocateSub(s); err == nil {
-					t.Fatalf("double AllocateSub(%v) succeeded", s)
-				}
-			}
-		case op < 9: // Reset once in a while
-			if rng.Intn(20) == 0 {
-				m.Reset()
-				live = live[:0]
-			}
-		default: // clone must be independent and identical
-			c := m.Clone()
-			checkTables(t, c)
-			if c.String() != m.String() || c.FreeCount() != m.FreeCount() || c.H() != m.H() {
-				t.Fatal("clone differs from original")
-			}
-		}
-		checkTables(t, m)
-		if step%25 == 0 {
-			checkQueries3D(t, m, rng)
-		}
-	}
+	runBoxOps(t, New3D(8, 7, 5), 61, 1500, checkQueries3D)
 }
 
 // TestVolumeOracleCellOps drives random scattered (per-processor)
-// allocate/release sequences on a 3D mesh, covering the per-cell
-// incremental path, plane-row span grouping and the bulk-rebuild
-// fallback.
+// allocate/release sequences and their doomed variants on a 3D mesh
+// through the model, covering the per-cell aggregate settle across
+// plane-rows.
 func TestVolumeOracleCellOps(t *testing.T) {
-	rng := rand.New(rand.NewSource(67))
-	m := New3D(5, 7, 3) // odd-ish sides: no alignment accidents
-	m.EnableOracle()
-	for step := 0; step < 800; step++ {
-		if rng.Intn(2) == 0 {
-			free := m.FreeNodes()
-			if len(free) > 0 {
-				rng.Shuffle(len(free), func(i, j int) { free[i], free[j] = free[j], free[i] })
-				n := 1 + rng.Intn(len(free))
-				if err := m.Allocate(free[:n]); err != nil {
-					t.Fatalf("Allocate(%d free nodes): %v", n, err)
-				}
-			}
-		} else {
-			var busyNodes []Coord
-			for i, b := range busySnapshot(m) {
-				if b {
-					busyNodes = append(busyNodes, m.CoordOf(i))
-				}
-			}
-			if len(busyNodes) > 0 {
-				rng.Shuffle(len(busyNodes), func(i, j int) {
-					busyNodes[i], busyNodes[j] = busyNodes[j], busyNodes[i]
-				})
-				n := 1 + rng.Intn(len(busyNodes))
-				if err := m.Release(busyNodes[:n]); err != nil {
-					t.Fatalf("Release(%d busy nodes): %v", n, err)
-				}
-			}
-		}
-		checkTables(t, m)
-		if step%25 == 0 {
-			checkQueries3D(t, m, rng)
-		}
-	}
+	runCellOps(t, New3D(5, 7, 3), 67, 800, checkQueries3D) // odd-ish sides: no alignment accidents
 }
 
 // TestDepthOneMatches2DBitForBit drives one random mutation program on
@@ -361,28 +277,21 @@ func TestVolumeOracleCellOps(t *testing.T) {
 // bit-identical 2D placements.
 func TestDepthOneMatches2DBitForBit(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
-	a, b := New(12, 9), New3D(12, 9, 1)
+	fa, fb := newCellModel(New(12, 9)), newCellModel(New3D(12, 9, 1))
+	a, b := fa.m, fb.m
 	var live []Submesh
 	for step := 0; step < 600; step++ {
 		if len(live) > 0 && rng.Intn(3) == 0 {
 			k := rng.Intn(len(live))
-			if err := a.ReleaseSub(live[k]); err != nil {
-				t.Fatal(err)
-			}
-			if err := b.ReleaseSub(live[k]); err != nil {
-				t.Fatal(err)
-			}
+			fa.releaseSub(t, live[k])
+			fb.releaseSub(t, live[k])
 			live[k] = live[len(live)-1]
 			live = live[:len(live)-1]
 		} else {
 			x, y := rng.Intn(a.w), rng.Intn(a.l)
 			s := SubAt(x, y, 1+rng.Intn(a.w-x), 1+rng.Intn(a.l-y))
-			errA := a.AllocateSub(s)
-			errB := b.AllocateSub(s)
-			if (errA == nil) != (errB == nil) {
-				t.Fatalf("AllocateSub(%v): 2D err %v, depth-1 err %v", s, errA, errB)
-			}
-			if errA == nil {
+			fb.allocSub(t, s)
+			if fa.allocSub(t, s) == nil {
 				live = append(live, s)
 			}
 		}
@@ -406,8 +315,6 @@ func TestDepthOneMatches2DBitForBit(t *testing.T) {
 			t.Fatalf("LargestFree(%d,%d) = %v,%v; LargestFree3D h=1 says %v,%v", w, l, la, oka, lb, okb)
 		}
 	}
-	checkTables(t, a)
-	checkTables(t, b)
 }
 
 // TestLargestFree3DDifferentialDense scatters a dense occupancy and

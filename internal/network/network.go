@@ -26,6 +26,7 @@ package network
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/des"
 	"repro/internal/mesh"
@@ -106,8 +107,8 @@ func (c Config) Validate() error {
 	if c.PacketLen < 1 {
 		return fmt.Errorf("network: PacketLen %d, must be at least 1 flit", c.PacketLen)
 	}
-	if c.RouterDelay < 0 {
-		return fmt.Errorf("network: negative RouterDelay %g", c.RouterDelay)
+	if err := checkDelay("RouterDelay", c.RouterDelay); err != nil {
+		return err
 	}
 	if c.BufferDepth < 1 {
 		return fmt.Errorf("network: BufferDepth %d, must be at least 1 flit", c.BufferDepth)
@@ -115,11 +116,20 @@ func (c Config) Validate() error {
 	if c.MaxRetries < 0 {
 		return fmt.Errorf("network: negative MaxRetries %d", c.MaxRetries)
 	}
-	if c.RetryBackoff < 0 {
-		return fmt.Errorf("network: negative RetryBackoff %g", c.RetryBackoff)
+	if err := checkDelay("RetryBackoff", c.RetryBackoff); err != nil {
+		return err
 	}
-	if c.RetryDeadline < 0 {
-		return fmt.Errorf("network: negative RetryDeadline %g", c.RetryDeadline)
+	return checkDelay("RetryDeadline", c.RetryDeadline)
+}
+
+// checkDelay rejects a negative, NaN or infinite delay, naming the
+// Config field. NaN fails every "< 0" check, so it is tested first.
+func checkDelay(field string, v float64) error {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return fmt.Errorf("network: %s %v is not finite", field, v)
+	}
+	if v < 0 {
+		return fmt.Errorf("network: negative %s %g", field, v)
 	}
 	return nil
 }

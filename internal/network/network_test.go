@@ -1,6 +1,8 @@
 package network
 
 import (
+	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -276,6 +278,31 @@ func TestPanicsOnBadConfigAndCoords(t *testing.T) {
 	mustPanic("coord out of mesh", func() {
 		n.Route(mesh.Coord{X: 4, Y: 0}, mesh.Coord{X: 0, Y: 0})
 	})
+}
+
+// TestValidateRejectsNonFiniteDelays: NaN passes a "< 0" check, so a
+// NaN delay used to reach the event queue, and an infinite one stalled
+// every packet. Validate must reject both, and negatives, naming the
+// field.
+func TestValidateRejectsNonFiniteDelays(t *testing.T) {
+	set := map[string]func(*Config, float64){
+		"RouterDelay":   func(c *Config, v float64) { c.RouterDelay = v },
+		"RetryBackoff":  func(c *Config, v float64) { c.RetryBackoff = v },
+		"RetryDeadline": func(c *Config, v float64) { c.RetryDeadline = v },
+	}
+	for field, mut := range set {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+			cfg := DefaultConfig()
+			mut(&cfg, v)
+			want := fmt.Sprintf("network: %s %v is not finite", field, v)
+			if v == -1 {
+				want = fmt.Sprintf("network: negative %s -1", field)
+			}
+			if err := cfg.Validate(); err == nil || err.Error() != want {
+				t.Errorf("%s = %v: Validate error %v, want %q", field, v, err, want)
+			}
+		}
+	}
 }
 
 func TestDirectionString(t *testing.T) {

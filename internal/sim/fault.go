@@ -40,7 +40,7 @@ const (
 
 // Outage is one scheduled region failure: every non-failed processor
 // of Region is pinned at time At and recovered Duration later. A
-// non-positive Duration makes the outage permanent. Regions are planar
+// zero Duration makes the outage permanent. Regions are planar
 // or cuboid sub-meshes in mesh coordinates (inclusive corners); on a
 // torus the region is interpreted planar, so a seam-adjacent band is
 // expressed as its planar rectangle.
@@ -108,16 +108,21 @@ func (p *FaultPlan) Validate(w, l, h int, topo network.Topology) error {
 	if p == nil {
 		return nil
 	}
-	if p.MTBF < 0 || p.MTTR < 0 || p.MaxFailures < 0 {
-		return fmt.Errorf("sim: negative fault plan parameter (mtbf=%v mttr=%v max=%d)",
-			p.MTBF, p.MTTR, p.MaxFailures)
+	if p.MaxFailures < 0 {
+		return fmt.Errorf("sim: negative FaultPlan.MaxFailures %d", p.MaxFailures)
+	}
+	if err := checkTime("FaultPlan.MTBF", p.MTBF); err != nil {
+		return err
+	}
+	if err := checkTime("FaultPlan.MTTR", p.MTTR); err != nil {
+		return err
 	}
 	if p.Policy != "" && p.Policy != KillRequeue && p.Policy != KillAbort {
 		return fmt.Errorf("sim: unknown kill policy %q (want %q or %q)", p.Policy, KillRequeue, KillAbort)
 	}
 	for i, o := range p.Outages {
-		if o.At < 0 {
-			return fmt.Errorf("sim: outage %d at negative time %v", i, o.At)
+		if err := checkOutageTimes("FaultPlan", i, o.At, o.Duration); err != nil {
+			return err
 		}
 		r := o.Region
 		if !r.Valid() || r.X1 < 0 || r.Y1 < 0 || r.Z1 < 0 ||
@@ -126,6 +131,15 @@ func (p *FaultPlan) Validate(w, l, h int, topo network.Topology) error {
 		}
 	}
 	return p.Links.validate(w, l, h, topo)
+}
+
+// checkOutageTimes rejects a negative, NaN or infinite At or Duration
+// of outage i of the named plan, naming the field.
+func checkOutageTimes(plan string, i int, at, duration float64) error {
+	if err := checkTime(fmt.Sprintf("%s.Outages[%d].At", plan, i), at); err != nil {
+		return err
+	}
+	return checkTime(fmt.Sprintf("%s.Outages[%d].Duration", plan, i), duration)
 }
 
 // outageState tracks one outage's own pins so its end event recovers

@@ -55,7 +55,7 @@ type LinkRow struct {
 
 // LinkOutage is one scheduled link failure: every named link (the
 // Links list plus the optional Row expansion) that is still up at time
-// At fails, and recovers Duration later. A non-positive Duration makes
+// At fails, and recovers Duration later. A zero Duration makes
 // the cut permanent.
 type LinkOutage struct {
 	At       float64   `json:"at"`
@@ -95,13 +95,18 @@ func (lp *LinkPlan) validate(w, l, h int, topo network.Topology) error {
 	if lp == nil {
 		return nil
 	}
-	if lp.MTBF < 0 || lp.MTTR < 0 || lp.MaxFailures < 0 {
-		return fmt.Errorf("sim: negative link plan parameter (mtbf=%v mttr=%v max=%d)",
-			lp.MTBF, lp.MTTR, lp.MaxFailures)
+	if lp.MaxFailures < 0 {
+		return fmt.Errorf("sim: negative LinkPlan.MaxFailures %d", lp.MaxFailures)
+	}
+	if err := checkTime("LinkPlan.MTBF", lp.MTBF); err != nil {
+		return err
+	}
+	if err := checkTime("LinkPlan.MTTR", lp.MTTR); err != nil {
+		return err
 	}
 	for i, o := range lp.Outages {
-		if o.At < 0 {
-			return fmt.Errorf("sim: link outage %d at negative time %v", i, o.At)
+		if err := checkOutageTimes("LinkPlan", i, o.At, o.Duration); err != nil {
+			return err
 		}
 		if len(o.Links) == 0 && o.Row == nil {
 			return fmt.Errorf("sim: link outage %d names no links", i)

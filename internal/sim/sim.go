@@ -129,12 +129,14 @@ type Result struct {
 
 	// P95Turnaround is the 95th-percentile turnaround (P² estimate):
 	// FCFS head-of-line blocking shows in the tail before the mean.
+	// Like the means, it is 0 when no job was measured.
 	P95Turnaround float64
 
 	MeanWait float64 // queueing delay before allocation
 	// P95Wait is the 95th-percentile queueing delay (P² estimate):
 	// under failures, kills and shrunken capacity cascade into the
-	// wait tail long before the mean moves.
+	// wait tail long before the mean moves. It is 0 when no job was
+	// measured.
 	P95Wait      float64
 	MeanPieces   float64 // sub-meshes per allocation (contiguity measure)
 	PacketCount  int64
@@ -441,6 +443,16 @@ func New(cfg Config, src workload.Source) (*Simulator, error) {
 	return s, nil
 }
 
+// quantile reports a streaming quantile's estimate, or 0 before its
+// first observation, as the means do: a run that measures no job has
+// no tail, and a NaN would not encode as JSON.
+func quantile(q *stats.Quantile) float64 {
+	if q.N() == 0 {
+		return 0
+	}
+	return q.Value()
+}
+
 // checkTime rejects a negative, NaN or infinite time parameter, naming
 // the Config field. NaN fails every "< 0" check, so it is tested first.
 func checkTime(field string, v float64) error {
@@ -613,13 +625,13 @@ func (s *Simulator) result() Result {
 		MeanBlocking:     s.blocking.Mean(),
 		MeanLatency:      s.latency.Mean(),
 		MeanWait:         s.wait.Mean(),
-		P95Wait:          s.waitP95.Value(),
+		P95Wait:          quantile(s.waitP95),
 		MeanPieces:       s.pieces.Mean(),
 		PacketCount:      s.latency.N(),
 		MeanQueueLen:     s.queueInt.Mean(),
 		Saturated:        s.saturated,
 		InternalFrag:     s.internalFrag.Mean(),
-		P95Turnaround:    s.turnP95.Value(),
+		P95Turnaround:    quantile(s.turnP95),
 	}
 	if s.faults != nil {
 		res.Failures = s.failures

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/mesh"
 	"repro/internal/network"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -343,6 +344,57 @@ func TestNewRejectsNonFiniteTimes(t *testing.T) {
 			if want := fmt.Sprintf("sim: %s %v is not finite", field, v); err == nil || err.Error() != want {
 				t.Errorf("%s = %v: New error %v, want %q", field, v, err, want)
 			}
+		}
+	}
+}
+
+// TestNewRejectsNonFiniteParameters: NaN passes every "< 0" check, so
+// a NaN router delay or outage time used to reach the event queue and
+// panic there, a NaN repair time or outage duration made failures
+// permanent, and an infinite router delay ran without completing a
+// job. New must reject each, naming the field.
+func TestNewRejectsNonFiniteParameters(t *testing.T) {
+	src := workload.NewAllocStress3D(stats.NewStream(1), 16, 22, 1, 0.01, 400)
+	nan, inf := math.NaN(), math.Inf(1)
+	outage := func(at, duration float64) *FaultPlan {
+		return &FaultPlan{Outages: []Outage{{At: at, Duration: duration, Region: mesh.Sub(0, 0, 1, 1)}}}
+	}
+	linkOutage := func(at, duration float64) *FaultPlan {
+		return &FaultPlan{Links: &LinkPlan{Outages: []LinkOutage{
+			{At: at, Duration: duration, Links: []LinkRef{{X: 1, Y: 0, Dir: "East"}}},
+		}}}
+	}
+	for _, c := range []struct {
+		mut  func(*Config)
+		want string
+	}{
+		{func(c *Config) { c.Network.RouterDelay = nan }, "network: RouterDelay NaN is not finite"},
+		{func(c *Config) { c.Network.RouterDelay = inf }, "network: RouterDelay +Inf is not finite"},
+		{func(c *Config) { c.Network.RetryBackoff = nan }, "network: RetryBackoff NaN is not finite"},
+		{func(c *Config) { c.Network.RetryDeadline = nan }, "network: RetryDeadline NaN is not finite"},
+		{func(c *Config) { c.Faults = &FaultPlan{MTBF: nan} }, "sim: FaultPlan.MTBF NaN is not finite"},
+		{func(c *Config) { c.Faults = &FaultPlan{MTBF: inf} }, "sim: FaultPlan.MTBF +Inf is not finite"},
+		{func(c *Config) { c.Faults = &FaultPlan{MTBF: 1e5, MTTR: nan} }, "sim: FaultPlan.MTTR NaN is not finite"},
+		{func(c *Config) { c.Faults = outage(nan, 100) }, "sim: FaultPlan.Outages[0].At NaN is not finite"},
+		{func(c *Config) { c.Faults = outage(10, nan) }, "sim: FaultPlan.Outages[0].Duration NaN is not finite"},
+		{func(c *Config) { c.Faults = outage(10, -1) }, "sim: negative FaultPlan.Outages[0].Duration -1"},
+		{func(c *Config) { c.Faults = &FaultPlan{Links: &LinkPlan{MTBF: inf}} }, "sim: LinkPlan.MTBF +Inf is not finite"},
+		{func(c *Config) { c.Faults = &FaultPlan{Links: &LinkPlan{MTBF: 1e5, MTTR: nan}} }, "sim: LinkPlan.MTTR NaN is not finite"},
+		{func(c *Config) { c.Faults = linkOutage(nan, 100) }, "sim: LinkPlan.Outages[0].At NaN is not finite"},
+		{func(c *Config) { c.Faults = linkOutage(10, nan) }, "sim: LinkPlan.Outages[0].Duration NaN is not finite"},
+		{func(c *Config) {
+			c.Duration = 100
+			c.Timeline = &TimelineConfig{Interval: nan, W: &bytes.Buffer{}}
+		}, "sim: Timeline.Interval must be positive and finite, got NaN"},
+		{func(c *Config) {
+			c.Duration = 100
+			c.Timeline = &TimelineConfig{Interval: inf, W: &bytes.Buffer{}}
+		}, "sim: Timeline.Interval must be positive and finite, got +Inf"},
+	} {
+		cfg := DefaultConfig()
+		c.mut(&cfg)
+		if _, err := New(cfg, src); err == nil || err.Error() != c.want {
+			t.Errorf("New error %v, want %q", err, c.want)
 		}
 	}
 }

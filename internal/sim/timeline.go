@@ -40,8 +40,9 @@ func (t *TimelineConfig) validate(duration float64) error {
 	if t == nil {
 		return nil
 	}
-	if t.Interval <= 0 {
-		return fmt.Errorf("sim: timeline interval must be positive, got %v", t.Interval)
+	if !(t.Interval > 0) || math.IsInf(t.Interval, 1) {
+		// NaN fails the comparison too.
+		return fmt.Errorf("sim: Timeline.Interval must be positive and finite, got %v", t.Interval)
 	}
 	if t.W == nil {
 		return fmt.Errorf("sim: timeline has no writer")

@@ -272,13 +272,14 @@ type Diurnal struct {
 // NewDiurnal wraps src with a sinusoidal rate cycle of the given
 // period and relative amplitude a in [0, 1): amplitude 0 is the
 // identity, amplitudes approaching 1 nearly silence the night troughs.
-// It panics on a non-positive period or an amplitude outside [0, 1) —
-// a ≥ 1 would drive the instantaneous rate negative.
+// It panics on a period that is not positive and finite or an
+// amplitude outside [0, 1) — a ≥ 1 would drive the instantaneous rate
+// negative. The comparisons are written so that NaN fails them too.
 func NewDiurnal(src Source, period, amplitude float64) *Diurnal {
-	if period <= 0 {
-		panic("workload: diurnal period must be positive")
+	if !(period > 0) || math.IsInf(period, 1) {
+		panic("workload: diurnal period must be positive and finite")
 	}
-	if amplitude < 0 || amplitude >= 1 {
+	if !(amplitude >= 0 && amplitude < 1) {
 		panic("workload: diurnal amplitude must be in [0, 1)")
 	}
 	return &Diurnal{src: src, period: period, amp: amplitude}

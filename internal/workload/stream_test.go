@@ -218,14 +218,17 @@ func TestDiurnalModulation(t *testing.T) {
 func TestWrapperPanics(t *testing.T) {
 	src := NewParagonSource(DefaultParagon(), 1)
 	for name, fn := range map[string]func(){
-		"scale zero":       func() { NewScaled(src, 0) },
-		"scale negative":   func() { NewScaled(src, -1) },
-		"shift negative":   func() { NewShifted(src, -1) },
-		"compress zero":    func() { NewCompressed(src, 0) },
-		"deepen zero":      func() { NewDeepened(src, 8, 8, 0, stats.NewStream(1)) },
-		"diurnal period":   func() { NewDiurnal(src, 0, 0.5) },
-		"diurnal amp low":  func() { NewDiurnal(src, 10, -0.1) },
-		"diurnal amp high": func() { NewDiurnal(src, 10, 1) },
+		"scale zero":         func() { NewScaled(src, 0) },
+		"scale negative":     func() { NewScaled(src, -1) },
+		"shift negative":     func() { NewShifted(src, -1) },
+		"compress zero":      func() { NewCompressed(src, 0) },
+		"deepen zero":        func() { NewDeepened(src, 8, 8, 0, stats.NewStream(1)) },
+		"diurnal period":     func() { NewDiurnal(src, 0, 0.5) },
+		"diurnal period NaN": func() { NewDiurnal(src, math.NaN(), 0.5) },
+		"diurnal period Inf": func() { NewDiurnal(src, math.Inf(1), 0.5) },
+		"diurnal amp low":    func() { NewDiurnal(src, 10, -0.1) },
+		"diurnal amp high":   func() { NewDiurnal(src, 10, 1) },
+		"diurnal amp NaN":    func() { NewDiurnal(src, 10, math.NaN()) },
 	} {
 		func() {
 			defer func() {
