@@ -4,7 +4,8 @@
 // statistics, and the offered load the trace would impose on a mesh.
 //
 // It reads the native format by default and SWF with -swf, so the
-// published SDSC Paragon file can be inspected directly.
+// published SDSC Paragon file can be inspected directly. It reads one
+// trace, from the file argument or else from stdin.
 //
 // Examples:
 //
@@ -29,6 +30,19 @@ func main() {
 		meshL = flag.Int("length", 22, "mesh length")
 	)
 	flag.Parse()
+
+	switch {
+	case *meshW < 1:
+		fmt.Fprintf(os.Stderr, "traceinfo: -width %d is invalid; width must be at least 1\n", *meshW)
+		os.Exit(1)
+	case *meshL < 1:
+		fmt.Fprintf(os.Stderr, "traceinfo: -length %d is invalid; length must be at least 1\n", *meshL)
+		os.Exit(1)
+	case flag.NArg() > 1:
+		fmt.Fprintf(os.Stderr, "traceinfo: unexpected argument %q after the trace file %s; it reads one trace\n",
+			flag.Arg(1), flag.Arg(0))
+		os.Exit(1)
+	}
 
 	var in io.Reader = os.Stdin
 	name := "stdin"

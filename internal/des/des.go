@@ -33,18 +33,68 @@
 // Two arguments keep the firing order exactly "by time, then schedule
 // order", the order of a plain heap of events on (time, seq):
 //
-//   - Within a chain events fire FIFO, and a chain only ever grows at
-//     its tail with the newest schedule, so chain order is seq order.
+//   - Within a chain events fire FIFO, and a schedule only ever
+//     appends the newest seq at a chain's tail, so chain order is seq
+//     order (AtEventSeq inserts in seq order, see Reserved positions).
 //   - A cache miss can only start a later chain. Its first seq exceeds
 //     every seq already scheduled, in particular every event of the
-//     chains at the same time that the cache lost, and no event joins
-//     those chains again (a cached event is always the newest pending
-//     event of its time, so only the newest chain can be joined).
-//     Chains of one time therefore hold disjoint, increasing seq
-//     ranges, and their first seqs, the heap keys, order them as
+//     chains at the same time that the cache lost, and no schedule
+//     joins those chains again (a cached event is always the newest
+//     pending event of its time, so only the newest chain can be
+//     joined). Chains of one time therefore hold disjoint, increasing
+//     seq ranges, and their first seqs, the heap keys, order them as
 //     wholes.
 //
 // A miss costs only speed: one more heap entry.
+//
+// # Reserved positions
+//
+// A caller may know where an event would go in the firing order long
+// before it knows whether the event is needed. The network's tail drain
+// is the case: when a packet's header takes the ejection channel, the
+// release of each trailing channel is due at a known time, but most of
+// those channels see no request before then, and their release event
+// would only clear a flag. Three operations let such a caller keep the
+// position instead of the event:
+//
+//   - Reserve(t) uses up the seq an AtEvent call at t would take now,
+//     and returns it; nothing is scheduled. t must be later than now.
+//   - Passed(t, seq) reports whether an event at that position would
+//     already have fired: t is before now, or t is now and the last
+//     event fired had a seq of at least seq. A RunUntil that ends with
+//     the clock at its bound, or Run at the time of its last event, has
+//     fired everything at now, so every position at now has passed.
+//   - AtEventSeq(t, seq, fn, arg) schedules at a reserved position that
+//     has not passed. The event fires exactly where an AtEvent call at
+//     the reservation would have fired.
+//
+// AtEventSeq links the event into the chain of t with the largest
+// first seq below seq, in seq order; with no such chain it pushes a new
+// heap entry keyed (t, seq). That keeps the arguments above:
+//
+//   - Every chain of t keyed above the chosen one is keyed above seq,
+//     so the chosen chain's range still ends below the next chain's
+//     key. A new chain holds seq alone, below every other chain of t.
+//   - Inside the chain the event goes before the first event with a
+//     larger seq. When the chain's earlier events have fired, that can
+//     be its current head: the event becomes the head, and the chain
+//     keeps its key, which is still below every seq in it.
+//   - The tail cache must keep the newest pending event of each time.
+//     An event inserted after the cached tail takes its place in the
+//     cache, and a new chain is never cached, since a later chain of t
+//     may exist. A record that was the cached tail at t, fired and was
+//     reused at t by AtEventSeq leaves the cache.
+//
+// Finding the chain is a linear scan of the heap, which is rare and
+// short on the paper workloads: on the 16x22 GABL/FCFS cell (load
+// 0.003, seed 1, 100 jobs) 7,766 of 485,897 events are materialized,
+// on a heap of at most 24 chains.
+//
+// Each record stores its seq, because an insert compares seqs inside a
+// chain and Step keeps the fired seq for Passed. That makes a record 72
+// bytes. An int32 index and a 32-bit generation would fit it in 64, but
+// a 32-bit generation can wrap back to the value a stale Handle holds,
+// so the record keeps the 64-bit one.
 //
 // The event core is allocation-free in steady state: fired and cancelled
 // event records return to an intrusive free list and are reused by later
@@ -99,11 +149,12 @@ const (
 	chained = -2 // pending behind an earlier event at the same time
 )
 
-// event is one pooled pending-event record, 64 bytes: one cache line.
-// Records cycle heap or chain -> fired/cancelled -> free list; gen
-// counts the cycles so stale Handles cannot touch a reused record.
+// event is one pooled pending-event record, 72 bytes. Records cycle
+// heap or chain -> fired/cancelled -> free list; gen counts the cycles
+// so stale Handles cannot touch a reused record.
 type event struct {
 	time  Time
+	seq   uint64 // schedule position: orders the events of one time
 	index int    // heap position of a chain head, else chained or idle
 	gen   uint64 // bumped on recycle; Handle must match
 	fn    EventFunc
@@ -153,7 +204,8 @@ func cacheSlot(t Time) uint64 {
 // usable; construct with NewEngine.
 type Engine struct {
 	now      Time
-	seq      uint64     // events scheduled so far: the next event's seq
+	seq      uint64     // events scheduled and positions reserved so far: the next seq
+	lastSeq  uint64     // seq of the last event fired, or MaxUint64 once RunUntil fired all of now
 	heap     []entry    // min-heap of chains on (time, first seq)
 	tails    *tailCache // allocated on the first schedule
 	pending  int
@@ -248,15 +300,8 @@ func (e *Engine) schedule(t Time, fn EventFunc, arg any) Handle {
 	slot := &e.tails[cacheSlot(t)]
 	tail := slot.ev
 	join := slot.time == t && tail != nil && tail.time == t && tail.index != idle
-	ev := e.free
-	if ev != nil {
-		e.free = ev.next
-		ev.next = nil
-	} else {
-		ev = &event{}
-	}
-	ev.time, ev.fn, ev.arg = t, fn, arg
-	e.pending++
+	ev := e.take(t, e.seq, fn, arg)
+	e.seq++
 	if join {
 		tail.next = ev
 		ev.prev = tail
@@ -264,8 +309,98 @@ func (e *Engine) schedule(t Time, fn EventFunc, arg any) Handle {
 	} else {
 		e.push(ev)
 	}
-	e.seq++
 	slot.time, slot.ev = t, ev
+	return Handle{ev: ev, gen: ev.gen}
+}
+
+// take fills a record from the free list, or a new one, as a pending
+// event at position (t, seq).
+func (e *Engine) take(t Time, seq uint64, fn EventFunc, arg any) *event {
+	ev := e.free
+	if ev != nil {
+		e.free = ev.next
+		ev.next = nil
+	} else {
+		ev = &event{}
+	}
+	ev.time, ev.seq, ev.fn, ev.arg = t, seq, fn, arg
+	e.pending++
+	return ev
+}
+
+// Reserve takes the seq an AtEvent call at time t would take now, so
+// position (t, seq) in the firing order is kept for an event that may
+// never be scheduled, and returns it. t must be later than now.
+func (e *Engine) Reserve(t Time) uint64 {
+	if !(t > e.now) {
+		panic("des: reserve at a time not after now")
+	}
+	e.seq++
+	return e.seq - 1
+}
+
+// Passed reports whether an event at position (t, seq) would already
+// have fired: the engine has fired an event at that position or a
+// later one, or RunUntil has run the clock through t (Run only through
+// the time of its last event).
+func (e *Engine) Passed(t Time, seq uint64) bool {
+	return t < e.now || t == e.now && seq <= e.lastSeq
+}
+
+// AtEventSeq registers fn(arg) at the position (t, seq) that Reserve(t)
+// returned seq for, which must not have passed: the event fires
+// exactly where AtEvent(t, fn, arg) would have fired had it been
+// called at the reservation.
+func (e *Engine) AtEventSeq(t Time, seq uint64, fn EventFunc, arg any) Handle {
+	if fn == nil {
+		panic("des: nil event function")
+	}
+	if seq >= e.seq || !(t >= e.now) || e.Passed(t, seq) {
+		panic(fmt.Sprintf("des: AtEventSeq at (%v, %d): not a reserved position ahead of now %v", t, seq, e.now))
+	}
+	if e.tails == nil {
+		e.tails = new(tailCache)
+	}
+	ev := e.take(t, seq, fn, arg)
+	slot := &e.tails[cacheSlot(t)]
+	if slot.ev == ev {
+		// The record was the cached tail at t before it fired; it is
+		// not the tail of t's newest chain now.
+		slot.ev = nil
+	}
+	// The chain of t with the largest first seq below seq, if any.
+	c := -1
+	for i := range e.heap {
+		if x := &e.heap[i]; x.time == t && x.seq < seq && (c < 0 || x.seq > e.heap[c].seq) {
+			c = i
+		}
+	}
+	if c < 0 {
+		e.push(ev)
+		return Handle{ev: ev, gen: ev.gen}
+	}
+	head := e.heap[c].ev
+	if head.seq > seq {
+		// The chain's events before seq have fired: ev becomes the
+		// head, under the chain's unchanged key.
+		ev.next, head.prev = head, ev
+		head.index = chained
+		ev.index = c
+		e.heap[c].ev = ev
+		return Handle{ev: ev, gen: ev.gen}
+	}
+	p := head
+	for p.next != nil && p.next.seq < seq {
+		p = p.next
+	}
+	ev.prev, ev.next = p, p.next
+	ev.index = chained
+	if p.next != nil {
+		p.next.prev = ev
+	} else if slot.ev == p {
+		slot.ev = ev
+	}
+	p.next = ev
 	return Handle{ev: ev, gen: ev.gen}
 }
 
@@ -325,7 +460,7 @@ func (e *Engine) Step() bool {
 	}
 	ev.index = idle
 	e.pending--
-	e.now = ev.time
+	e.now, e.lastSeq = ev.time, ev.seq
 	e.executed++
 	// Fire first, recycle after: the handler may consult its own Handle
 	// (already invalid — index is idle) but must not see the record
@@ -359,6 +494,10 @@ func (e *Engine) RunUntil(t Time) error {
 	if !math.IsInf(t, 1) && t > e.now {
 		e.now = t
 	}
+	if t >= e.now {
+		// Every event at now has fired: every position at now passed.
+		e.lastSeq = math.MaxUint64
+	}
 	return nil
 }
 
@@ -373,10 +512,10 @@ func (a *entry) less(b *entry) bool {
 	return a.seq < b.seq
 }
 
-// push starts a new chain with ev, keyed by the current seq.
+// push starts a new chain with ev, keyed by ev's position.
 func (e *Engine) push(ev *event) {
 	e.heap = append(e.heap, entry{})
-	e.up(len(e.heap)-1, entry{time: ev.time, seq: e.seq, ev: ev})
+	e.up(len(e.heap)-1, entry{time: ev.time, seq: ev.seq, ev: ev})
 }
 
 // promote makes succ, the successor of the chain head at heap position

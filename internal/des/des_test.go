@@ -612,83 +612,164 @@ func TestCacheCollisionStartsLaterChain(t *testing.T) {
 	}
 }
 
-// diffKids is the fixed reaction table of the differential: the
-// delays at which event id's handler schedules new events when it
-// fires. A zero delay schedules at the firing time itself.
-func diffKids(seed uint64, n int) [][]Time {
-	kids := make([][]Time, n)
+// reaction is what event id's handler does when it fires. With
+// materialize set it first walks the reservations at the firing time
+// that are not materialized, asks Passed of each, and materializes the
+// first that has not passed: a network request that finds a tail drain
+// pending at exactly its own time. Then it schedules new events at the
+// delays; a zero delay schedules at the firing time itself.
+type reaction struct {
+	materialize bool
+	delays      []Time
+}
+
+// diffKids is the fixed reaction table of the differential.
+func diffKids(seed uint64, n int) []reaction {
+	kids := make([]reaction, n)
 	rng := rand.New(rand.NewSource(int64(seed)))
 	for id := range kids {
 		switch rng.Intn(8) {
 		case 0:
-			kids[id] = []Time{0}
+			kids[id].delays = []Time{0}
 		case 1:
-			kids[id] = []Time{Time(rng.Intn(9))}
+			kids[id].delays = []Time{Time(rng.Intn(9))}
 		case 2:
-			kids[id] = []Time{0, Time(rng.Intn(9))}
+			kids[id].delays = []Time{0, Time(rng.Intn(9))}
 		}
+		kids[id].materialize = rng.Intn(3) == 0
 	}
 	return kids
 }
 
-// engineSide and refSide run one queue each under the differential.
-// Events are named by id, handed out in schedule order on each side,
-// so the ids agree as long as the firing orders do.
-type engineSide struct {
-	e     *Engine
-	hs    []Handle
-	fired []int
-	fire  EventFunc
+// queue is what the differential drives: the engine or the reference.
+type queue[H interface{ Valid() bool }] interface {
+	Now() Time
+	Pending() int
+	AtEvent(t Time, fn EventFunc, arg any) H
+	Reserve(t Time) uint64
+	Passed(t Time, seq uint64) bool
+	AtEventSeq(t Time, seq uint64, fn EventFunc, arg any) H
+	Cancel(h H) bool
+	Step() bool
 }
 
-func newEngineSide(kids [][]Time) *engineSide {
-	s := &engineSide{e: NewEngine()}
+// reservation is a position a side reserved; done once materialized.
+type reservation struct {
+	t    Time
+	seq  uint64
+	done bool
+}
+
+// side runs one queue under the differential. Events are named by id,
+// handed out in schedule order on each side, so the ids agree as long
+// as the firing orders do. passes logs the answers of the handlers'
+// Passed calls. eng and cov are set on the engine's side only, which
+// counts the cases reached.
+type side[H interface{ Valid() bool }] struct {
+	q      queue[H]
+	kids   []reaction
+	hs     []H
+	rs     []reservation
+	fired  []int
+	passes []bool
+	fire   EventFunc
+	eng    *Engine
+	cov    *diffCoverage
+}
+
+func newSide[H interface{ Valid() bool }](q queue[H], kids []reaction) *side[H] {
+	s := &side[H]{q: q, kids: kids}
 	s.fire = func(a any) {
 		id := a.(int)
 		s.fired = append(s.fired, id)
-		if id < len(kids) {
-			for _, d := range kids[id] {
-				s.at(s.e.Now() + d)
+		if id >= len(kids) {
+			return
+		}
+		now := s.q.Now()
+		if kids[id].materialize {
+			for i := range s.rs {
+				if r := s.rs[i]; !r.done && r.t == now {
+					passed := s.passed(i)
+					s.passes = append(s.passes, passed)
+					if !passed {
+						s.materialize(i)
+						break
+					}
+				}
 			}
+		}
+		for _, d := range kids[id].delays {
+			s.at(now + d)
 		}
 	}
 	return s
 }
 
-func (s *engineSide) at(t Time) { s.hs = append(s.hs, s.e.AtEvent(t, s.fire, len(s.hs))) }
+func (s *side[H]) at(t Time) { s.hs = append(s.hs, s.q.AtEvent(t, s.fire, len(s.hs))) }
 
-type refSide struct {
-	e     *refEngine
-	hs    []refHandle
-	fired []int
-	fire  EventFunc
+func (s *side[H]) reserve(t Time) uint64 {
+	seq := s.q.Reserve(t)
+	s.rs = append(s.rs, reservation{t: t, seq: seq})
+	return seq
 }
 
-func newRefSide(kids [][]Time) *refSide {
-	s := &refSide{e: &refEngine{}}
-	s.fire = func(a any) {
-		id := a.(int)
-		s.fired = append(s.fired, id)
-		if id < len(kids) {
-			for _, d := range kids[id] {
-				s.at(s.e.Now() + d)
-			}
+// passed asks Passed of reservation i, counting the equal-time cases.
+func (s *side[H]) passed(i int) bool {
+	r := s.rs[i]
+	p := s.q.Passed(r.t, r.seq)
+	if s.cov != nil && r.t == s.q.Now() {
+		if p {
+			s.cov.passedAtNow++
+		} else {
+			s.cov.aheadAtNow++
 		}
 	}
-	return s
+	return p
 }
 
-func (s *refSide) at(t Time) { s.hs = append(s.hs, s.e.AtEvent(t, s.fire, len(s.hs))) }
+// materialize schedules an event at reservation i, counting on the
+// engine's side where it went: a new chain, before a chain's current
+// head, into a chain's middle, or at its tail (and whether the tail
+// cache held the old tail).
+func (s *side[H]) materialize(i int) {
+	r := &s.rs[i]
+	h := s.q.AtEventSeq(r.t, r.seq, s.fire, len(s.hs))
+	s.hs = append(s.hs, h)
+	r.done = true
+	if s.cov == nil {
+		return
+	}
+	ev := any(h).(Handle).ev
+	switch {
+	case ev.index >= 0 && s.eng.heap[ev.index].seq == ev.seq:
+		s.cov.newChain++
+	case ev.index >= 0:
+		s.cov.beforeHead++
+	case ev.next != nil:
+		s.cov.middle++
+	default:
+		s.cov.tail++
+		if c := s.eng.tails[cacheSlot(ev.time)].ev; c == ev || c == ev.prev {
+			s.cov.cachedTail++
+		}
+	}
+}
 
-// diffCoverage counts the chain cases a differential run reached.
+// diffCoverage counts the chain cases a differential run reached:
+// cancels of each chain position, two chains of one time, the four
+// places a materialized event can land, and Passed at the current time
+// answering either way.
 type diffCoverage struct {
 	cancelHead, cancelLoneHead, cancelMiddle, cancelTail, cancelCached int
 	sharedTime                                                         int
+	newChain, beforeHead, middle, tail, cachedTail                     int
+	passedAtNow, aheadAtNow                                            int
 }
 
-// runDifferential decodes ops into schedules, cancels, steps and
-// RunUntil calls, applies each to the engine and to the reference
-// queue, and after every one compares the firing order, Now, Pending
+// runDifferential decodes ops into schedules, reservations,
+// materializations, Passed queries, cancels, steps and RunUntil calls,
+// applies each to the engine and to the reference queue, and after
+// every one compares the firing order, Now, Pending, the Passed answers
 // and the validity of every handle issued. cov, when non-nil, counts
 // the chain cases reached.
 func runDifferential(t testing.TB, ops []byte, cov *diffCoverage) {
@@ -702,25 +783,41 @@ func runDifferential(t testing.TB, ops []byte, cov *diffCoverage) {
 		return b
 	}
 	kids := diffKids(uint64(next())<<8|uint64(next()), 2*len(ops)+16)
-	a, r := newEngineSide(kids), newRefSide(kids)
+	e, ref := NewEngine(), &refEngine{reserved: map[uint64]*refEvent{}}
+	a, r := newSide[Handle](e, kids), newSide[refHandle](ref, kids)
+	a.eng, a.cov = e, cov
 	// Non-dyadic fractional bases, so equal times come only from equal
 	// expressions, as in the network's hop and drain arithmetic.
 	bases := [...]Time{0.3, 1.7, 2.45}
+	lattice := func(p byte, now Time) Time { // a base time plus a whole offset 0-8, not before now
+		base, k := bases[p%3], Time(p/3%9)
+		m := math.Ceil(now - base)
+		tm := base + (m + k)
+		if tm < now {
+			tm = base + (m + k + 1)
+		}
+		return tm
+	}
 	at := func(tm Time) { a.at(tm); r.at(tm) }
+	// pick returns one of the 64 newest reservations not materialized,
+	// or -1.
+	pick := func(p byte) int {
+		n := len(a.rs)
+		if n == 0 {
+			return -1
+		}
+		if i := n - 1 - int(p)%min(n, 64); !a.rs[i].done {
+			return i
+		}
+		return -1
+	}
 	last := Time(-1) // time of the newest top-level schedule
 	for step := 0; len(ops) > 0; step++ {
-		now := a.e.Now()
-		switch op := next(); op % 8 {
-		case 0, 1, 2: // a base time plus a whole offset 0-8, not before now
-			p := next()
-			base, k := bases[p%3], Time(p/3%9)
-			m := math.Ceil(now - base)
-			tm := base + (m + k)
-			if tm < now {
-				tm = base + (m + k + 1)
-			}
-			at(tm)
-			last = tm
+		now := e.Now()
+		switch op := next(); op % 11 {
+		case 0, 1, 2: // a lattice time
+			last = lattice(next(), now)
+			at(last)
 		case 3: // now plus a whole offset 0-8, zero included
 			last = now + Time(next()%9)
 			at(last)
@@ -735,7 +832,7 @@ func runDifferential(t testing.TB, ops []byte, cov *diffCoverage) {
 				break
 			}
 			id := n - 1
-			if op%8 == 5 {
+			if op%11 == 5 {
 				id -= int(next()) % min(n, 64)
 			}
 			if cov != nil && a.hs[id].Valid() {
@@ -750,43 +847,68 @@ func runDifferential(t testing.TB, ops []byte, cov *diffCoverage) {
 				default:
 					cov.cancelLoneHead++
 				}
-				if a.e.tails[cacheSlot(ev.time)].ev == ev {
+				if e.tails[cacheSlot(ev.time)].ev == ev {
 					cov.cancelCached++
 				}
 			}
-			if got, want := a.e.Cancel(a.hs[id]), r.e.Cancel(r.hs[id]); got != want {
+			if got, want := e.Cancel(a.hs[id]), ref.Cancel(r.hs[id]); got != want {
 				t.Fatalf("op %d: Cancel(%d) = %v, reference %v", step, id, got, want)
 			}
 		case 7: // fire one event, or run to a time between the whole offsets
 			if p := next(); p%4 == 0 {
 				until := now + Time(p%9) + 0.5
-				if err := a.e.RunUntil(until); err != nil {
+				if err := e.RunUntil(until); err != nil {
 					t.Fatal(err)
 				}
-				r.e.RunUntil(until)
-			} else if got, want := a.e.Step(), r.e.Step(); got != want {
+				ref.RunUntil(until)
+			} else if got, want := e.Step(), ref.Step(); got != want {
 				t.Fatalf("op %d: Step() = %v, reference %v", step, got, want)
+			}
+		case 8: // reserve a position on the lattice or a whole offset 1-8 after now
+			p := next()
+			tm := now + 1 + Time(p/2%8)
+			if p%2 == 1 {
+				if tm = lattice(p/2, now); tm == now {
+					tm++
+				}
+			}
+			if got, want := a.reserve(tm), r.reserve(tm); got != want {
+				t.Fatalf("op %d: Reserve(%v) = %d, reference %d", step, tm, got, want)
+			}
+		case 9, 10: // 9: materialize a reservation unless it has passed; 10: only ask
+			i := pick(next())
+			if i < 0 {
+				break
+			}
+			got, want := a.passed(i), r.passed(i)
+			if got != want {
+				res := a.rs[i]
+				t.Fatalf("op %d: Passed(%v, %d) = %v at now %v, reference %v", step, res.t, res.seq, got, now, want)
+			}
+			if op%11 == 9 && !got {
+				a.materialize(i)
+				r.materialize(i)
 			}
 		}
 		compareSides(t, step, a, r)
 		if cov != nil {
-			for i := range a.e.heap {
-				for j := i + 1; j < len(a.e.heap); j++ {
-					if a.e.heap[i].time == a.e.heap[j].time {
+			for i := range e.heap {
+				for j := i + 1; j < len(e.heap); j++ {
+					if e.heap[i].time == e.heap[j].time {
 						cov.sharedTime++
 					}
 				}
 			}
 		}
 	}
-	if err := a.e.Run(); err != nil {
+	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	r.e.RunUntil(math.Inf(1))
+	ref.RunUntil(math.Inf(1))
 	compareSides(t, -1, a, r)
 }
 
-func compareSides(t testing.TB, step int, a *engineSide, r *refSide) {
+func compareSides(t testing.TB, step int, a *side[Handle], r *side[refHandle]) {
 	t.Helper()
 	if len(a.fired) != len(r.fired) {
 		t.Fatalf("op %d: fired %d events, reference %d", step, len(a.fired), len(r.fired))
@@ -796,11 +918,19 @@ func compareSides(t testing.TB, step int, a *engineSide, r *refSide) {
 			t.Fatalf("op %d: firing %d is event %d, reference %d", step, i, a.fired[i], r.fired[i])
 		}
 	}
-	if math.Float64bits(a.e.Now()) != math.Float64bits(r.e.Now()) {
-		t.Fatalf("op %d: Now() = %v, reference %v", step, a.e.Now(), r.e.Now())
+	if math.Float64bits(a.q.Now()) != math.Float64bits(r.q.Now()) {
+		t.Fatalf("op %d: Now() = %v, reference %v", step, a.q.Now(), r.q.Now())
 	}
-	if a.e.Pending() != r.e.Pending() {
-		t.Fatalf("op %d: Pending() = %d, reference %d", step, a.e.Pending(), r.e.Pending())
+	if a.q.Pending() != r.q.Pending() {
+		t.Fatalf("op %d: Pending() = %d, reference %d", step, a.q.Pending(), r.q.Pending())
+	}
+	if len(a.passes) != len(r.passes) {
+		t.Fatalf("op %d: handlers asked Passed %d times, reference %d", step, len(a.passes), len(r.passes))
+	}
+	for i := range a.passes {
+		if a.passes[i] != r.passes[i] {
+			t.Fatalf("op %d: handler Passed call %d = %v, reference %v", step, i, a.passes[i], r.passes[i])
+		}
 	}
 	if len(a.hs) != len(r.hs) {
 		t.Fatalf("op %d: %d events scheduled, reference %d", step, len(a.hs), len(r.hs))
@@ -815,7 +945,10 @@ func compareSides(t testing.TB, step int, a *engineSide, r *refSide) {
 // TestChainedQueueMatchesReference drives random tie-heavy operation
 // streams through the engine and the reference heap, and checks that
 // they reached every chain case: cancels of a head, a lone head, a
-// middle, a tail and the cached event, and two chains of one time.
+// middle, a tail and the cached event; two chains of one time; a
+// materialized event starting a chain, going before a chain's current
+// head, into a chain's middle, at a tail and at a cached tail; and
+// Passed at the current time answering true and false.
 func TestChainedQueueMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var cov diffCoverage
@@ -829,7 +962,9 @@ func TestChainedQueueMatchesReference(t *testing.T) {
 		runDifferential(t, ops, &cov)
 	}
 	if cov.cancelHead == 0 || cov.cancelLoneHead == 0 || cov.cancelMiddle == 0 ||
-		cov.cancelTail == 0 || cov.cancelCached == 0 || cov.sharedTime == 0 {
+		cov.cancelTail == 0 || cov.cancelCached == 0 || cov.sharedTime == 0 ||
+		cov.newChain == 0 || cov.beforeHead == 0 || cov.middle == 0 || cov.tail == 0 ||
+		cov.cachedTail == 0 || cov.passedAtNow == 0 || cov.aheadAtNow == 0 {
 		t.Fatalf("differential missed a chain case: %+v", cov)
 	}
 	t.Logf("coverage %+v", cov)
@@ -841,6 +976,9 @@ func FuzzEngine(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 9, 0, 9, 3, 0, 4, 7, 1, 6, 7, 1, 5, 2, 7, 0})
 	f.Add([]byte{7, 7, 3, 0, 3, 0, 3, 0, 6, 5, 1, 7, 1, 4, 4, 7, 4, 7, 1, 7, 1})
 	f.Add([]byte("chained events fire in schedule order"))
+	// Reserve three positions at now+1, schedule one there, fire up to
+	// it, then materialize the reservations at the same time.
+	f.Add([]byte{0, 0, 8, 0, 8, 0, 3, 1, 8, 0, 7, 1, 9, 0, 9, 1, 9, 2, 7, 1, 7, 1})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 4096 {
 			ops = ops[:4096]
@@ -850,11 +988,13 @@ func FuzzEngine(f *testing.F) {
 }
 
 // The reference queue: the engine's original binary heap of event
-// records on (time, seq). Its schedule, cancel, step and heap code is
-// kept unchanged but for the names; the event limit, the re-entry
-// guard and the Schedule/At wrappers, which the differential does not
-// drive, are left out. TestChainedQueueMatchesReference and FuzzEngine
-// hold the chained queue to it.
+// records on (time, seq), with the event limit, the re-entry guard and
+// the Schedule/At wrappers left out. A reservation is what the eager
+// world has at that position: a placeholder record, without a
+// function, pushed on the heap at once. Materializing fills it in, and
+// a placeholder the clock reaches first is popped, which is what
+// passing means. TestChainedQueueMatchesReference and FuzzEngine hold
+// the chained queue to it.
 
 type refHandle struct {
 	ev  *refEvent
@@ -874,16 +1014,21 @@ type refEvent struct {
 	next  *refEvent // free-list link while recycled
 }
 
+// placeholder reports whether ev is a reservation not materialized.
+func (ev *refEvent) placeholder() bool { return ev.fn == nil && ev.efn == nil }
+
 type refEngine struct {
-	now  Time
-	seq  uint64
-	heap []*refEvent
-	free *refEvent // recycled event records
+	now      Time
+	seq      uint64
+	heap     []*refEvent
+	pending  int                  // events, placeholders aside
+	reserved map[uint64]*refEvent // placeholders by seq
+	free     *refEvent            // recycled event records
 }
 
 func (e *refEngine) Now() Time { return e.now }
 
-func (e *refEngine) Pending() int { return len(e.heap) }
+func (e *refEngine) Pending() int { return e.pending }
 
 func (e *refEngine) AtEvent(t Time, fn EventFunc, arg any) refHandle {
 	if fn == nil {
@@ -906,7 +1051,32 @@ func (e *refEngine) schedule(t Time, fn func(), efn EventFunc, arg any) refHandl
 	ev.time, ev.seq = t, e.seq
 	ev.fn, ev.efn, ev.arg = fn, efn, arg
 	e.seq++
+	e.pending++
 	e.push(ev)
+	return refHandle{ev: ev, gen: ev.gen}
+}
+
+func (e *refEngine) Reserve(t Time) uint64 {
+	if !(t > e.now) {
+		panic(fmt.Sprintf("des: reserve at %v, not after now %v", t, e.now))
+	}
+	ev := &refEvent{time: t, seq: e.seq}
+	e.seq++
+	e.push(ev)
+	e.reserved[ev.seq] = ev
+	return ev.seq
+}
+
+func (e *refEngine) Passed(t Time, seq uint64) bool { return e.reserved[seq].index < 0 }
+
+func (e *refEngine) AtEventSeq(t Time, seq uint64, fn EventFunc, arg any) refHandle {
+	ev := e.reserved[seq]
+	if ev == nil || ev.index < 0 || ev.time != t || fn == nil {
+		panic(fmt.Sprintf("des: AtEventSeq at (%v, %d): not a reserved position ahead of now %v", t, seq, e.now))
+	}
+	delete(e.reserved, seq)
+	ev.efn, ev.arg = fn, arg
+	e.pending++
 	return refHandle{ev: ev, gen: ev.gen}
 }
 
@@ -922,15 +1092,22 @@ func (e *refEngine) Cancel(h refHandle) bool {
 		return false
 	}
 	e.remove(h.ev)
+	e.pending--
 	e.recycle(h.ev)
 	return true
 }
 
+// Step pops the placeholders ahead of the earliest event, then fires
+// the event.
 func (e *refEngine) Step() bool {
-	ev := e.pop()
-	if ev == nil {
+	if e.pending == 0 {
 		return false
 	}
+	ev := e.pop()
+	for ev.placeholder() {
+		ev = e.pop()
+	}
+	e.pending--
 	e.now = ev.time
 	if ev.efn != nil {
 		ev.efn(ev.arg)
@@ -941,13 +1118,32 @@ func (e *refEngine) Step() bool {
 	return true
 }
 
+// RunUntil fires the events up to t. If that brings the clock to t or
+// beyond (Run: to its last event), every placeholder up to the clock
+// has passed too.
 func (e *refEngine) RunUntil(t Time) {
-	for len(e.heap) > 0 && e.heap[0].time <= t {
+	for e.pending > 0 && e.earliest() <= t {
 		e.Step()
 	}
 	if !math.IsInf(t, 1) && t > e.now {
 		e.now = t
 	}
+	if t >= e.now {
+		for len(e.heap) > 0 && e.heap[0].time <= e.now {
+			e.pop()
+		}
+	}
+}
+
+// earliest returns the time of the earliest event, placeholders aside.
+func (e *refEngine) earliest() Time {
+	t := math.Inf(1)
+	for _, ev := range e.heap {
+		if !ev.placeholder() && ev.time < t {
+			t = ev.time
+		}
+	}
+	return t
 }
 
 func (e *refEngine) less(i, j int) bool {
@@ -1028,5 +1224,63 @@ func (e *refEngine) down(i int) {
 		}
 		e.swap(i, smallest)
 		i = smallest
+	}
+}
+
+// A record cached as the tail of its time that fires and is reused by
+// AtEventSeq at that same time must leave the cache: it may land in a
+// chain's middle, and a schedule joining after it would cut the chain.
+func TestMaterializeReusingCachedRecord(t *testing.T) {
+	e := NewEngine()
+	var order []string
+	note := func(a any) { order = append(order, a.(string)) }
+	e.AtEvent(5, note, "a") // the cached tail at 5
+	r1, r2, r3 := e.Reserve(5), e.Reserve(5), e.Reserve(5)
+	x, y := e.AtEvent(9, note, "x"), e.AtEvent(9, note, "y")
+	e.Step() // a fires; its record tops the free list
+	e.Cancel(x)
+	e.Cancel(y)                          // free list: y, x, a
+	e.AtEventSeq(5, r1, note, "r1")      // y's record starts a chain
+	e.AtEventSeq(5, r3, note, "r3")      // x's record, at its tail
+	h := e.AtEventSeq(5, r2, note, "r2") // a's record, in its middle
+	if h.ev.index != chained || h.ev.next == nil {
+		t.Fatal("test premise broken: r2 did not land in a chain's middle")
+	}
+	e.AtEvent(5, note, "b")
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(order, " "); got != "a r1 r2 r3 b" {
+		t.Fatalf("order %q, want \"a r1 r2 r3 b\"", got)
+	}
+}
+
+// Reserve takes only a time after now, and AtEventSeq only a reserved
+// position that has not passed: either mistake would fire an event out
+// of order, so both panic.
+func TestReservationMisusePanics(t *testing.T) {
+	for name, misuse := range map[string]func(e *Engine){
+		"Reserve at now": func(e *Engine) { e.Reserve(e.Now()) },
+		"Reserve at NaN": func(e *Engine) { e.Reserve(math.NaN()) },
+		"AtEventSeq unreserved": func(e *Engine) {
+			e.AtEventSeq(5, 0, func(any) {}, nil)
+		},
+		"AtEventSeq passed": func(e *Engine) {
+			seq := e.Reserve(5)
+			e.At(6, func() {})
+			if err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
+			e.AtEventSeq(5, seq, func(any) {}, nil)
+		},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			misuse(NewEngine())
+		}()
 	}
 }

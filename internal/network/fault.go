@@ -230,10 +230,9 @@ func (n *Network) bounce(p *Packet) {
 		lo = 0
 	}
 	for k := lo; k < p.hop; k++ {
-		n.release(p.path[k])
+		n.release(&n.channels[p.path[k]])
 	}
 	p.hop = 0
-	p.relNext = 0
 	p.attempt++
 	if p.attempt > n.cfg.MaxRetries {
 		n.lose(p)

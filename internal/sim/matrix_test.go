@@ -2,7 +2,8 @@ package sim
 
 // Pinned-digest Result matrix: every strategy family under both
 // schedulers on the mesh, the torus and the 3D mesh, plus live node
-// faults and link churn, each run once and its full Result hashed.
+// faults and link churn, and the paper's real workload at four seeds,
+// each run once and its full Result hashed.
 // The digests are committed below, so a refactor of the search,
 // allocation, scheduling, fault or network layers that moves a single
 // placement — or any metric — fails here with the digest it produced.
@@ -15,6 +16,7 @@ import (
 	"testing"
 
 	"repro/internal/network"
+	"repro/internal/workload"
 )
 
 // matrixCase is one (strategy, scheduler, topology, geometry) cell of
@@ -56,6 +58,51 @@ func faultedMatrix() []matrixCase {
 		{"FirstFit", "SSD", network.TorusTopology, 32, 32, 1},
 		{"BestFit", "FCFS", network.MeshTopology, 16, 16, 4},
 	}
+}
+
+// paperRealCase is one cell of the paper's real workload: a paper
+// pairing on the 16x22 mesh at one seed.
+type paperRealCase struct {
+	strategy, scheduler string
+	seed                int64
+}
+
+func (c paperRealCase) String() string {
+	return fmt.Sprintf("real/%s/%s/seed%d", c.strategy, c.scheduler, c.seed)
+}
+
+// paperRealMatrix lists the paper's six pairings (GABL, Paging(0), MBS
+// under FCFS and SSD) at seeds 1-4.
+func paperRealMatrix() []paperRealCase {
+	var cases []paperRealCase
+	for seed := int64(1); seed <= 4; seed++ {
+		for _, sch := range []string{"FCFS", "SSD"} {
+			for _, st := range []string{"GABL", "Paging(0)", "MBS"} {
+				cases = append(cases, paperRealCase{st, sch, seed})
+			}
+		}
+	}
+	return cases
+}
+
+// runPaperReal runs a real-workload cell: the Paragon-model stream
+// scaled to load 0.006, as core.RealTrace builds it, 200 jobs after 20
+// warm-up. Its long jobs and deep queues give the network contention
+// patterns the stochastic cells do not.
+func runPaperReal(t *testing.T, c paperRealCase) Result {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.Strategy, cfg.Scheduler = c.strategy, c.scheduler
+	cfg.MaxCompleted, cfg.WarmupJobs = 200, 20
+	cfg.Seed = c.seed
+	spec := workload.DefaultParagon()
+	spec.MeshW, spec.MeshL = cfg.MeshW, cfg.MeshL
+	f := (1 / 0.006) / workload.ParagonMeanInterarrival(spec, c.seed)
+	res, err := Run(cfg, workload.NewScaled(workload.NewParagonSource(spec, c.seed), f))
+	if err != nil {
+		t.Fatalf("%v: %v", c, err)
+	}
+	return res
 }
 
 // resultDigest is the first 16 hex digits of the SHA-256 of the
@@ -111,6 +158,30 @@ var pinnedResults = map[string]string{
 	"faulted/FirstFit/SSD/torus/32x32x1": "af59313c30f0292e",
 	"faulted/BestFit/FCFS/mesh/16x16x4":  "1f0302dfe940b280",
 	"linkchurn/GABL/FCFS/mesh/16x22x1":   "810b7a01175385b2",
+	"real/GABL/FCFS/seed1":               "0d6f74c1771ee11f",
+	"real/Paging(0)/FCFS/seed1":          "faddb1424383ad2b",
+	"real/MBS/FCFS/seed1":                "5b896cdafd1aca87",
+	"real/GABL/SSD/seed1":                "ae49fefe505b36a6",
+	"real/Paging(0)/SSD/seed1":           "51d1c60acba3c08b",
+	"real/MBS/SSD/seed1":                 "588cd8f6c3e1ff3c",
+	"real/GABL/FCFS/seed2":               "710776d5338b1ac8",
+	"real/Paging(0)/FCFS/seed2":          "097da0fc64a8f937",
+	"real/MBS/FCFS/seed2":                "2d4f398abd0c0db6",
+	"real/GABL/SSD/seed2":                "e3c6eb627b6a08bc",
+	"real/Paging(0)/SSD/seed2":           "cfaf0f40166d5bbf",
+	"real/MBS/SSD/seed2":                 "cb62ae75b8a4ed60",
+	"real/GABL/FCFS/seed3":               "aaaa4a3936d20cc3",
+	"real/Paging(0)/FCFS/seed3":          "86d80f4fafd65ed6",
+	"real/MBS/FCFS/seed3":                "de40722f3893d90d",
+	"real/GABL/SSD/seed3":                "730dfa5aca8bee69",
+	"real/Paging(0)/SSD/seed3":           "c8eee29e41764e59",
+	"real/MBS/SSD/seed3":                 "f78422dcfcbb8709",
+	"real/GABL/FCFS/seed4":               "74cf884d2f2d2dd6",
+	"real/Paging(0)/FCFS/seed4":          "98ac99b526da3778",
+	"real/MBS/FCFS/seed4":                "282dff27d08a25cf",
+	"real/GABL/SSD/seed4":                "6b55778c82d46b6e",
+	"real/Paging(0)/SSD/seed4":           "fb4234b719246f7f",
+	"real/MBS/SSD/seed4":                 "e1798fbe57dc057f",
 }
 
 // TestResultMatrixPinned runs every cell once and compares its Result
@@ -143,6 +214,13 @@ func TestResultMatrixPinned(t *testing.T) {
 		t.Fatalf("link plan idle, the cell has no teeth: %+v", res)
 	}
 	got["linkchurn/GABL/FCFS/mesh/16x22x1"] = res
+	for _, c := range paperRealMatrix() {
+		res := runPaperReal(t, c)
+		if res.Completed == 0 || res.PacketCount == 0 {
+			t.Fatalf("%v completed %d jobs, %d packets", c, res.Completed, res.PacketCount)
+		}
+		got[c.String()] = res
+	}
 
 	for name, res := range got {
 		want, ok := pinnedResults[name]

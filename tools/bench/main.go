@@ -8,7 +8,10 @@
 //   - des/*: the discrete-event core's steady-state schedule+fire cycle,
 //     alone (event_steady_state) and with ~160 events pending on few
 //     distinct times, the same-time chain path the paper's packet
-//     traffic takes (event_ties); both must stay allocation-free;
+//     traffic takes (event_ties), and the same model reserving
+//     positions and materializing them into those chains, as the
+//     network's lazy tail drain does (reserve_materialize); all must
+//     stay allocation-free;
 //   - search/*: mesh occupancy searches on a fragmented mesh — planar,
 //     torus and the 32x32x8 volumetric LargestFree3D (all must stay
 //     allocation-free once warm);
@@ -205,7 +208,7 @@ func record(name string, jobs int, fn func(b *testing.B)) Case {
 }
 
 // desCases measures the event core's warm schedule+fire cycle, alone
-// and in a tie-heavy hold model.
+// and in a tie-heavy hold model, with and without reservations.
 func desCases() []Case {
 	return []Case{record("des/event_steady_state", 0, func(b *testing.B) {
 		e := des.NewEngine()
@@ -223,34 +226,62 @@ func desCases() []Case {
 			e.Step()
 		}
 	}), record("des/event_ties", 0, func(b *testing.B) {
-		// The hold model of des.BenchmarkHoldTies: 160 events pending,
-		// each fired event rescheduled 1-8 whole cycles on, from three
-		// fractional base times, so most schedules join a chain.
-		e := des.NewEngine()
-		rng := stats.NewStream(5)
-		offsets := make([]des.Time, 1024)
-		for i := range offsets {
-			offsets[i] = des.Time(1 + rng.Intn(8))
+		holdTies(b, nil)
+	}), record("des/reserve_materialize", 0, func(b *testing.B) {
+		// The network's lazy tail drain on the same model: each fired
+		// hold event reserves a position 1-8 cycles on and, unless it
+		// has passed, materializes the one it reserved 64 holds
+		// earlier into the same-time chains.
+		var ring [64]struct {
+			t   des.Time
+			seq uint64
 		}
-		k := 0
-		var hold des.EventFunc
-		hold = func(any) {
-			e.ScheduleEvent(offsets[k&1023], hold, nil)
-			k++
-		}
-		bases := [...]des.Time{0.25, 0.375, 0.8125}
-		for i := 0; i < 160; i++ {
-			e.AtEvent(bases[i%3]+offsets[i], hold, nil)
-		}
-		for i := 0; i < 1024; i++ { // warm the pool and the cache
-			e.Step()
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			e.Step()
-		}
+		drain := func(any) {}
+		holdTies(b, func(e *des.Engine, k int, offset des.Time) {
+			r := &ring[k&63]
+			if !e.Passed(r.t, r.seq) {
+				e.AtEventSeq(r.t, r.seq, drain, nil)
+			}
+			r.t = e.Now() + offset
+			r.seq = e.Reserve(r.t)
+		})
 	})}
+}
+
+// holdTies times one Step per op of the hold model of
+// des.BenchmarkHoldTies: 160 events pending, each fired event
+// rescheduled 1-8 whole cycles on, from three fractional base times, so
+// most schedules join a chain. react, when non-nil, runs first in each
+// fired event, with the count k of events fired so far and an offset
+// of 1-8 cycles drawn apart from the rescheduling ones.
+func holdTies(b *testing.B, react func(e *des.Engine, k int, offset des.Time)) {
+	e := des.NewEngine()
+	rng := stats.NewStream(5)
+	offsets := make([]des.Time, 1024)
+	for i := range offsets {
+		offsets[i] = des.Time(1 + rng.Intn(8))
+	}
+	k := 0
+	var hold des.EventFunc
+	hold = func(any) {
+		if react != nil {
+			react(e, k, offsets[(k+512)&1023])
+		}
+		e.ScheduleEvent(offsets[k&1023], hold, nil)
+		k++
+	}
+	bases := [...]des.Time{0.25, 0.375, 0.8125}
+	for i := 0; i < 160; i++ {
+		e.AtEvent(bases[i%3]+offsets[i], hold, nil)
+	}
+	for i := 0; i < 4096; i++ { // warm the pool and the cache
+		e.Step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+	}
 }
 
 // fragmented scatters ~40% occupancy over a mesh, seeding the searches
