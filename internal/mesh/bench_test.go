@@ -111,3 +111,57 @@ func benchChurn(b *testing.B, w, l int) {
 func BenchmarkChurn16x22(b *testing.B)   { benchChurn(b, 16, 22) }
 func BenchmarkChurn64x64(b *testing.B)   { benchChurn(b, 64, 64) }
 func BenchmarkChurn256x256(b *testing.B) { benchChurn(b, 256, 256) }
+
+// fragmentHalf fills about half of m with random free-standing blocks
+// of sides up to side (depth up to half the mesh's), the layout
+// perfbench's fragment leaves at side W/8.
+func fragmentHalf(b *testing.B, m *Mesh, side int) *Mesh {
+	b.Helper()
+	rng := stats.NewStream(9)
+	for tries := 0; 2*m.BusyCount() < m.Size() && tries < 1<<20; tries++ {
+		w, l, h := rng.UniformInt(1, side), rng.UniformInt(1, side), rng.UniformInt(1, max(1, m.h/2))
+		if s := SubAt3D(rng.Intn(m.w-w+1), rng.Intn(m.l-l+1), rng.Intn(m.h-h+1), w, l, h); m.SubFree(s) {
+			if err := m.AllocateSub(s); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	return m
+}
+
+// BenchmarkSweep times the constrained-largest search's full sweep —
+// the MW table alone, at the height caps of perfbench's search probes
+// (half the mesh) — on half-busy fabrics. Coarse blocks leave long
+// plateaus of equal column height, few segments per row; fine blocks
+// leave a segment every few columns, where stepping the stack per
+// segment saves little over stepping it per column.
+func BenchmarkSweep(b *testing.B) {
+	cases := []struct {
+		name  string
+		build func() *Mesh
+		side  int
+	}{
+		{"coarse1024", func() *Mesh { return New(1024, 1024) }, 128},
+		{"fine1024", func() *Mesh { return New(1024, 1024) }, 4},
+		{"torus256", func() *Mesh { return NewTorus(256, 256) }, 32},
+		{"volume64x64x16", func() *Mesh { return New3D(64, 64, 16) }, 8},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			m := fragmentHalf(b, c.build(), c.side)
+			sweep := func() {
+				if m.h > 1 {
+					m.sweepVolumeSerial(m.l/2, m.h/2)
+				} else {
+					m.maxWidthByHeight(m.l / 2)
+				}
+			}
+			sweep() // size the scratch
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sweep()
+			}
+		})
+	}
+}

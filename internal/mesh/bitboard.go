@@ -2,10 +2,10 @@ package mesh
 
 import "math/bits"
 
-// This file is the word-parallel bitboard core of the occupancy index
-// (PR 6): per-(row, plane) uint64 masks of the free processors,
-// maintained incrementally alongside the run tables by every mutation
-// path and read by the scan hot paths. Bit x of plane-row r's words is
+// This file is the word-parallel bitboard core of the occupancy index:
+// per-(row, plane) uint64 masks of the free processors — the only
+// occupancy store — flipped span by span by every mutation path and
+// read by the scan hot paths. Bit x of plane-row r's words is
 // 1 iff cell (x, r) is free, so a 1024-wide row is 16 words and the
 // inner loops of the searches become machine-word operations:
 //
@@ -404,101 +404,4 @@ func (m *Mesh) busyRowSpanBits(r, x1, x2 int) int {
 		free += bits.OnesCount64(row[i] & mask)
 	}
 	return x2 - x1 + 1 - free
-}
-
-// sweepRowWords advances the histogram column heights over one band
-// row's free words and feeds them to the monotonic stack, accumulating
-// into cand[h] the widest span (clamped to capW — the ring width on a
-// doubled torus band) of height h whose bottom edge lies on this row.
-// It records exactly what the retained per-column loop recorded: free
-// runs replay the per-column push/pop verbatim, and a busy span's
-// first column flushes the whole stack — the per-column loop pops
-// everything at its first h == 0 and nothing at the rest — then zeroes
-// the span's heights. The stack is per-row; heights persist across
-// rows (the caller clears them at band start).
-func sweepRowWords(words []uint64, cols, maxL, capW int, heights, stackS, stackH, cand []int) {
-	top := 0
-	x := 0
-	for x < cols {
-		x0 := maskNextFree(words, x, cols)
-		if x0 > x {
-			for top > 0 {
-				top--
-				w := x - stackS[top]
-				if w > capW {
-					w = capW
-				}
-				if w > cand[stackH[top]] {
-					cand[stackH[top]] = w
-				}
-			}
-			clear(heights[x:x0])
-			x = x0
-			continue
-		}
-		x1 := maskNextBusy(words, x, cols)
-		for ; x < x1; x++ {
-			h := heights[x]
-			if h < maxL {
-				h++
-				heights[x] = h
-			}
-			start := x
-			for top > 0 && stackH[top-1] >= h {
-				top--
-				start = stackS[top]
-				w := x - start
-				if w > capW {
-					w = capW
-				}
-				if w > cand[stackH[top]] {
-					cand[stackH[top]] = w
-				}
-			}
-			stackS[top], stackH[top] = start, h
-			top++
-		}
-	}
-	// End-of-band sentinel: flush the surviving bars at x = cols.
-	for top > 0 {
-		top--
-		w := cols - stackS[top]
-		if w > capW {
-			w = capW
-		}
-		if w > cand[stackH[top]] {
-			cand[stackH[top]] = w
-		}
-	}
-}
-
-// bumpHeightsWords advances the column heights over one band row
-// without recording rectangles — the dominated-row shortcut of the
-// sweep (maxWidthByHeight).
-func bumpHeightsWords(words []uint64, cols, maxL int, heights []int) {
-	x := 0
-	for x < cols {
-		x0 := maskNextFree(words, x, cols)
-		if x0 > x {
-			clear(heights[x:x0])
-			x = x0
-			continue
-		}
-		x1 := maskNextBusy(words, x, cols)
-		for ; x < x1; x++ {
-			if heights[x] < maxL {
-				heights[x]++
-			}
-		}
-	}
-}
-
-// sizedWordScratch returns *buf with at least n words, growing it (and
-// keeping the growth for future calls) only when needed — sizedScratch
-// for word buffers.
-func sizedWordScratch(buf *[]uint64, n int) []uint64 {
-	if cap(*buf) < n {
-		*buf = make([]uint64, n)
-	}
-	return (*buf)[:n]
 }

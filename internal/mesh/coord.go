@@ -78,9 +78,6 @@ func (s Submesh) H() int { return s.Z2 - s.Z1 + 1 }
 // area, generalized to W·L·H on a cuboid).
 func (s Submesh) Area() int { return s.W() * s.L() * s.H() }
 
-// Volume is Area under its three-dimensional name.
-func (s Submesh) Volume() int { return s.Area() }
-
 // Valid reports whether the base does not exceed the end in any axis.
 func (s Submesh) Valid() bool { return s.X1 <= s.X2 && s.Y1 <= s.Y2 && s.Z1 <= s.Z2 }
 

@@ -31,15 +31,18 @@
 // first candidate whose score reaches its geometric ceiling.
 //
 // The constrained-largest search (LargestFree, the heart of GABL's
-// carving) runs as a best-first shape-probe phase backed by an O(W·L)
-// maximal-rectangle-in-histogram sweep — over the doubled seam band on
-// a torus — with release-epoch memoization of alloc-monotone facts;
+// carving) runs as a best-first shape-probe phase, its divisor pairs
+// taken off a max-heap, backed by a maximal-rectangle-in-histogram
+// sweep that keeps column heights as segments of equal height and
+// steps its stack once per segment — over the doubled seam band on a
+// torus — with release-epoch memoization of alloc-monotone facts;
 // the pre-histogram per-anchor scan is kept in the tests as the
 // reference its differential tests compare against (histogram.go,
 // docs/occupancy-index.md §6). Its volumetric counterpart
-// (LargestFree3D) runs the same sweep per AND-projected plane under a
-// z-extent outer loop, with the naive volumetric scan kept in the
-// tests as largestFreeScan3D (volume.go, docs/occupancy-index.md §7).
+// (LargestFree3D) runs the same sweep kernel per AND-projected plane
+// under a z-extent outer loop, with the naive volumetric scan kept in
+// the tests as largestFreeScan3D (volume.go, docs/occupancy-index.md
+// §7).
 //
 // # Topologies
 //

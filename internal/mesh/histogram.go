@@ -4,10 +4,11 @@ package mesh
 // behind LargestFree. The per-anchor downward-growth scan it replaces
 // (kept in the tests as largestFreeScan / torusLargestFreeScan, the
 // differential reference) is O(W·L·maxL) worst case even after pruning;
-// the sweep here is O(W·L): one maximal-rectangle-in-histogram pass
-// per row band over column heights derived from the bitboard, O(W·L)
-// on the planar mesh and O(W·L) over the doubled seam band on the
-// torus.
+// the sweep here is one maximal-rectangle-in-histogram pass per row
+// band over column heights derived from the bitboard, on the planar
+// mesh or over the doubled seam band on the torus. The heights are
+// kept as segments — runs of equal height — so the stack steps once
+// per segment, not once per column (sweepRow).
 //
 // The search must return exactly what the scan returns — max capped
 // area, then squarest, then row-major-first base, first-found winning
@@ -27,8 +28,9 @@ package mesh
 //     base among those shapes — the searches the index already has.
 //
 // Phase 0 short-circuits both: candidate (area, skew) pairs are probed
-// best-first, descending from the occupancy-blind ideal (largestIdeal),
-// and the first pair with a placeable shape is the answer — the sweep
+// best-first, descending from the occupancy-blind ideal (largestIdeal)
+// off a max-heap of divisor pairs (pairHeap), and the first pair with
+// a placeable shape is the answer — the sweep
 // never runs, the common case for lightly loaded meshes and, through
 // the release-epoch memoization below, for the tail carves of a GABL
 // request.
@@ -44,13 +46,17 @@ package mesh
 // is exactly this regime, so the tail carves of one request inherit
 // everything its first searches learned.
 type histScratch struct {
-	heights []int // column free-run heights, one per (doubled) column
-	stackS  []int // monotonic stack: span start positions
-	stackH  []int // monotonic stack: bar heights
-	byH     []int // MW of the last sweep, indexed by height 1..sweepMaxL
+	// The sweep's histogram (sweepRow) is a list of segments — runs of
+	// columns of equal free-run height, adjacent heights distinct,
+	// closed by a sentinel segment at the band width. Each row rebuilds
+	// seg into next and swaps the two; stack holds the row's open bars.
+	seg, next, stack []segment
+	byH              []int // MW of the last sweep, indexed by height 1..sweepMaxL
 
 	sweepMaxL  int    // heights byH covers; 0 = no sweep cached
 	sweepEpoch uint64 // release epoch byH was swept at
+
+	pairs pairHeap // the probe phase's pending shape pairs
 
 	failed      [maxFailedShapes][2]int // Pareto frontier of refuted shapes
 	nFailed     int
@@ -67,9 +73,8 @@ type histScratch struct {
 	bandMask []uint64
 
 	// 3D-search scratch (volume.go): the word-AND projected plane, the
-	// MW(d, l) table and the per-projection sweep records. A mesh only
-	// ever exercises one family — the planar buffers above on depth 1,
-	// these below on depth > 1.
+	// MW(d, l) table and the per-projection sweep records. The segment
+	// buffers above serve both sweeps; a mesh only ever exercises one.
 	proj  []uint64
 	mw3   []int
 	cand3 []int
@@ -249,11 +254,7 @@ func (m *Mesh) largestFreeHist(maxW, maxL, maxArea int) (Submesh, bool) {
 // ran out (the sweep must settle the call); an exhausted candidate
 // space — no free processor — is decided as not found.
 func (m *Mesh) bestFirstProbe(startArea, maxW, maxL int) (best Submesh, found, decided bool) {
-	probes, areas := probeBudget, areaBudget
-	long := maxW
-	if maxL > long {
-		long = maxL
-	}
+	probes := probeBudget
 	// Candidates never exceed the free count, and no shape is wider
 	// than the widest free run of any row — both read straight off the
 	// index and discard whole swaths of the pair space for free.
@@ -287,61 +288,111 @@ func (m *Mesh) bestFirstProbe(startArea, maxW, maxL int) (best Submesh, found, d
 		}
 		return s, ok
 	}
-	// The enumeration descends one area at a time, so its integer root
-	// follows along in amortized O(1) instead of a fresh Newton run.
-	root := intSqrt(startArea)
-	for area := startArea; area >= 1; area-- {
-		for root*root > area {
-			root--
+	pairs := &m.hist.pairs
+	pairs.reset(startArea, max(maxW, maxL), startArea-areaBudget)
+	for {
+		a, b, ok := pairs.pop()
+		if !ok {
+			return Submesh{}, false, pairs.covered()
 		}
-		if areas--; areas < 0 {
+		// Budget is checked per pair, never mid-pair: a hit must
+		// always complete its mirror probe for the base tie-break.
+		if probes <= 0 {
 			return Submesh{}, false, false
 		}
-		// Shapes of this area within the caps need a short side of at
-		// least area/long; most areas have none and cost O(1).
-		aMin := (area + long - 1) / long
-		for a := root; a >= aMin; a-- {
-			if area%a != 0 {
-				continue
-			}
-			// Budget is checked per pair, never mid-pair: a hit must
-			// always complete its mirror probe for the base tie-break.
-			if probes <= 0 {
-				return Submesh{}, false, false
-			}
-			b := area / a
-			var wide, tall Submesh
-			wideOK, tallOK := false, false
-			if b <= maxW && a <= maxL {
-				wide, wideOK = probe(b, a)
-			}
-			if a != b && a <= maxW && b <= maxL {
-				tall, tallOK = probe(a, b)
-			}
-			switch {
-			case wideOK && (!tallOK || wide.Y1 < tall.Y1 ||
-				(wide.Y1 == tall.Y1 && wide.X1 <= tall.X1)):
-				return wide, true, true // equal base ties to smaller l = a
-			case tallOK:
-				return tall, true, true
-			}
+		var wide, tall Submesh
+		wideOK, tallOK := false, false
+		if b <= maxW && a <= maxL {
+			wide, wideOK = probe(b, a)
+		}
+		if a != b && a <= maxW && b <= maxL {
+			tall, tallOK = probe(a, b)
+		}
+		switch {
+		case wideOK && (!tallOK || wide.Y1 < tall.Y1 ||
+			(wide.Y1 == tall.Y1 && wide.X1 <= tall.X1)):
+			return wide, true, true // equal base ties to smaller l = a
+		case tallOK:
+			return tall, true, true
 		}
 	}
-	return Submesh{}, false, true // candidate space exhausted: no fit
 }
 
-// intSqrt returns the integer square root of n >= 0.
-func intSqrt(n int) int {
-	if n <= 0 {
-		return 0
+// pairHeap yields the divisor pairs a <= b <= long with area a·b in
+// (cut, start] best first: area descending, then a descending (skew
+// ascending) — the order of testing every short side of every area
+// for divisibility, at one heap step per pair instead of O(√area)
+// divisions per area. It keeps one entry per short side a, holding
+// that side's largest pending long side, in a max-heap on (area, a).
+type pairHeap struct {
+	q   []shapePair
+	cut int
+}
+
+// shapePair is a pairHeap entry: the next pair of short side a.
+type shapePair struct{ area, a, b int }
+
+// above reports whether p pops before q.
+func (p shapePair) above(q shapePair) bool {
+	return p.area > q.area || (p.area == q.area && p.a > q.a)
+}
+
+// reset loads the pairs of area at most start that lie above cut.
+func (h *pairHeap) reset(start, long, cut int) {
+	h.q, h.cut = h.q[:0], cut
+	// A short side up to cut/long reaches no area above the cut.
+	for a := max(1, cut/long+1); a*a <= start; a++ {
+		if b := min(long, start/a); b >= a && a*b > cut {
+			h.q = append(h.q, shapePair{a * b, a, b})
+		}
 	}
-	r := n
-	x := (r + 1) / 2
-	for x < r {
-		r = x
-		x = (x + n/x) / 2
+	for i := len(h.q)/2 - 1; i >= 0; i-- {
+		h.down(i)
 	}
-	return r
+}
+
+// pop returns the best pending pair and advances its entry to the same
+// short side's next smaller area, dropping the entry once b < a or the
+// area falls to the cut.
+func (h *pairHeap) pop() (a, b int, ok bool) {
+	if len(h.q) == 0 {
+		return 0, 0, false
+	}
+	p := &h.q[0]
+	a, b = p.a, p.b
+	p.b--
+	p.area -= p.a
+	if p.b < p.a || p.area <= h.cut {
+		last := len(h.q) - 1
+		h.q[0] = h.q[last]
+		h.q = h.q[:last]
+	}
+	h.down(0)
+	return a, b, true
+}
+
+// covered reports, once pop runs dry, whether the pairs spanned every
+// area down to 1 — the candidate space is exhausted, so nothing fits —
+// rather than stopping at the area budget's cut with areas unexamined.
+func (h *pairHeap) covered() bool { return h.cut < 1 }
+
+// down restores the heap order below entry i.
+func (h *pairHeap) down(i int) {
+	q := h.q
+	for {
+		c := 2*i + 1
+		if c >= len(q) {
+			return
+		}
+		if c+1 < len(q) && q[c+1].above(q[c]) {
+			c++
+		}
+		if !q[c].above(q[i]) {
+			return
+		}
+		q[i], q[c] = q[c], q[i]
+		i = c
+	}
 }
 
 // firstShapeBase returns the row-major-first base of the at-most-two
@@ -385,22 +436,20 @@ func (m *Mesh) firstShapeBase(area, skew, maxW, maxL, maxArea int, mw []int) (Su
 //
 // Rows come off the bitboard: a planar band row is its free words
 // verbatim, a torus band row is one word rotation into the doubled
-// seam band (doubleRowInto), and sweepRowWords advances the heights
-// and the stack run by run instead of column by column — identical
-// records to the retained per-column loop (§9). O(W·L),
+// seam band (doubleRowInto), and sweepRow advances the heights as
+// segments, one stack step per segment rather than per column, with
+// the same per-height maxima (§6). O(W·L/64 + segments),
 // allocation-free after the scratch buffers exist.
 func (m *Mesh) maxWidthByHeight(maxL int) []int {
 	cols, rows := m.w, m.l
 	var band []uint64
 	if m.torus {
 		cols, rows = 2*m.w, 2*m.l-1
-		band = sizedWordScratch(&m.hist.bandMask, wordsPerRow(cols))
+		band = sizedScratch(&m.hist.bandMask, wordsPerRow(cols))
 	}
-	heights := sizedScratch(&m.hist.heights, cols)
-	stackS := sizedScratch(&m.hist.stackS, cols+1)
-	stackH := sizedScratch(&m.hist.stackH, cols+1)
-	cand := sizedScratch(&m.hist.byH, maxL+1)
-	clear(heights)
+	hs := &m.hist
+	hs.resetSweep(cols)
+	cand := sizedScratch(&hs.byH, maxL+1)
 	clear(cand)
 	for r := 0; r < rows; r++ {
 		ry := r
@@ -416,7 +465,7 @@ func (m *Mesh) maxWidthByHeight(maxL int) []int {
 		// equal), so its record is dominated through the suffix max —
 		// only the heights need maintaining here.
 		if m.rowMax[ry] == 0 {
-			clear(heights)
+			hs.resetSweep(cols)
 			continue
 		}
 		words := m.rowWords(ry)
@@ -424,25 +473,13 @@ func (m *Mesh) maxWidthByHeight(maxL int) []int {
 			m.doubleRowInto(band, words)
 			words = band
 		}
-		if r+1 < rows {
-			ny := r + 1
-			if ny >= m.l {
-				ny -= m.l
-			}
-			if m.rowFullyFree(ny) {
-				bumpHeightsWords(words, cols, maxL, heights)
-				continue
-			}
+		ny := r + 1
+		if ny >= m.l {
+			ny -= m.l
 		}
-		sweepRowWords(words, cols, maxL, m.w, heights, stackS, stackH, cand)
+		hs.sweepRow(words, cols, maxL, m.w, r+1 == rows || !m.rowFullyFree(ny), cand)
 	}
-	// A rectangle of height h contains one of every lesser height, so
-	// MW is the suffix max of the per-height records.
-	for h := maxL - 1; h >= 1; h-- {
-		if cand[h] < cand[h+1] {
-			cand[h] = cand[h+1]
-		}
-	}
+	suffixMax(cand)
 	// Remember the sweep: until the next release, allocations only
 	// shrink MW, so this table upper-bounds every later call's search
 	// (sweepUpperArea) — often proving the next carve needs no sweep.
@@ -451,11 +488,105 @@ func (m *Mesh) maxWidthByHeight(maxL int) []int {
 	return cand
 }
 
+// segment is one bar of the sweep's histogram: the columns from x up
+// to the next segment's x, all of free-run height h. The stack reuses
+// it for an open bar: height h, spanning from x to the current column.
+type segment struct{ x, h int }
+
+// resetSweep starts a band of cols columns, every height zero: one
+// segment and the sentinel.
+func (hs *histScratch) resetSweep(cols int) {
+	hs.seg = sizedScratch(&hs.seg, cols+1)
+	hs.next = sizedScratch(&hs.next, cols+1)
+	hs.stack = sizedScratch(&hs.stack, cols+1)
+	hs.seg[0], hs.seg[1] = segment{0, 0}, segment{cols, 0}
+}
+
+// sweepRow advances the histogram over one band row's free words — a
+// busy column's height drops to zero, a free column's grows by one up
+// to maxL — in one pass over the row's runs and the previous row's
+// segments. With record set, every new segment start also steps the
+// monotonic stack, raising cand[h] to the widest span (clamped to
+// capW, the ring width on a doubled torus band) of height h whose
+// bottom edge lies on this row; a zero height flushes the stack.
+//
+// A segment is one bar of the histogram. Stepping the stack per column
+// would add only partial widths of the same bar at the same height,
+// which the bar's own record dominates, so every per-height maximum —
+// and MW — is what a per-column sweep computes.
+func (hs *histScratch) sweepRow(words []uint64, cols, maxL, capW int, record bool, cand []int) {
+	old, seg, stack := hs.seg, hs.next, hs.stack
+	n, top, i := 0, 0, 0
+	for x := 0; ; {
+		if free := maskNextFree(words, x, cols); free > x {
+			seg[n] = segment{x, 0} // a busy span: height 0 flushes the stack
+			n++
+			for record && top > 0 {
+				top--
+				if w := min(x-stack[top].x, capW); w > cand[stack[top].h] {
+					cand[stack[top].h] = w
+				}
+			}
+			x = free
+		}
+		if x >= cols {
+			break
+		}
+		end := maskNextBusy(words, x, cols)
+		for old[i+1].x <= x {
+			i++
+		}
+		for {
+			if h := min(old[i].h+1, maxL); n == 0 || seg[n-1].h != h {
+				seg[n] = segment{x, h}
+				n++
+				if record {
+					start := x
+					for top > 0 && stack[top-1].h >= h {
+						top--
+						start = stack[top].x
+						if w := min(x-start, capW); w > cand[stack[top].h] {
+							cand[stack[top].h] = w
+						}
+					}
+					stack[top] = segment{start, h}
+					top++
+				}
+			}
+			if old[i+1].x >= end {
+				break
+			}
+			i++
+			x = old[i].x
+		}
+		x = end
+	}
+	seg[n] = segment{cols, 0}
+	// End-of-band sentinel: flush the surviving bars at x = cols.
+	for top > 0 {
+		top--
+		if w := min(cols-stack[top].x, capW); w > cand[stack[top].h] {
+			cand[stack[top].h] = w
+		}
+	}
+	hs.seg, hs.next = seg, old
+}
+
+// suffixMax folds per-height records into MW: a rectangle of height h
+// contains one of every lesser height.
+func suffixMax(cand []int) {
+	for h := len(cand) - 2; h >= 1; h-- {
+		if cand[h] < cand[h+1] {
+			cand[h] = cand[h+1]
+		}
+	}
+}
+
 // sizedScratch returns *buf with at least n elements, growing it (and
 // keeping the growth for future calls) only when needed.
-func sizedScratch(buf *[]int, n int) []int {
+func sizedScratch[T any](buf *[]T, n int) []T {
 	if cap(*buf) < n {
-		*buf = make([]int, n)
+		*buf = make([]T, n)
 	}
 	return (*buf)[:n]
 }

@@ -28,8 +28,8 @@ func (m *Mesh) CandidatesRow(y, w, l int) iter.Seq[int] {
 			if w <= 0 || l <= 0 || w > m.w || l > m.l || y < 0 || y >= m.l {
 				return
 			}
-			band := sizedWordScratch(&m.hist.bandMask, wordsPerRow(2*m.w))
-			if !m.torusFitMaskInto(band, sizedWordScratch(&m.hist.rowAnd, m.wpr), y, w, l) {
+			band := sizedScratch(&m.hist.bandMask, wordsPerRow(2*m.w))
+			if !m.torusFitMaskInto(band, sizedScratch(&m.hist.rowAnd, m.wpr), y, w, l) {
 				return
 			}
 			for i, v := range band {
@@ -50,7 +50,7 @@ func (m *Mesh) CandidatesRow(y, w, l int) iter.Seq[int] {
 		if w <= 0 || l <= 0 || y < 0 || y+l > m.l {
 			return
 		}
-		mask := sizedWordScratch(&m.hist.winMask, m.wpr)
+		mask := sizedScratch(&m.hist.winMask, m.wpr)
 		if !m.planarFitMaskInto(mask, y, 0, w, l, 1) {
 			return
 		}
@@ -149,7 +149,7 @@ func (m *Mesh) BestFit(w, l int) (Submesh, bool) {
 	}
 	k := m.hist.scorer()
 	k.reset(m, w, l, 1)
-	mask := sizedWordScratch(&m.hist.winMask, m.wpr)
+	mask := sizedScratch(&m.hist.winMask, m.wpr)
 	fresh := true
 	for y := 0; ; y++ {
 		y = m.nextWindowRow(y, w, l, fresh)

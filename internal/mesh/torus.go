@@ -256,8 +256,8 @@ func (m *Mesh) torusBestFit(w, l int) (Submesh, bool) {
 	}
 	k := m.hist.scorer()
 	k.reset(m, w, l, 1)
-	rowAnd := sizedWordScratch(&m.hist.rowAnd, m.wpr)
-	band := sizedWordScratch(&m.hist.bandMask, wordsPerRow(2*m.w))
+	rowAnd := sizedScratch(&m.hist.rowAnd, m.wpr)
+	band := sizedScratch(&m.hist.bandMask, wordsPerRow(2*m.w))
 	fresh := true
 	for y := 0; y < m.l; y++ {
 		y = m.torusWindowSkip(y, w, l, fresh)

@@ -13,14 +13,15 @@ package mesh
 //     rows with rowMax, and read each surviving window row's bases off
 //     a bitboard fit mask exactly like the planar CandidatesRow;
 //     BestFit3D scores them with the row kernel of bestfit.go;
-//   - largestFree3D runs the PR 3 maximal-rectangle-in-histogram sweep
-//     per projected plane under a z-extent outer loop: for every
-//     (base plane, depth) pair the planes are AND-projected and one
-//     O(W·L) sweep yields the widest free cuboid per height, folded
-//     into the best capped (volume, spread) and located with
-//     firstFit3D. The naive volumetric scan is kept in the tests as
-//     largestFreeScan3D — the reference the differential tests hold
-//     the sweep to, result for result (mirroring largestFreeScan).
+//   - largestFree3D runs the planar maximal-rectangle-in-histogram
+//     sweep — the same segment kernel, sweepRow — per projected plane
+//     under a z-extent outer loop: for every (base plane, depth) pair
+//     the planes are AND-projected and one sweep yields the widest
+//     free cuboid per height, folded into the best capped
+//     (volume, spread) and located with firstFit3D. The naive
+//     volumetric scan is kept in the tests as largestFreeScan3D — the
+//     reference the differential tests hold the sweep to, result for
+//     result (mirroring largestFreeScan).
 //
 // A depth-1 mesh never reaches this file: every public 3D entry point
 // delegates to the planar machinery there, so 2D (and torus) behaviour
@@ -134,7 +135,7 @@ func (m *Mesh) FirstFit3D(w, l, h int) (Submesh, bool) {
 // Arguments are positive and within the mesh sides; the mesh has
 // depth > 1 (planar meshes take the 2D path).
 func (m *Mesh) firstFit3D(w, l, h int) (Submesh, bool) {
-	mask := sizedWordScratch(&m.hist.winMask, m.wpr)
+	mask := sizedScratch(&m.hist.winMask, m.wpr)
 	for z := 0; ; z++ {
 		z = m.nextWindowPlane(z, w, h)
 		if z+h > m.h {
@@ -170,7 +171,7 @@ func (m *Mesh) BestFit3D(w, l, h int) (Submesh, bool) {
 	}
 	k := m.hist.scorer()
 	k.reset(m, w, l, h)
-	mask := sizedWordScratch(&m.hist.winMask, m.wpr)
+	mask := sizedScratch(&m.hist.winMask, m.wpr)
 	for z := 0; ; z++ {
 		z = m.nextWindowPlane(z, w, h)
 		if z+h > m.h {
@@ -331,11 +332,8 @@ func (m *Mesh) largestFree3D(maxW, maxL, maxH, maxVol int) (Submesh, bool) {
 func (m *Mesh) sweepVolumeSerial(maxL, maxH int) []int {
 	mw := sizedScratch(&m.hist.mw3, (maxH+1)*(maxL+1))
 	clear(mw)
-	proj := sizedWordScratch(&m.hist.proj, m.l*m.wpr)
+	proj := sizedScratch(&m.hist.proj, m.l*m.wpr)
 	cand := sizedScratch(&m.hist.cand3, maxL+1)
-	heights := sizedScratch(&m.hist.heights, m.w)
-	stackS := sizedScratch(&m.hist.stackS, m.w+1)
-	stackH := sizedScratch(&m.hist.stackH, m.w+1)
 	pw := m.l * m.wpr
 	for z0 := 0; z0 < m.h; z0++ {
 		dMax := maxH
@@ -351,7 +349,7 @@ func (m *Mesh) sweepVolumeSerial(maxL, maxH int) []int {
 					proj[i] &= v
 				}
 			}
-			sweepProjectionInto(m.w, m.l, m.wpr, proj, maxL, cand, heights, stackS, stackH)
+			m.hist.sweepProjectionInto(m.w, m.l, m.wpr, proj, cand)
 			if cand[1] == 0 {
 				break // projection fully busy: deeper extents only worse
 			}
@@ -369,18 +367,13 @@ func (m *Mesh) sweepVolumeSerial(maxL, maxH int) []int {
 // sweepProjectionInto is the projection sweep proper over a w x l free
 // mask of wpr words per row: cand[l] is set to the width of the widest
 // free rectangle of height exactly-or-more l in the projection, for l
-// in 1..maxL. O(W·L), allocation-free: every buffer is caller-owned.
-func sweepProjectionInto(w, l, wpr int, proj []uint64, maxL int, cand, heights, stackS, stackH []int) {
-	clear(heights)
+// in 1..len(cand)-1 — the planar sweep's row kernel (sweepRow) run
+// down the projected rows. Allocation-free once the scratch is sized.
+func (hs *histScratch) sweepProjectionInto(w, l, wpr int, proj []uint64, cand []int) {
+	hs.resetSweep(w)
 	clear(cand)
 	for y := 0; y < l; y++ {
-		sweepRowWords(proj[y*wpr:(y+1)*wpr], w, maxL, w, heights, stackS, stackH, cand)
+		hs.sweepRow(proj[y*wpr:(y+1)*wpr], w, len(cand)-1, w, true, cand)
 	}
-	// A rectangle of height h contains one of every lesser height, so
-	// the per-height records suffix-max into MW.
-	for h := maxL - 1; h >= 1; h-- {
-		if cand[h] < cand[h+1] {
-			cand[h] = cand[h+1]
-		}
-	}
+	suffixMax(cand)
 }

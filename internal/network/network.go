@@ -297,9 +297,6 @@ func (n *Network) W() int { return n.w }
 // L returns the mesh length.
 func (n *Network) L() int { return n.l }
 
-// D returns the mesh depth; 1 for the 2D fabric.
-func (n *Network) D() int { return n.d }
-
 // Config returns the network parameters.
 func (n *Network) Config() Config { return n.cfg }
 

@@ -40,13 +40,6 @@ func (a *Accumulator) Add(x float64) {
 	a.m2 += delta * (x - a.mean)
 }
 
-// AddN folds x in as if observed k times.
-func (a *Accumulator) AddN(x float64, k int64) {
-	for i := int64(0); i < k; i++ {
-		a.Add(x)
-	}
-}
-
 // Merge folds another accumulator's observations into a (parallel merge
 // via Chan et al.'s pairwise update).
 func (a *Accumulator) Merge(b *Accumulator) {
