@@ -433,8 +433,7 @@ func TestCancelRecyclesRecord(t *testing.T) {
 }
 
 // The event core must not allocate once warm: pooled records plus
-// closure-free ScheduleEvent give 0 allocs per schedule+fire cycle. This
-// is the steady-state guard the CI bench-smoke job pins.
+// closure-free ScheduleEvent give 0 allocs per schedule+fire cycle.
 func TestZeroAllocSteadyState(t *testing.T) {
 	e := NewEngine()
 	fn := func(any) {}
@@ -500,7 +499,7 @@ func BenchmarkScheduleRun(b *testing.B) {
 
 // BenchmarkEventSteadyState measures one warm schedule+fire cycle on a
 // long-lived engine: the pooled record and closure-free argument path
-// must report 0 allocs/op (the CI bench-smoke job fails otherwise).
+// must report 0 allocs/op, as TestZeroAllocSteadyState holds it.
 func BenchmarkEventSteadyState(b *testing.B) {
 	e := NewEngine()
 	fn := func(any) {}
@@ -518,13 +517,16 @@ func BenchmarkEventSteadyState(b *testing.B) {
 	}
 }
 
-// BenchmarkHoldTies is the hold model shaped like the paper traffic:
-// about 160 events pending, each fired event scheduling its successor a
-// whole number of cycles on, from three fractional base times. Most
-// schedules land on a time that already has a pending event, so this
-// is the same-time chain path; the warm loop must report 0 allocs/op.
-// tools/bench runs the same model as des/event_ties.
-func BenchmarkHoldTies(b *testing.B) {
+// holdModel builds the hold model shaped like the paper traffic: 160
+// events pending, each fired event rescheduling itself 1-8 whole
+// cycles on, from three fractional base times. Most schedules land on
+// a time that already has a pending event, so this is the same-time
+// chain path. react, when non-nil, runs first in each fired event,
+// with the count k of events fired so far and an offset of 1-8 cycles
+// drawn apart from the rescheduling ones. The engine comes back warm,
+// 4096 events in, with its pool and tail cache grown; one Step fires
+// one event.
+func holdModel(react func(e *Engine, k int, offset Time)) *Engine {
 	e := NewEngine()
 	rng := stats.NewStream(5)
 	offsets := make([]Time, 1024)
@@ -534,6 +536,9 @@ func BenchmarkHoldTies(b *testing.B) {
 	k := 0
 	var hold EventFunc
 	hold = func(any) {
+		if react != nil {
+			react(e, k, offsets[(k+512)&1023])
+		}
 		e.ScheduleEvent(offsets[k&1023], hold, nil)
 		k++
 	}
@@ -541,13 +546,67 @@ func BenchmarkHoldTies(b *testing.B) {
 	for i := 0; i < 160; i++ {
 		e.AtEvent(bases[i%3]+offsets[i], hold, nil)
 	}
-	for i := 0; i < 1024; i++ { // warm the pool and the cache
+	for i := 0; i < 4096; i++ {
 		e.Step()
 	}
+	return e
+}
+
+// reserveMaterialize is the network's lazy tail drain as a hold-model
+// reaction: each fired event reserves a position 1-8 cycles on and,
+// unless it has passed, materializes the one it reserved 64 events
+// earlier into the same-time chains.
+func reserveMaterialize() func(e *Engine, k int, offset Time) {
+	var ring [64]struct {
+		t   Time
+		seq uint64
+	}
+	drain := func(any) {}
+	return func(e *Engine, k int, offset Time) {
+		r := &ring[k&63]
+		if !e.Passed(r.t, r.seq) {
+			e.AtEventSeq(r.t, r.seq, drain, nil)
+		}
+		r.t = e.Now() + offset
+		r.seq = e.Reserve(r.t)
+	}
+}
+
+// BenchmarkHoldTies times one Step of the warm hold model; it must
+// report 0 allocs/op.
+func BenchmarkHoldTies(b *testing.B) {
+	e := holdModel(nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Step()
+	}
+}
+
+// TestHoldModelAllocatesNothing holds one Step of the warm hold model
+// to fewer than one heap allocation: plain (event_ties), and with each
+// event reserving a position and materializing an earlier one into the
+// chains (reserve_materialize). Each row is a setup and the op it
+// returns.
+func TestHoldModelAllocatesNothing(t *testing.T) {
+	for _, row := range []struct {
+		name  string
+		setup func() (op func())
+	}{
+		{"event_ties", func() func() {
+			e := holdModel(nil)
+			return func() { e.Step() }
+		}},
+		{"reserve_materialize", func() func() {
+			e := holdModel(reserveMaterialize())
+			return func() { e.Step() }
+		}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			if avg := testing.AllocsPerRun(1000, row.setup()); avg != 0 {
+				t.Errorf("%v allocations per Step, want 0", avg)
+			}
+		})
 	}
 }
 

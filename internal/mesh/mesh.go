@@ -89,7 +89,7 @@ type Mesh struct {
 
 	// hist holds the reusable buffers of the histogram-based
 	// constrained-largest searches (histogram.go, volume.go); lazily
-	// sized, never part of the occupancy state (Clone starts fresh).
+	// sized, never part of the occupancy state.
 	hist histScratch
 	// releaseEpoch counts mutations that freed processors. The
 	// constrained-largest search memoizes alloc-monotone facts (failed
@@ -568,29 +568,6 @@ func (m *Mesh) FreeNodes() []Coord {
 		out = append(out, c)
 	}
 	return out
-}
-
-// Clone returns an independent copy of the mesh occupancy, preserving
-// the topology and geometry: the words, aggregates and pin marks copy
-// over.
-func (m *Mesh) Clone() *Mesh {
-	n := New3D(m.w, m.l, m.h)
-	n.torus = m.torus
-	copy(n.freeW, m.freeW)
-	copy(n.rowMax, m.rowMax)
-	copy(n.rowMaxPos, m.rowMaxPos)
-	copy(n.rowStale, m.rowStale)
-	copy(n.planeMax, m.planeMax)
-	copy(n.planeStale, m.planeStale)
-	n.freeCount = m.freeCount
-	if m.pinned != nil {
-		n.ensureFault()
-		copy(n.pinned, m.pinned)
-		copy(n.overlay, m.overlay)
-		n.pinnedCount = m.pinnedCount
-		n.overlayCount = m.overlayCount
-	}
-	return n
 }
 
 // Reset frees every processor, recovering any failed ones: the mesh

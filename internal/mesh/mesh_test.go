@@ -217,23 +217,6 @@ func TestStringRendersOccupancy(t *testing.T) {
 	}
 }
 
-func TestCloneIndependent(t *testing.T) {
-	m := New(4, 4)
-	if err := m.Allocate([]Coord{{1, 1, 0}}); err != nil {
-		t.Fatal(err)
-	}
-	c := m.Clone()
-	if !c.Busy(Coord{1, 1, 0}) || c.FreeCount() != 15 {
-		t.Fatal("clone does not match source")
-	}
-	if err := c.Allocate([]Coord{{2, 2, 0}}); err != nil {
-		t.Fatal(err)
-	}
-	if m.Busy(Coord{2, 2, 0}) {
-		t.Fatal("clone shares state with source")
-	}
-}
-
 func TestReset(t *testing.T) {
 	m := New(4, 4)
 	if err := m.AllocateSub(Sub(0, 0, 3, 3)); err != nil {

@@ -216,17 +216,34 @@ func (cm *cellModel) reset(t *testing.T) {
 	cm.verify(t)
 }
 
-// clone returns the model of m.Clone(): same geometry and topology,
-// the same cells, and state of its own.
+// clone returns a model of a new mesh of the same geometry and
+// topology holding the same cells, with state of its own. It rebuilds
+// them through the new model's apply helpers: the bare pins first,
+// then the allocated cells, then the pins over them.
 func (cm *cellModel) clone(t *testing.T) *cellModel {
 	t.Helper()
-	m, c := cm.m, cm.m.Clone()
-	if c.w != m.w || c.l != m.l || c.h != m.h || c.torus != m.torus {
-		t.Fatalf("clone is %dx%dx%d torus=%v, source %dx%dx%d torus=%v",
-			c.w, c.l, c.h, c.torus, m.w, m.l, m.h, m.torus)
+	m := cm.m
+	c := New3D(m.w, m.l, m.h)
+	c.torus = m.torus
+	n := newCellModel(c)
+	var alloc []Coord
+	for i := range cm.alloc {
+		switch {
+		case cm.alloc[i]:
+			alloc = append(alloc, m.CoordOf(i))
+		case cm.pin[i]:
+			n.failCell(t, m.CoordOf(i))
+		}
 	}
-	n := &cellModel{m: c, alloc: slices.Clone(cm.alloc), pin: slices.Clone(cm.pin)}
-	n.verify(t)
+	n.allocate(t, alloc)
+	for i := range cm.pin {
+		if cm.alloc[i] && cm.pin[i] {
+			n.failCell(t, m.CoordOf(i))
+		}
+	}
+	if !slices.Equal(n.alloc, cm.alloc) || !slices.Equal(n.pin, cm.pin) {
+		t.Fatal("clone holds other cells than its source")
+	}
 	return n
 }
 

@@ -222,12 +222,6 @@ func (m *Mesh) LargestFree(maxW, maxL, maxArea int) (Submesh, bool) {
 	return m.largestFreeHist(maxW, maxL, maxArea)
 }
 
-// LargestFreeAnywhere returns the unconstrained largest free sub-mesh
-// (the largest free cuboid on a 3D mesh).
-func (m *Mesh) LargestFreeAnywhere() (Submesh, bool) {
-	return m.LargestFree3D(m.w, m.l, m.h, m.Size())
-}
-
 // FreeSeq yields the free processors plane by plane in row-major
 // order, extracting free runs from the bitboard words so busy spans of
 // any length cost one TrailingZeros64 hop and free runs are emitted

@@ -7,6 +7,12 @@ import (
 	"repro/internal/stats"
 )
 
+// largestFreeAnywhere returns the unconstrained largest free sub-mesh
+// (the largest free cuboid on a 3D mesh).
+func largestFreeAnywhere(m *Mesh) (Submesh, bool) {
+	return m.LargestFree3D(m.w, m.l, m.h, m.Size())
+}
+
 // paperExample builds the 4x4 mesh of the paper's Fig. 1: allocated
 // processors shaded such that no free 2x2 sub-mesh exists while 4
 // processors remain free.
@@ -120,9 +126,9 @@ func TestBestFitCornersOnEmptyMesh(t *testing.T) {
 
 func TestLargestFreeEmptyMesh(t *testing.T) {
 	m := New(16, 22)
-	s, ok := m.LargestFreeAnywhere()
+	s, ok := largestFreeAnywhere(m)
 	if !ok {
-		t.Fatal("LargestFreeAnywhere failed on empty mesh")
+		t.Fatal("largestFreeAnywhere failed on empty mesh")
 	}
 	if s.Area() != 352 {
 		t.Fatalf("largest free area = %d, want 352", s.Area())
@@ -160,7 +166,7 @@ func TestLargestFreeAroundObstacles(t *testing.T) {
 	if err := m.AllocateSub(Sub(2, 0, 2, 5)); err != nil {
 		t.Fatal(err)
 	}
-	s, ok := m.LargestFreeAnywhere()
+	s, ok := largestFreeAnywhere(m)
 	if !ok {
 		t.Fatal("LargestFree failed")
 	}
@@ -177,7 +183,7 @@ func TestLargestFreeNoneAvailable(t *testing.T) {
 	if err := m.AllocateSub(Sub(0, 0, 2, 2)); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := m.LargestFreeAnywhere(); ok {
+	if _, ok := largestFreeAnywhere(m); ok {
 		t.Fatal("LargestFree succeeded on full mesh")
 	}
 	if _, ok := m.LargestFree(0, 3, 9); ok {
@@ -270,7 +276,7 @@ func TestPropertyLargestFreeOptimal(t *testing.T) {
 		if err := m.Allocate(randomFree(m, s, s.Intn(30))); err != nil {
 			return false
 		}
-		got, ok := m.LargestFreeAnywhere()
+		got, ok := largestFreeAnywhere(m)
 		best := 0
 		for y := 0; y < 6; y++ {
 			for x := 0; x < 7; x++ {

@@ -157,9 +157,9 @@ func TestTorusLargestFreeWrapsSeam(t *testing.T) {
 	// the 6-wide band based at x=5.
 	m := NewTorus(8, 4)
 	fill(t, m, Sub(3, 0, 4, 3))
-	s, ok := m.LargestFreeAnywhere()
+	s, ok := largestFreeAnywhere(m)
 	if !ok || s != SubAt(5, 0, 6, 4) {
-		t.Fatalf("LargestFreeAnywhere = %v,%v; want the seam-wrapping 6x4 band at (5,0)", s, ok)
+		t.Fatalf("largestFreeAnywhere = %v,%v; want the seam-wrapping 6x4 band at (5,0)", s, ok)
 	}
 }
 

@@ -363,7 +363,7 @@ func TestLargestFree3DDifferentialDense(t *testing.T) {
 
 // TestLargestFree3DZeroAllocSteadyState pins the warm per-call heap
 // cost of the volumetric constrained-largest search at zero, matching
-// the planar guarantee the bench alloc gate enforces.
+// the planar guarantee of TestWarmOpsAllocateNothing.
 func TestLargestFree3DZeroAllocSteadyState(t *testing.T) {
 	m := New3D(32, 32, 8)
 	free := m.FreeNodes()

@@ -586,3 +586,65 @@ func TestLinkChurnConservation(t *testing.T) {
 		}
 	}
 }
+
+// TestFaultPathsAllocateNothing holds the warm link-fault paths to
+// fewer than one heap allocation per op: a FailLink/RecoverLink cycle
+// on an idle fabric, and RouteAround corner to corner, clean (the XYZ
+// route) and with the XYZ route cut (the BFS detour), into a reused
+// buffer. Each row is a setup and the op it returns; the 32x32 torus
+// and 64x64 rows skip under -short.
+func TestFaultPathsAllocateNothing(t *testing.T) {
+	cycle := func(w, l int, topo Topology) func(t *testing.T) func() {
+		return func(t *testing.T) func() {
+			cfg := DefaultConfig()
+			cfg.Topology = topo
+			n := New(des.NewEngine(), w, l, cfg)
+			c := c2(w/2, l/2)
+			return func() {
+				if err := n.FailLink(c, East); err != nil {
+					t.Fatal(err)
+				}
+				if err := n.RecoverLink(c, East); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	route := func(w, l int, cut bool) func(t *testing.T) func() {
+		return func(t *testing.T) func() {
+			n := New(des.NewEngine(), w, l, DefaultConfig())
+			if cut {
+				if err := n.FailLink(c2(w/2, 0), East); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var buf []int32
+			return func() {
+				var ok bool
+				if buf, ok = n.RouteAround(buf[:0], c2(0, 0), c2(w-1, l-1)); !ok {
+					t.Fatal("no route")
+				}
+			}
+		}
+	}
+	for _, row := range []struct {
+		name  string
+		full  bool // skipped under -short
+		setup func(t *testing.T) (op func())
+	}{
+		{"fail_recover/16x22/mesh", false, cycle(16, 22, MeshTopology)},
+		{"fail_recover/32x32/torus", true, cycle(32, 32, TorusTopology)},
+		{"route_around/clean/16x22", false, route(16, 22, false)},
+		{"route_around/detour/16x22", false, route(16, 22, true)},
+		{"route_around/detour/64x64", true, route(64, 64, true)},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			if row.full && testing.Short() {
+				t.Skip("full-size row")
+			}
+			if avg := testing.AllocsPerRun(100, row.setup(t)); avg != 0 {
+				t.Errorf("%v allocations per op, want 0", avg)
+			}
+		})
+	}
+}

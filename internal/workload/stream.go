@@ -10,8 +10,8 @@ package workload
 //   - for one seed, the per-job rng draw order is identical whether the
 //     stream is consumed lazily or collected into a slice first, so
 //     streaming and materialized runs are bit-identical;
-//   - Next never allocates in steady state (pinned by AllocsPerRun
-//     tests and the stream/* bench gate).
+//   - Next never allocates in steady state (pinned by
+//     TestSourcesDrawLazily and TestTraceSourceZeroAlloc).
 //
 // Sources whose stream can end abnormally (the chunked trace reader)
 // additionally implement Err; SourceErr recovers it through any wrapper

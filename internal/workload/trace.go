@@ -15,7 +15,8 @@ import (
 // This file implements trace I/O. Two formats are supported:
 //
 //   - the native format: one "arrival procs runtime" triple per line
-//     (whitespace separated; '#' comments), which is what cmd/tracegen
+//     (fields separated by spaces, tabs or any other byte at or below
+//     ' '; '#' comments), which is what cmd/tracegen
 //     emits. A fourth optional field carries the requested depth for
 //     3D-mesh traces (tracegen -depth); triples read as depth 1, so
 //     every pre-PR 4 trace still parses; and
@@ -44,75 +45,27 @@ func notFinite(format string, line int, field string, v float64) error {
 	return fmt.Errorf("workload: %s line %d: %s %v is not finite", format, line, field, v)
 }
 
-// ReadTrace parses a native-format trace. Shapes are derived with
+// ReadTrace parses a native-format trace and returns its usable
+// records sorted by arrival. It takes records through the streaming
+// readers' record step (one line may be up to 1 MiB), so it skips,
+// parses and drops exactly the lines they do. Shapes are derived with
 // ShapeFor against the given mesh geometry (a depth-d record shapes
 // its per-plane processors and requests d planes); per-processor
-// message counts are drawn from rng with mean numMes (they are a
-// property of the simulated communication, not of the trace).
+// message counts are drawn from rng with mean numMes, one draw per
+// usable record in file order (they are a property of the simulated
+// communication, not of the trace).
 func ReadTrace(r io.Reader, meshW, meshL int, numMes float64, rng *stats.Stream) ([]Job, error) {
+	sc := newTraceScanner(r, meshW, meshL, 1<<20)
 	var jobs []Job
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		fields := strings.Fields(text)
-		if len(fields) < 3 {
-			return nil, fmt.Errorf("workload: trace line %d: want 3 fields, got %d", line, len(fields))
-		}
-		arrival, err := strconv.ParseFloat(fields[0], 64)
+	for {
+		rec, ok, err := sc.next()
 		if err != nil {
-			return nil, fmt.Errorf("workload: trace line %d: bad arrival: %v", line, err)
+			return nil, err
 		}
-		if !finite(arrival) {
-			return nil, notFinite("trace", line, "arrival", arrival)
+		if !ok {
+			break
 		}
-		procs, err := strconv.Atoi(fields[1])
-		if err != nil {
-			return nil, fmt.Errorf("workload: trace line %d: bad processor count: %v", line, err)
-		}
-		runtime, err := strconv.ParseFloat(fields[2], 64)
-		if err != nil {
-			return nil, fmt.Errorf("workload: trace line %d: bad runtime: %v", line, err)
-		}
-		if !finite(runtime) {
-			return nil, notFinite("trace", line, "runtime", runtime)
-		}
-		depth := 1
-		if len(fields) >= 4 {
-			depth, err = strconv.Atoi(fields[3])
-			if err != nil {
-				return nil, fmt.Errorf("workload: trace line %d: bad depth: %v", line, err)
-			}
-		}
-		if procs <= 0 || depth <= 0 || runtime < 0 {
-			continue // unusable record
-		}
-		perPlane := (procs + depth - 1) / depth
-		if perPlane > meshW*meshL {
-			continue // unusable record
-		}
-		w, l := ShapeFor(perPlane, meshW, meshL)
-		h := 0
-		if depth > 1 {
-			h = depth
-		}
-		jobs = append(jobs, Job{
-			ID:       len(jobs),
-			Arrival:  arrival,
-			W:        w,
-			L:        l,
-			H:        h,
-			Compute:  runtime,
-			Messages: rng.ExpInt(numMes),
-		})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("workload: reading trace: %w", err)
+		jobs = append(jobs, rec.job(len(jobs), meshW, meshL, rng.ExpInt(numMes)))
 	}
 	sortByArrival(jobs)
 	return jobs, nil

@@ -5,19 +5,22 @@ package workload
 // than memory — is windowed through one fixed-size reusable byte
 // buffer, and each record becomes a Job only at the moment Next is
 // called. Steady-state Next performs zero heap allocations (pinned by
-// AllocsPerRun tests and the stream/trace_chunked bench gate): lines
-// are sub-slices of the chunk window, fields are parsed in place, and
-// the only state that grows with the trace is a handful of counters.
+// TestTraceSourceZeroAlloc): lines are sub-slices of the chunk window,
+// fields are parsed in place, and the only state that grows with the
+// trace is a handful of counters.
 //
-// The streaming contract (docs/occupancy-index.md §12) differs from
-// the materialized ReadTrace in exactly one way: records must already
+// All three native-trace readers — the validation pass ScanTrace, the
+// streaming TraceSource and the materialized ReadTrace — take records
+// through one record step, traceScanner.next, so they skip, parse and
+// drop the same lines. The streaming contract (docs/occupancy-index.md
+// §12) differs from ReadTrace in exactly one way: records must already
 // be in nondecreasing arrival order (which is what tracegen emits and
 // what the format documents). ReadTrace sorts defensively; a stream
 // cannot, so an out-of-order record ends the stream with an error
 // telling the caller to fall back to the materialized reader. For
 // in-order traces the two readers yield bit-identical jobs: same
-// accepted records, same IDs, same strconv parses, and the same
-// per-record rng draw order for the message counts.
+// accepted records, same IDs, and the same per-record rng draw order
+// for the message counts.
 
 import (
 	"bytes"
@@ -45,6 +48,17 @@ type traceScanner struct {
 	start, end int
 	eof        bool
 	line       int // lines handed out so far (1-based after the first)
+	plane      int // processors per mesh plane; larger requests are dropped
+}
+
+// newTraceScanner windows r through a chunk-byte buffer
+// (DefaultTraceChunk when chunk is non-positive) for records placed on
+// a meshW x meshL plane.
+func newTraceScanner(r io.Reader, meshW, meshL, chunk int) traceScanner {
+	if chunk <= 0 {
+		chunk = DefaultTraceChunk
+	}
+	return traceScanner{r: r, buf: make([]byte, chunk), plane: meshW * meshL}
 }
 
 // nextLine returns the next line (without its terminator), or ok=false
@@ -98,9 +112,10 @@ func trimCR(b []byte) []byte {
 	return b
 }
 
-// traceFields splits a line into up to four whitespace-separated
-// fields in place (no allocation); extra fields are counted but not
-// kept, matching the materialized reader, which ignores them.
+// traceFields splits a line into up to four fields in place (no
+// allocation). Every byte at or below ' ' — space, tab and the other
+// ASCII control bytes — separates fields; extra fields are counted but
+// not kept.
 func traceFields(line []byte, out *[4][]byte) int {
 	n := 0
 	i := 0
@@ -143,10 +158,26 @@ type traceRecord struct {
 	depth   int
 }
 
-// parseTraceLine parses one non-empty, non-comment line. It applies
-// the exact field semantics of the materialized ReadTrace: three
-// mandatory fields, an optional fourth depth field, the same error
-// messages (non-finite times included), the same strconv conversions.
+// perPlane is the processors the record requests on each of its
+// planes.
+func (rec traceRecord) perPlane() int { return (rec.procs + rec.depth - 1) / rec.depth }
+
+// job shapes the record into a Job: ShapeFor against the mesh for its
+// per-plane processors, and H set only for records deeper than one
+// plane.
+func (rec traceRecord) job(id, meshW, meshL, messages int) Job {
+	w, l := ShapeFor(rec.perPlane(), meshW, meshL)
+	h := 0
+	if rec.depth > 1 {
+		h = rec.depth
+	}
+	return Job{ID: id, Arrival: rec.arrival, W: w, L: l, H: h, Compute: rec.runtime, Messages: messages}
+}
+
+// parseTraceLine parses one non-empty, non-comment line: three
+// mandatory fields, an optional fourth depth field, strconv
+// conversions, and an error naming the line and the field for a
+// malformed or non-finite value.
 func parseTraceLine(fields *[4][]byte, n, lineNo int) (traceRecord, error) {
 	var rec traceRecord
 	if n < 3 {
@@ -191,6 +222,33 @@ func skipLine(line []byte) bool {
 	return true
 }
 
+// next advances to the next usable record. It is the record step of
+// all three native-trace readers: it skips blank and '#' lines, parses
+// the record, and drops unusable ones (non-positive sizes or depths,
+// negative runtimes, more processors per plane than the mesh has).
+// ok is false at the end of the trace and on an error.
+func (sc *traceScanner) next() (traceRecord, bool, error) {
+	var fields [4][]byte
+	for {
+		line, ok, err := sc.nextLine()
+		if !ok {
+			return traceRecord{}, false, err
+		}
+		if skipLine(line) {
+			continue
+		}
+		n := traceFields(line, &fields)
+		rec, err := parseTraceLine(&fields, n, sc.line)
+		if err != nil {
+			return rec, false, err
+		}
+		if rec.procs <= 0 || rec.depth <= 0 || rec.runtime < 0 || rec.perPlane() > sc.plane {
+			continue // unusable record
+		}
+		return rec, true, nil
+	}
+}
+
 // TraceSource streams a native-format trace through a fixed-size chunk
 // window: O(1) memory for any trace length, zero allocations per job
 // in steady state. Construct with NewTraceSource (any reader) or
@@ -220,12 +278,9 @@ type TraceSource struct {
 // in bytes; non-positive selects DefaultTraceChunk, and no line may
 // exceed the window.
 func NewTraceSource(r io.Reader, name string, meshW, meshL int, numMes float64, rng *stats.Stream, chunk int) *TraceSource {
-	if chunk <= 0 {
-		chunk = DefaultTraceChunk
-	}
 	return &TraceSource{
 		name:   name,
-		sc:     traceScanner{r: r, buf: make([]byte, chunk)},
+		sc:     newTraceScanner(r, meshW, meshL, chunk),
 		meshW:  meshW,
 		meshL:  meshL,
 		numMes: numMes,
@@ -277,64 +332,31 @@ func (s *TraceSource) fail(err error) (Job, bool) {
 }
 
 // Next implements Source: it advances the window to the next usable
-// record and shapes it into a Job. Unusable records (non-positive
-// sizes, negative runtimes, requests larger than a plane) are dropped
-// exactly as the materialized reader drops them.
+// record and shapes it into a Job.
 func (s *TraceSource) Next() (Job, bool) {
 	if s.done {
 		return Job{}, false
 	}
-	var fields [4][]byte
-	for {
-		line, ok, err := s.sc.nextLine()
-		if err != nil {
-			return s.fail(err)
-		}
-		if !ok {
-			s.done = true
-			if err := s.closeFile(); err != nil {
-				s.err = err
-			}
-			return Job{}, false
-		}
-		if skipLine(line) {
-			continue
-		}
-		n := traceFields(line, &fields)
-		rec, err := parseTraceLine(&fields, n, s.sc.line)
-		if err != nil {
-			return s.fail(err)
-		}
-		if rec.procs <= 0 || rec.depth <= 0 || rec.runtime < 0 {
-			continue // unusable record
-		}
-		perPlane := (rec.procs + rec.depth - 1) / rec.depth
-		if perPlane > s.meshW*s.meshL {
-			continue // unusable record
-		}
-		if s.started && rec.arrival < s.last {
-			return s.fail(fmt.Errorf("workload: trace line %d: arrival %g before predecessor %g — the streaming reader requires nondecreasing arrivals (sort the trace or use the materialized ReadTrace)",
-				s.sc.line, rec.arrival, s.last))
-		}
-		s.started = true
-		s.last = rec.arrival
-		w, l := ShapeFor(perPlane, s.meshW, s.meshL)
-		h := 0
-		if rec.depth > 1 {
-			h = rec.depth
-		}
-		j := Job{
-			ID:       s.next,
-			Arrival:  rec.arrival,
-			W:        w,
-			L:        l,
-			H:        h,
-			Compute:  rec.runtime,
-			Messages: s.rng.ExpInt(s.numMes),
-		}
-		s.next++
-		return j, true
+	rec, ok, err := s.sc.next()
+	if err != nil {
+		return s.fail(err)
 	}
+	if !ok {
+		s.done = true
+		if err := s.closeFile(); err != nil {
+			s.err = err
+		}
+		return Job{}, false
+	}
+	if s.started && rec.arrival < s.last {
+		return s.fail(fmt.Errorf("workload: trace line %d: arrival %g before predecessor %g — the streaming reader requires nondecreasing arrivals (sort the trace or use the materialized ReadTrace)",
+			s.sc.line, rec.arrival, s.last))
+	}
+	s.started = true
+	s.last = rec.arrival
+	j := rec.job(s.next, s.meshW, s.meshL, s.rng.ExpInt(s.numMes))
+	s.next++
+	return j, true
 }
 
 // TraceStats summarizes one O(1)-memory scan over a trace: the record
@@ -362,40 +384,18 @@ func (t TraceStats) MeanInterarrival() float64 {
 
 // ScanTrace makes the validation pass of the two-pass streaming
 // protocol: one sequential read through the trace with the same chunk
-// window and the same accept/drop rules as TraceSource, but no rng
-// draws and no jobs — just the stats. Malformed records fail here, at
-// setup, so the streaming pass behind a running simulation cannot trip
-// over them.
+// window and the same record step as TraceSource, but no rng draws and
+// no jobs — just the stats. Malformed records fail here, at setup, so
+// the streaming pass behind a running simulation cannot trip over
+// them.
 func ScanTrace(r io.Reader, meshW, meshL int, chunk int) (TraceStats, error) {
-	if chunk <= 0 {
-		chunk = DefaultTraceChunk
-	}
-	sc := traceScanner{r: r, buf: make([]byte, chunk)}
+	sc := newTraceScanner(r, meshW, meshL, chunk)
 	st := TraceStats{Ordered: true}
-	var fields [4][]byte
 	prev := 0.0
 	for {
-		line, ok, err := sc.nextLine()
-		if err != nil {
-			return st, err
-		}
+		rec, ok, err := sc.next()
 		if !ok {
-			return st, nil
-		}
-		if skipLine(line) {
-			continue
-		}
-		n := traceFields(line, &fields)
-		rec, err := parseTraceLine(&fields, n, sc.line)
-		if err != nil {
 			return st, err
-		}
-		if rec.procs <= 0 || rec.depth <= 0 || rec.runtime < 0 {
-			continue
-		}
-		perPlane := (rec.procs + rec.depth - 1) / rec.depth
-		if perPlane > meshW*meshL {
-			continue
 		}
 		if st.Jobs == 0 {
 			st.MinArrival, st.MaxArrival = rec.arrival, rec.arrival

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -64,6 +65,66 @@ func TestTraceSourceMatchesReadTrace(t *testing.T) {
 				if got[i] != want[i] {
 					t.Fatalf("deep=%v chunk=%d job %d: stream %+v, materialized %+v", deep, chunk, i, got[i], want[i])
 				}
+			}
+		}
+	}
+}
+
+// TestTraceReadersAgreeOnSeparators holds the three native-trace
+// readers to one verdict per record. Bytes at or below ' ' separate
+// fields, so a control byte or a tab does; NBSP (U+00A0) and NEL
+// (U+0085) are multi-byte runes and do not. On a sorted trace the
+// validation scan, the stream and the materialized reader must accept
+// the same records or fail with the same error; on an unsorted one the
+// scan and the materialized reader, meshsim's fallback pair, must.
+func TestTraceReadersAgreeOnSeparators(t *testing.T) {
+	cases := []struct {
+		name, sep, eol string
+		want           string // the error; "" when all three records are accepted
+	}{
+		{"control byte", "\x01", "\n", ""},
+		{"NBSP", "\u00a0", "\n", "workload: trace line 2: want 3 fields, got 2"},
+		{"NEL", "\u0085", "\n", "workload: trace line 2: want 3 fields, got 2"},
+		{"tab", "\t", "\n", ""},
+		{"CRLF", " ", "\r\n", ""},
+	}
+	errText := func(err error) string {
+		if err == nil {
+			return ""
+		}
+		return err.Error()
+	}
+	for _, c := range cases {
+		for _, sorted := range []bool{true, false} {
+			first := "1"
+			if !sorted {
+				first = "9"
+			}
+			text := first + " 4 10" + c.eol + "3" + c.sep + "4 10" + c.eol + "5 4 10" + c.eol
+			st, scanErr := ScanTrace(strings.NewReader(text), 16, 22, 0)
+			jobs, readErr := ReadTrace(strings.NewReader(text), 16, 22, 5, stats.NewStream(3))
+			if got := errText(scanErr); got != c.want {
+				t.Errorf("%s sorted=%v: ScanTrace error %q, want %q", c.name, sorted, got, c.want)
+			}
+			if got := errText(readErr); got != errText(scanErr) {
+				t.Errorf("%s sorted=%v: ReadTrace error %q, ScanTrace error %q", c.name, sorted, got, errText(scanErr))
+			}
+			if c.want == "" && (st.Jobs != 3 || len(jobs) != 3) {
+				t.Errorf("%s sorted=%v: ScanTrace accepted %d records, ReadTrace %d, want 3", c.name, sorted, st.Jobs, len(jobs))
+			}
+			if !sorted {
+				continue
+			}
+			src := NewTraceSource(strings.NewReader(text), "t", 16, 22, 5, stats.NewStream(3), 0)
+			var streamed []Job
+			for j, ok := src.Next(); ok; j, ok = src.Next() {
+				streamed = append(streamed, j)
+			}
+			if got := errText(src.Err()); got != errText(scanErr) {
+				t.Errorf("%s: TraceSource error %q, ScanTrace error %q", c.name, got, errText(scanErr))
+			}
+			if c.want == "" && !slices.Equal(streamed, jobs) {
+				t.Errorf("%s: streamed %+v, materialized %+v", c.name, streamed, jobs)
 			}
 		}
 	}
