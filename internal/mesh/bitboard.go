@@ -4,14 +4,17 @@ import "math/bits"
 
 // This file is the word-parallel bitboard core of the occupancy index:
 // per-(row, plane) uint64 masks of the free processors — the only
-// occupancy store — flipped span by span by every mutation path and
-// read by the scan hot paths. Bit x of plane-row r's words is
-// 1 iff cell (x, r) is free, so a 1024-wide row is 16 words and the
-// inner loops of the searches become machine-word operations:
+// occupancy state — flipped span by span by every mutation path and
+// read by every search. Bit x of plane-row r's words is 1 iff cell
+// (x, r) is free, so a 1024-wide row is 16 words and the inner loops of
+// the searches become machine-word operations:
 //
 //   - a row-span freeness probe is a masked compare per touched word
 //     (rowFreeSpan), and free-run extraction is one TrailingZeros64
 //     per word transition (maskNextFree/maskNextBusy);
+//   - the searches' row pruning asks whether a row holds a free run of
+//     width w at all (rowFitsWidth): a one-word row narrows in a
+//     register, a wider one walks its runs until one is long enough;
 //   - the candidate bases of a w x l window row are a *fit mask*: AND
 //     the window rows' words (bit x survives iff column x is free in
 //     every row), then narrow by width with ⌈log2 w⌉ shift-AND steps
@@ -106,8 +109,8 @@ func fillRowFree(words []uint64, w int) {
 // markRowSpan flips the free bits of columns [x1, x2] of plane-row r:
 // busy clears them, free sets them. The span is in-row (x2 < w), so
 // the tail rule is preserved. This is the bitboard's whole incremental
-// maintenance: every mutation path funnels through it cell by cell
-// (noteCells) or span by span (flipBox).
+// maintenance: the span mutation paths funnel through it (flipBox), the
+// per-node ones flip single bits (setFreeBit/clearFreeBit).
 func (m *Mesh) markRowSpan(r, x1, x2 int, toBusy bool) {
 	row := m.rowWords(r)
 	w0, w1 := x1>>6, x2>>6
@@ -208,6 +211,45 @@ func maskNextBusy(words []uint64, x, limit int) int {
 	return limit
 }
 
+// rowFitsWidth reports whether plane-row r holds a free run of at least
+// w cells (w >= 1) — the row pruning of every search. A one-word row
+// narrows in a register by shift-AND doubling (fitMask's fold), stopping
+// once no bit survives; a wider row walks its runs off the words and
+// stops at the first run of w, or when fewer than w columns remain.
+func (m *Mesh) rowFitsWidth(r, w int) bool {
+	words := m.rowWords(r)
+	if len(words) == 1 {
+		v := words[0]
+		for have := 1; have < w && v != 0; {
+			s := min(have, w-have)
+			v &= v >> uint(s)
+			have += s
+		}
+		return v != 0
+	}
+	for x := 0; ; {
+		x0 := maskNextFree(words, x, m.w)
+		if x0+w > m.w {
+			return false
+		}
+		x1 := maskNextBusy(words, x0, m.w)
+		if x1-x0 >= w {
+			return true
+		}
+		x = x1 + 1 // the processor ending the run is busy
+	}
+}
+
+// anyBit reports whether any bit of words is set.
+func anyBit(words []uint64) bool {
+	for _, v := range words {
+		if v != 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // runAtBits returns the free-run length at (x, plane-row r) read off
 // the words: the count of consecutive free cells from x rightward.
 func (m *Mesh) runAtBits(r, x int) int {
@@ -257,12 +299,7 @@ func fitMask(buf []uint64, w int) {
 func (m *Mesh) windowMaskInto(dst []uint64, y, z, l, h int) bool {
 	copy(dst, m.rowWords(m.rowIdx(y, z)))
 	if l == 1 && h == 1 {
-		for _, v := range dst {
-			if v != 0 {
-				return true
-			}
-		}
-		return false
+		return anyBit(dst)
 	}
 	for zz := z; zz < z+h; zz++ {
 		yy0 := y
@@ -309,12 +346,7 @@ func (m *Mesh) torusRowAndInto(dst []uint64, y, l int) bool {
 	}
 	copy(dst, m.rowWords(yy))
 	if l == 1 {
-		for _, v := range dst {
-			if v != 0 {
-				return true
-			}
-		}
-		return false
+		return anyBit(dst)
 	}
 	for i := 1; i < l; i++ {
 		yy := y + i

@@ -109,7 +109,8 @@ func TestDoubleRowMatchesModulo(t *testing.T) {
 // churnBitboard drives random sub-mesh allocate/release traffic through
 // the per-cell model — including rejected requests, which must roll
 // back cleanly — while cross-checking the word-parallel candidate
-// enumeration against the retained run-table walk after every mutation.
+// enumeration against the retained run-table walk, and on a torus the
+// wrapped runs and row test (checkTorusRows), after every mutation.
 func churnBitboard(t *testing.T, m *Mesh, rng *rand.Rand, steps int) {
 	t.Helper()
 	cm := newCellModel(m)
@@ -126,6 +127,9 @@ func churnBitboard(t *testing.T, m *Mesh, rng *rand.Rand, steps int) {
 			cm.releaseSub(t, live[i])
 			live[i] = live[len(live)-1]
 			live = live[:len(live)-1]
+		}
+		if m.torus {
+			checkTorusRows(t, m)
 		}
 		for q := 0; q < 4; q++ {
 			w, l := 1+rng.Intn(m.w), 1+rng.Intn(m.l)

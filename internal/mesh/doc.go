@@ -13,10 +13,10 @@
 // rectangle's busy count is a masked popcount per row, a free run is a
 // trailing-zero scan, and the candidate bases of a w x l window row
 // are a fit mask — the window rows' words ANDed and narrowed by width
-// with shift-AND steps. On top of the words sit lazily repaired
-// per-row max-run aggregates (rowMax), which let the searches discard
-// whole rows in O(1), stacked into a per-plane aggregate (planeMax)
-// that discards whole planes.
+// with shift-AND steps. Nothing else is maintained: the searches
+// discard a window row by asking the words whether the row holds a
+// free run of the width at all (a register fold on a one-word row, a
+// run walk on a wider one), so a mutation is a bare span flip.
 //
 // The index is shared by every strategy; no operation rebuilds a full
 // table per allocation decision. See the Mesh type for the exact
@@ -61,11 +61,11 @@
 // invariants identical on both topologies.
 //
 // On a 3D mesh the searches gain the depth axis (FirstFit3D, BestFit3D,
-// LargestFree3D, FitsAt3D) scanning candidate bases in (z, y, x) order
-// with plane-aggregate pruning; every 3D entry point delegates to the
-// planar machinery on depth-1 meshes, so 2D behaviour — placements,
-// tie-breaking, memoization — is bit-identical to the planar-only
-// engine by construction (volume.go).
+// LargestFree3D, FitsAt3D) scanning candidate bases in (z, y, x) order.
+// FirstFit and BestFit run one loop for both depths — the planar search
+// is its depth-1 case — while LargestFree3D delegates to the planar
+// LargestFree on depth-1 meshes, so 2D placements, tie-breaking and
+// memoization are those of the planar engine (volume.go).
 //
 // # Coordinates
 //

@@ -3,28 +3,25 @@ package mesh
 import "fmt"
 
 // Pinned cells model failed processors: a failed cell reads as busy to
-// every query path — the bitboard words, the row and plane aggregates,
-// the torus seam band and the 3D plane projections — because Fail
-// flips its bit through the same span-flip and aggregate-settle path
-// every allocation uses. No search or query ever consults the pin
-// marks; they only gate the mutation paths, so the index invariants
-// hold verbatim on a faulty mesh.
+// every query path — the bitboard words, and so the torus seam band
+// and the 3D plane projections built from them — because Fail clears
+// its bit exactly as an allocation does. No search or query ever
+// consults the pin marks; they only gate the mutation paths, so the
+// index invariants hold verbatim on a faulty mesh.
 //
 // The occupancy state of a faulty mesh is the pair (allocated, pinned)
 // per cell, with busy = allocated ∪ pinned maintained as the derived
 // view the index runs on:
 //
-//   - Fail on a free cell marks it busy (one single-cell index update)
-//     and pins it.
+//   - Fail on a free cell marks it busy (one bit flip) and pins it.
 //   - Fail on an allocated cell pins it in place and records the live
-//     allocation underneath as an overlay — the words, and therefore
-//     every aggregate, are untouched.
+//     allocation underneath as an overlay — the words are untouched.
 //   - Release and ReleaseSub never free a pinned cell: releasing an
 //     allocation whose region contains an overlay clears the overlay
 //     and keeps the cell busy, so a failed processor can never leak
 //     back into the free pool through its victim's teardown.
 //   - Recover unpins: an overlaid cell stays busy (its allocation still
-//     holds it); a bare pin frees the cell with a single-cell release.
+//     holds it); a bare pin frees the cell (one bit flip).
 //
 // Fail and Recover keep AllocatedCount invariant by construction, and
 // a Fail on a free cell only shrinks the free set, so the histogram
@@ -37,19 +34,6 @@ func (m *Mesh) ensureFault() {
 	if m.pinned == nil {
 		m.pinned = make([]bool, m.w*m.l*m.h)
 		m.overlay = make([]bool, m.w*m.l*m.h)
-	}
-}
-
-// noteCell flips one cell's bit and settles the aggregates — the
-// single-cell analogue of flipBox.
-func (m *Mesh) noteCell(c Coord, toBusy bool) {
-	r := m.rowIdx(c.Y, c.Z)
-	m.markRowSpan(r, c.X, c.X, toBusy)
-	if toBusy {
-		m.aggSpanBusy(r, c.X, c.X)
-	} else {
-		m.noteRelease()
-		m.aggCellFree(r, c.X)
 	}
 }
 
@@ -76,7 +60,7 @@ func (m *Mesh) Fail(c Coord) error {
 		return nil
 	}
 	m.freeCount--
-	m.noteCell(c, true)
+	m.clearFreeBit(m.rowIdx(c.Y, c.Z), c.X)
 	return nil
 }
 
@@ -99,7 +83,8 @@ func (m *Mesh) Recover(c Coord) error {
 		return nil
 	}
 	m.freeCount++
-	m.noteCell(c, false)
+	m.setFreeBit(m.rowIdx(c.Y, c.Z), c.X)
+	m.noteRelease()
 	return nil
 }
 
@@ -139,7 +124,7 @@ func (m *Mesh) releasePinnedAware(nodes []Coord) error {
 	// Apply, using the bit flips themselves as duplicate detectors,
 	// mirroring the pristine path; a duplicate rolls every prior flip
 	// back so errors stay side-effect free.
-	freed := make([]Coord, 0, len(nodes))
+	freed := 0
 	for i, c := range nodes {
 		idx := m.Index(c)
 		r := m.rowIdx(c.Y, c.Z)
@@ -154,7 +139,7 @@ func (m *Mesh) releasePinnedAware(nodes []Coord) error {
 			}
 		case !m.freeBitAt(r, c.X):
 			m.setFreeBit(r, c.X)
-			freed = append(freed, c)
+			freed++
 		default:
 			dup = true
 		}
@@ -171,9 +156,9 @@ func (m *Mesh) releasePinnedAware(nodes []Coord) error {
 			return fmt.Errorf("mesh: duplicate coordinate %v in request", c)
 		}
 	}
-	m.freeCount += len(freed)
-	if len(freed) > 0 {
-		m.noteCells(freed, -1)
+	m.freeCount += freed
+	if freed > 0 {
+		m.noteRelease()
 	}
 	return nil
 }
@@ -207,7 +192,7 @@ func (m *Mesh) releaseSubPinnedAware(s Submesh) error {
 		m.freeCount += s.Area()
 		return nil
 	}
-	freed := m.freed[:0]
+	freed := 0
 	for z := s.Z1; z <= s.Z2; z++ {
 		for y := s.Y1; y <= s.Y2; y++ {
 			row := (z*m.l + y) * m.w
@@ -218,15 +203,14 @@ func (m *Mesh) releaseSubPinnedAware(s Submesh) error {
 					m.overlayCount--
 				} else {
 					m.setFreeBit(r, x)
-					freed = append(freed, Coord{x, y, z})
+					freed++
 				}
 			}
 		}
 	}
-	m.freeCount += len(freed)
-	if len(freed) > 0 {
-		m.noteCells(freed, -1)
+	m.freeCount += freed
+	if freed > 0 {
+		m.noteRelease()
 	}
-	m.freed = freed[:0]
 	return nil
 }

@@ -255,30 +255,20 @@ func (m *Mesh) largestFreeHist(maxW, maxL, maxArea int) (Submesh, bool) {
 // space — no free processor — is decided as not found.
 func (m *Mesh) bestFirstProbe(startArea, maxW, maxL int) (best Submesh, found, decided bool) {
 	probes := probeBudget
-	// Candidates never exceed the free count, and no shape is wider
-	// than the widest free run of any row — both read straight off the
-	// index and discard whole swaths of the pair space for free.
+	// Candidates never exceed the free count, which discards whole
+	// swaths of the pair space for free.
+	if m.freeCount == 0 {
+		return Submesh{}, false, true // no free processor at all
+	}
 	if m.freeCount < startArea {
 		startArea = m.freeCount
-	}
-	// The repair-free row bound (looseRowBound) is all a filter needs —
-	// repairing every stale row here would cost the O(W·L) this phase
-	// exists to avoid.
-	widestRun := 0
-	for y := 0; y < m.l; y++ {
-		if b := m.looseRowBound(y); b > widestRun {
-			widestRun = b
-		}
-	}
-	if widestRun == 0 {
-		return Submesh{}, false, true // no free processor at all
 	}
 	// Refuted shapes — a failed probe refutes every shape containing
 	// one — persist on the mesh across calls until the next release
 	// (refuted/noteRefuted), so GABL's tail carves inherit what the
 	// first carve's probes learned.
 	probe := func(w, l int) (Submesh, bool) {
-		if w > widestRun || m.refuted(w, l) {
+		if m.refuted(w, l) {
 			return Submesh{}, false
 		}
 		probes--
@@ -456,19 +446,18 @@ func (m *Mesh) maxWidthByHeight(maxL int) []int {
 		if ry >= m.l {
 			ry -= m.l
 		}
-		// Degenerate rows shortcut the stack. A fully busy row — the
-		// aggregate bounds the widest run from above even when stale —
-		// zeroes every height and records nothing. And when the NEXT
-		// band row is fully free (a handful of word compares,
+		// Degenerate rows shortcut the stack. A fully busy row — every
+		// word zero — zeroes every height and records nothing. And when
+		// the NEXT band row is fully free (a handful of word compares,
 		// rowFullyFree), every rectangle this row would record recurs
 		// there with the same width and a height one larger (or capped
 		// equal), so its record is dominated through the suffix max —
 		// only the heights need maintaining here.
-		if m.rowMax[ry] == 0 {
+		words := m.rowWords(ry)
+		if !anyBit(words) {
 			hs.resetSweep(cols)
 			continue
 		}
-		words := m.rowWords(ry)
 		if m.torus {
 			m.doubleRowInto(band, words)
 			words = band

@@ -4,7 +4,7 @@ package mesh
 // the only occupancy store, so every naive reference scan below runs
 // against the busy map derived from them (busySnapshot); checkTables
 // verifies the word invariants (geometry, sealed tail bits, freeCount,
-// on-demand runs, lazy aggregates), and the per-cell model
+// on-demand runs, the row pruning test), and the per-cell model
 // (model_test.go) that calls it after every random mutation holds the
 // words to the cells each operation should have left busy. The searches
 // must return exactly what the seed's exhaustive scans returned.
@@ -46,9 +46,8 @@ func naiveRightRun(busy []bool, w, l int) []int {
 }
 
 // checkTables verifies the authoritative word state against full
-// recomputes of the busy map it encodes. It is depth-aware: a 2D mesh
-// exercises exactly the planar invariants, a 3D one additionally the
-// plane aggregates.
+// recomputes of the busy map it encodes, on every plane-row of a 2D or
+// 3D mesh.
 func checkTables(t *testing.T, m *Mesh) {
 	t.Helper()
 	busy := busySnapshot(m)
@@ -73,52 +72,19 @@ func checkTables(t *testing.T, m *Mesh) {
 			}
 		}
 	}
+	// Row pruning: rowFitsWidth answers "a free run of at least w" for
+	// every plane-row exactly at the row's widest run, on one-word and
+	// multi-word rows alike.
 	for r := 0; r < m.rows(); r++ {
-		max := 0
+		widest := 0
 		for x := 0; x < m.w; x++ {
-			if rr := wantRun[r*m.w+x]; rr > max {
-				max = rr
-			}
+			widest = max(widest, wantRun[r*m.w+x])
 		}
-		// A stale aggregate must still bound the true maximum from
-		// above; a fresh one must be exact and well-positioned, and
-		// rowMaxAt must repair staleness to exactness.
-		if m.rowStale[r] {
-			if m.rowMax[r] < max {
-				t.Fatalf("stale rowMax[%d] = %d below true max %d\n%s", r, m.rowMax[r], max, m)
-			}
-			if got := m.rowMaxAt(r); got != max {
-				t.Fatalf("rowMaxAt(%d) = %d after repair, recompute says %d\n%s", r, got, max, m)
-			}
+		if widest > 0 && !m.rowFitsWidth(r, widest) {
+			t.Fatalf("rowFitsWidth(%d, %d) = false, widest run is %d\n%s", r, widest, widest, m)
 		}
-		if m.rowMax[r] != max {
-			t.Fatalf("rowMax[%d] = %d, recompute says %d\n%s", r, m.rowMax[r], max, m)
-		}
-		if max > 0 && wantRun[r*m.w+m.rowMaxPos[r]] != max {
-			t.Fatalf("rowMaxPos[%d] = %d does not point at a run of %d\n%s",
-				r, m.rowMaxPos[r], max, m)
-		}
-	}
-	for z := 0; z < m.h; z++ {
-		rowsMax := 0
-		for r := z * m.l; r < (z+1)*m.l; r++ {
-			if m.rowMax[r] > rowsMax {
-				rowsMax = m.rowMax[r]
-			}
-		}
-		// The plane aggregate bounds the row aggregates from above, with
-		// equality when fresh; planeMaxRescan must restore equality.
-		if m.planeMax[z] < rowsMax {
-			t.Fatalf("planeMax[%d] = %d below row aggregate max %d\n%s", z, m.planeMax[z], rowsMax, m)
-		}
-		if !m.planeStale[z] && m.planeMax[z] != rowsMax {
-			t.Fatalf("fresh planeMax[%d] = %d, row aggregates say %d\n%s", z, m.planeMax[z], rowsMax, m)
-		}
-		if m.planeStale[z] {
-			m.planeMaxRescan(z)
-			if m.planeMax[z] != rowsMax {
-				t.Fatalf("planeMaxRescan(%d) = %d, row aggregates say %d\n%s", z, m.planeMax[z], rowsMax, m)
-			}
+		if m.rowFitsWidth(r, widest+1) {
+			t.Fatalf("rowFitsWidth(%d, %d) = true, widest run is %d\n%s", r, widest+1, widest, m)
 		}
 	}
 	nbusy := 0
@@ -563,6 +529,29 @@ func naiveTorusLargestFree(m *Mesh, maxW, maxL, maxArea int) (Submesh, bool) {
 	return best, bestFound
 }
 
+// checkTorusRows holds every wrapped run (runAt) to the naive torus
+// runs, and the searches' wrapped row test (torusRowFits) exact at each
+// row's widest wrapped run: true there, false one past it.
+func checkTorusRows(t *testing.T, m *Mesh) {
+	t.Helper()
+	run := naiveTorusRun(busySnapshot(m), m.w, m.l)
+	for y := 0; y < m.l; y++ {
+		widest := 0
+		for x := 0; x < m.w; x++ {
+			if got := m.runAt(x, y); got != run[y*m.w+x] {
+				t.Fatalf("runAt(%d,%d) = %d, naive says %d\n%s", x, y, got, run[y*m.w+x], m)
+			}
+			widest = max(widest, run[y*m.w+x])
+		}
+		if widest > 0 && !m.torusRowFits(y, widest) {
+			t.Fatalf("torusRowFits(%d, %d) = false, widest wrapped run is %d\n%s", y, widest, widest, m)
+		}
+		if widest < m.w && m.torusRowFits(y, widest+1) {
+			t.Fatalf("torusRowFits(%d, %d) = true, widest wrapped run is %d\n%s", y, widest+1, widest, m)
+		}
+	}
+}
+
 // checkTorusQueries cross-checks the wrap-aware queries and all three
 // searches against the naive torus scans on the current occupancy.
 func checkTorusQueries(t *testing.T, m *Mesh, rng *rand.Rand) {
@@ -570,21 +559,7 @@ func checkTorusQueries(t *testing.T, m *Mesh, rng *rand.Rand) {
 	if !m.torus {
 		t.Fatal("checkTorusQueries on a planar mesh")
 	}
-	run := naiveTorusRun(busySnapshot(m), m.w, m.l)
-	for y := 0; y < m.l; y++ {
-		rowMax := 0
-		for x := 0; x < m.w; x++ {
-			if got := m.runAt(x, y); got != run[y*m.w+x] {
-				t.Fatalf("runAt(%d,%d) = %d, naive says %d\n%s", x, y, got, run[y*m.w+x], m)
-			}
-			if run[y*m.w+x] > rowMax {
-				rowMax = run[y*m.w+x]
-			}
-		}
-		if got := m.rowBoundAt(y); got < rowMax || got > m.w {
-			t.Fatalf("rowBoundAt(%d) = %d outside [%d, %d]\n%s", y, got, rowMax, m.w, m)
-		}
-	}
+	checkTorusRows(t, m)
 	for i := 0; i < 8; i++ {
 		x, y := rng.Intn(m.w), rng.Intn(m.l)
 		rw, rl := 1+rng.Intn(m.w), 1+rng.Intn(m.l)
@@ -681,8 +656,7 @@ func TestIndexOracleRectOps(t *testing.T) {
 
 // TestIndexOracleCellOps drives random scattered (per-processor)
 // allocate/release sequences and their doomed variants through the
-// model, covering the per-cell aggregate settle and the duplicate
-// rollback.
+// model, covering the per-cell bit flips and the duplicate rollback.
 func TestIndexOracleCellOps(t *testing.T) {
 	runCellOps(t, New(11, 13), 43, 1500, checkQueries) // odd sides: no alignment accidents
 }

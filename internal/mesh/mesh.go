@@ -4,44 +4,25 @@ import "fmt"
 
 // Mesh is the occupancy model of a W x L x H mesh: which processors are
 // allocated, how many are free, and the searches over the free set. A
-// 2D mesh is the H == 1 special case, and every 2D code path is
-// unchanged on it — the depth axis generalizes the tables without
-// disturbing the planar index. It is not safe for concurrent use; a
-// simulation owns one mesh.
+// 2D mesh is the H == 1 special case: the depth axis adds plane-rows
+// without disturbing the planar index, and the contiguous searches run
+// one loop whose depth-1 case is the planar search. It is not safe for
+// concurrent use; a simulation owns one mesh.
 //
 // Occupancy is indexed incrementally — there is no per-decision
-// full-table rebuild anywhere. The bitboard is the single authoritative
-// occupancy store; two lazy aggregates ride on top of it (rows are
-// addressed by the plane-row index r = z·L + y, so a 2D mesh has r == y
-// and the planar descriptions below read verbatim):
-//
-//   - freeW is the word-parallel bitboard (bitboard.go): wpr uint64
-//     words per plane-row, bit x set iff the cell is free, tail bits
-//     past W always zero. Mutations flip it span by span (markRowSpan)
-//     or bit by bit, and every query derives from it on demand:
-//     Busy(c) is one bit test, cuboid busy/free counts are
-//     math/bits.OnesCount64 over masked words (busyRowSpanBits,
-//     scanBusyBox), freeness probes are masked compares (rowFreeSpan),
-//     and free-run lookups — CandidatesRow fit masks, FreeSeq,
-//     rowMaxRescan, the torus seam runs — are trailing-zero scans
-//     (maskNextFree/maskNextBusy, runAtBits). A whole-row count is
-//     W/64 popcounts, so nothing else needs maintaining for counting.
-//
-//   - rowMax[r] upper-bounds the widest free run of row r, letting the
-//     searches discard whole candidate rows in O(1). Mutations settle
-//     it from the words in O(1) per touched row span: a freed span's
-//     containing run is two trailing-zero hops (aggSpanFree), a busy
-//     flip that carves the recorded run marks the row stale
-//     (aggSpanBusy), and searches — never mutations — repair stale
-//     rows by rescanning the words (rowMaxRescan). It is exact unless
-//     rowStale[r].
-//
-//   - planeMax[z] upper-bounds the widest free run anywhere in plane z
-//     — the z-axis aggregate stacked over the per-row ones. The 3D
-//     searches discard whole candidate planes with it (volume.go). It
-//     is maintained as a max on row-aggregate increases; a search
-//     repairing a row downward marks the plane stale (planeStale), and
-//     only searches re-derive stale planes from the row aggregates.
+// full-table rebuild anywhere. The word-parallel bitboard freeW
+// (bitboard.go) is the only occupancy state: wpr uint64 words per
+// plane-row (rows are addressed by the plane-row index r = z·L + y, so
+// a 2D mesh has r == y), bit x set iff the cell is free, tail bits past
+// W always zero. Mutations flip it span by span (markRowSpan) or bit by
+// bit and maintain nothing else but freeCount, and every query derives
+// from it on demand: Busy(c) is one bit test, cuboid busy/free counts
+// are math/bits.OnesCount64 over masked words (busyRowSpanBits,
+// scanBusyBox), freeness probes are masked compares (rowFreeSpan), and
+// free-run lookups — CandidatesRow fit masks, FreeSeq, the row pruning
+// of the searches (rowFitsWidth), the torus seam runs — are
+// trailing-zero scans or shift-AND folds (maskNextFree/maskNextBusy,
+// runAtBits).
 //
 // The invariants (checkTables in index_test.go checks them after every
 // mutation, beside a naive per-cell model that predicts which cells
@@ -49,8 +30,6 @@ import "fmt"
 //
 //	freeW bit x of plane-row r set <=> the cell is free; bits >= w zero
 //	freeCount == Σ OnesCount64 over all words
-//	rowMax[r] >= the widest free run of row r, equality unless rowStale[r]
-//	planeMax[z] >= max over rows r of plane z of rowMax[r], equality unless planeStale[z]
 type Mesh struct {
 	w, l, h int
 
@@ -60,32 +39,13 @@ type Mesh struct {
 	wpr   int
 
 	// torus selects wrap-around occupancy semantics for queries and
-	// searches: the index tables stay planar either way (see torus.go),
+	// searches: the bitboard words stay planar either way (see torus.go),
 	// so every maintenance invariant above holds verbatim on both
 	// topologies. The torus query layer is two-dimensional; NewTorus
 	// rejects depth > 1.
 	torus bool
 
 	freeCount int
-
-	// rowMax[r] bounds the widest free run in plane-row r — the
-	// row-level aggregate of the bitboard words. A search for width w
-	// skips every window containing a row with rowMax < w without
-	// probing a single base. rowMaxPos[r] is the base of a run
-	// achieving it. A mutation that misses the recorded run cannot have
-	// shrunk it, so the aggregate update is O(1); carving into it
-	// leaves the old value behind as a valid upper bound and marks the
-	// row stale (rowStale), and only searches — never mutations —
-	// re-derive stale rows, so mutation-only strategies pay nothing for
-	// exactness they do not use.
-	rowMax    []int
-	rowMaxPos []int
-	rowStale  []bool
-	// planeMax[z] is the z-axis aggregate: an upper bound on the widest
-	// free run in plane z, maintained exactly like rowMax one level up
-	// (see the type comment and volume.go).
-	planeMax   []int
-	planeStale []bool
 
 	// hist holds the reusable buffers of the histogram-based
 	// constrained-largest searches (histogram.go, volume.go); lazily
@@ -98,7 +58,7 @@ type Mesh struct {
 	releaseEpoch uint64
 
 	// pinned marks failed processors (fault.go): pinned cells are busy
-	// in every table above, and the release paths refuse to free them.
+	// in the words, and the release paths refuse to free them.
 	// overlay marks the pinned cells whose failing flip found a live
 	// allocation underneath — their release clears the overlay and
 	// leaves the cell busy. Both are nil until the first Fail, so
@@ -107,9 +67,6 @@ type Mesh struct {
 	overlay      []bool
 	pinnedCount  int
 	overlayCount int
-	// freed is releaseSubPinnedAware's list of the cells it frees,
-	// reused across calls; nil until the first release over a pin.
-	freed []Coord
 }
 
 // New returns an empty (fully free) w x l mesh of depth 1 — the paper's
@@ -123,17 +80,12 @@ func New3D(w, l, h int) *Mesh {
 		panic(fmt.Sprintf("mesh: invalid dimensions %dx%dx%d", w, l, h))
 	}
 	m := &Mesh{
-		w:          w,
-		l:          l,
-		h:          h,
-		freeW:      make([]uint64, wordsPerRow(w)*l*h),
-		wpr:        wordsPerRow(w),
-		freeCount:  w * l * h,
-		rowMax:     make([]int, l*h),
-		rowMaxPos:  make([]int, l*h),
-		rowStale:   make([]bool, l*h),
-		planeMax:   make([]int, h),
-		planeStale: make([]bool, h),
+		w:         w,
+		l:         l,
+		h:         h,
+		freeW:     make([]uint64, wordsPerRow(w)*l*h),
+		wpr:       wordsPerRow(w),
+		freeCount: w * l * h,
 	}
 	m.resetTables()
 	return m
@@ -145,18 +97,10 @@ func (m *Mesh) rows() int { return m.l * m.h }
 // rowIdx maps (y, z) to the plane-row index.
 func (m *Mesh) rowIdx(y, z int) int { return z*m.l + y }
 
-// resetTables sets the index to the all-free state: every word filled,
-// aggregates at W.
+// resetTables sets the index to the all-free state: every word filled.
 func (m *Mesh) resetTables() {
 	for r := 0; r < m.rows(); r++ {
 		fillRowFree(m.rowWords(r), m.w)
-		m.rowMax[r] = m.w
-		m.rowMaxPos[r] = 0
-		m.rowStale[r] = false
-	}
-	for z := 0; z < m.h; z++ {
-		m.planeMax[z] = m.w
-		m.planeStale[z] = false
 	}
 }
 
@@ -277,127 +221,15 @@ func (m *Mesh) FitsAt(x, y, w, l int) bool {
 	return true
 }
 
-// aggSpanBusy settles plane-row r's aggregate after columns [x1,x2]
-// went busy: if the recorded widest run was carved into, its value
-// stays behind as a valid upper bound (runs only shrink under cells
-// made busy) and the row goes stale; a recorded run the span missed
-// cannot have shrunk, so nothing changes. O(1), no word reads.
-func (m *Mesh) aggSpanBusy(r, x1, x2 int) {
-	if m.rowStale[r] || m.rowMax[r] == 0 {
-		return
-	}
-	if pos := m.rowMaxPos[r]; pos <= x2 && pos+m.rowMax[r] > x1 {
-		m.rowStale[r] = true
-	}
-}
-
-// aggSpanFree settles plane-row r's aggregate after columns [x1,x2]
-// went free (bits already set): the run now containing the span is two
-// trailing-zero hops off the words, and if it matches or beats the
-// stored bound it is the new exact maximum — every other run either
-// merged into it or was untouched and so is bounded by the old value.
-// A shorter merged run leaves the aggregate alone: the stored bound
-// still bounds it, and its staleness state is still correct because
-// the recorded run, being disjoint from the span, was not touched. A
-// grown exact row bound lifts the plane aggregate with it.
-func (m *Mesh) aggSpanFree(r, x1, x2 int) {
-	words := m.rowWords(r)
-	start := maskPrevBusy(words, x1) + 1
-	end := maskNextBusy(words, x2, m.w)
-	if run := end - start; run >= m.rowMax[r] {
-		m.rowMax[r], m.rowMaxPos[r], m.rowStale[r] = run, start, false
-		if z := r / m.l; run > m.planeMax[z] {
-			m.planeMax[z] = run
-		}
-	}
-}
-
-// aggCellFree is aggSpanFree for a single freed cell — the per-node
-// release fold, order-independent within a batch because every bit is
-// already set before the first fold.
-func (m *Mesh) aggCellFree(r, x int) { m.aggSpanFree(r, x, x) }
-
-// rowMaxRescan re-derives plane-row r's exact widest run by extracting
-// runs from the bitboard words (the first strictly wider run wins, so
-// the position is the leftmost run of the maximum width). Called by
-// searches on stale rows only. Lowering the row bound may strand the
-// plane aggregate as an over-estimate, so a plane whose record matched
-// the lowered row goes stale too (planeMaxAt repairs it).
-func (m *Mesh) rowMaxRescan(r int) {
-	words := m.rowWords(r)
-	max, maxPos := 0, 0
-	for x := 0; x < m.w; {
-		x0 := maskNextFree(words, x, m.w)
-		if x0 >= m.w {
-			break
-		}
-		x1 := maskNextBusy(words, x0, m.w)
-		if rr := x1 - x0; rr > max {
-			max, maxPos = rr, x0
-		}
-		x = x1 + 1 // land past the run-ending busy processor
-	}
-	if z := r / m.l; max < m.rowMax[r] && m.rowMax[r] >= m.planeMax[z] {
-		m.planeStale[z] = true
-	}
-	m.rowMax[r], m.rowMaxPos[r], m.rowStale[r] = max, maxPos, false
-}
-
-// rowMaxAt returns the exact widest free run of plane-row r, repairing
-// a stale aggregate first.
-func (m *Mesh) rowMaxAt(r int) int {
-	if m.rowStale[r] {
-		m.rowMaxRescan(r)
-	}
-	return m.rowMax[r]
-}
-
-// rowFitsWidth reports whether plane-row r's widest free run is at
-// least w. The stored aggregate is an upper bound even when stale
-// (looseRowBound), so a value already below w settles the question
-// without the O(W) repair; only an inconclusive stale row pays for
-// exactness.
-func (m *Mesh) rowFitsWidth(r, w int) bool {
-	if m.rowMax[r] < w {
-		return false
-	}
-	return m.rowMaxAt(r) >= w
-}
-
 // flipBox marks the (validated) cuboid busy or free: whole-word writes
-// per plane-row (markRowSpan) with the O(1) aggregate settle riding
-// along — no per-cell loop anywhere on the path.
+// per plane-row (markRowSpan), no per-cell loop anywhere on the path.
 func (m *Mesh) flipBox(x1, y1, z1, x2, y2, z2 int, toBusy bool) {
 	if !toBusy {
 		m.noteRelease()
 	}
 	for z := z1; z <= z2; z++ {
 		for y := y1; y <= y2; y++ {
-			r := m.rowIdx(y, z)
-			m.markRowSpan(r, x1, x2, toBusy)
-			if toBusy {
-				m.aggSpanBusy(r, x1, x2)
-			} else {
-				m.aggSpanFree(r, x1, x2)
-			}
-		}
-	}
-}
-
-// noteCells settles the aggregates after the given cells' bits changed
-// by sign (+1 busy, -1 free). The callers flip the bits themselves
-// (the flips double as duplicate detectors); this fold is one O(1)
-// settle per cell, allocation-free.
-func (m *Mesh) noteCells(nodes []Coord, sign int) {
-	if sign < 0 {
-		m.noteRelease()
-	}
-	for _, c := range nodes {
-		r := m.rowIdx(c.Y, c.Z)
-		if sign > 0 {
-			m.aggSpanBusy(r, c.X, c.X)
-		} else {
-			m.aggCellFree(r, c.X)
+			m.markRowSpan(m.rowIdx(y, z), x1, x2, toBusy)
 		}
 	}
 }
@@ -430,7 +262,6 @@ func (m *Mesh) Allocate(nodes []Coord) error {
 		m.clearFreeBit(r, c.X)
 	}
 	m.freeCount -= len(nodes)
-	m.noteCells(nodes, 1)
 	return nil
 }
 
@@ -501,7 +332,7 @@ func (m *Mesh) Release(nodes []Coord) error {
 		m.setFreeBit(r, c.X)
 	}
 	m.freeCount += len(nodes)
-	m.noteCells(nodes, -1)
+	m.noteRelease()
 	return nil
 }
 

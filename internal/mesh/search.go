@@ -67,33 +67,32 @@ func (m *Mesh) CandidatesRow(y, w, l int) iter.Seq[int] {
 }
 
 // nextWindowRow advances the base row past every window that contains
-// a row too narrow for width w (rowMax < w): given base y whose window
-// rows (y..y+l-1) above the newly entered bottom row are known clean
-// when fresh is false, it returns the next viable base row, or m.l when
-// none remains. Amortized O(1) per base row.
-func (m *Mesh) nextWindowRow(y, w, l int, fresh bool) int {
+// a plane-row too narrow for width w (rowFitsWidth): the window of base
+// row y spans rows y..y+l-1 of planes z..z+h-1. When fresh is false the
+// window of base y-1 was clean, so only its newly entered top row
+// y+l-1 needs checking; a blocking row lets the scan jump straight past
+// it. It returns the next viable base row, or m.l when none remains.
+// Amortized O(h) row checks per base row.
+func (m *Mesh) nextWindowRow(y, z, w, l, h int, fresh bool) int {
 	for y+l <= m.l {
+		first := y
 		if !fresh {
-			// Only row y+l-1 is new to the window; the rest was
-			// checked when the previous base row was cleared.
-			if m.rowFitsWidth(y+l-1, w) {
-				return y
-			}
-			y += l
-			fresh = true
-			continue
+			first = y + l - 1
 		}
 		bad := -1
-		for yy := y + l - 1; yy >= y; yy-- {
-			if !m.rowFitsWidth(yy, w) {
-				bad = yy
-				break
+	rows:
+		for yy := y + l - 1; yy >= first; yy-- {
+			for zz := z; zz < z+h; zz++ {
+				if !m.rowFitsWidth(m.rowIdx(yy, zz), w) {
+					bad = yy
+					break rows
+				}
 			}
 		}
 		if bad < 0 {
 			return y
 		}
-		y = bad + 1
+		y, fresh = bad+1, true // every base in [y, bad] contains row bad
 	}
 	return m.l
 }
@@ -101,7 +100,8 @@ func (m *Mesh) nextWindowRow(y, w, l int, fresh bool) int {
 // FirstFit returns the first (row-major base order) free w x l sub-mesh,
 // the classic contiguous first-fit search. On a torus the candidate
 // space includes seam-crossing placements (the returned sub-mesh may
-// have X2 >= W or Y2 >= L; resolve it with SplitWrap).
+// have X2 >= W or Y2 >= L; resolve it with SplitWrap). On a 3D mesh a
+// 2D request is a depth-1 cuboid anywhere in the volume.
 func (m *Mesh) FirstFit(w, l int) (Submesh, bool) {
 	if m.torus {
 		return m.torusFirstFit(w, l)
@@ -109,22 +109,7 @@ func (m *Mesh) FirstFit(w, l int) (Submesh, bool) {
 	if w <= 0 || l <= 0 || w > m.w || l > m.l {
 		return Submesh{}, false
 	}
-	if m.h > 1 {
-		// On a 3D mesh a 2D request is a depth-1 cuboid anywhere in the
-		// volume (volume.go).
-		return m.firstFit3D(w, l, 1)
-	}
-	fresh := true
-	for y := 0; ; y++ {
-		y = m.nextWindowRow(y, w, l, fresh)
-		if y+l > m.l {
-			return Submesh{}, false
-		}
-		for x := range m.CandidatesRow(y, w, l) {
-			return SubAt(x, y, w, l), true
-		}
-		fresh = false
-	}
+	return m.firstFit3D(w, l, 1)
 }
 
 // BestFit returns the free w x l sub-mesh whose placement touches the
@@ -133,8 +118,10 @@ func (m *Mesh) FirstFit(w, l int) (Submesh, bool) {
 // Perimeter positions off the mesh count as border; corners are not
 // counted. The row-major-first candidate wins ties. On a torus the
 // candidate space includes seam-crossing placements and the score
-// counts busy neighbours only — a torus has no border to hug. Every
-// topology scores through the row kernel of bestfit.go.
+// counts busy neighbours only — a torus has no border to hug. On a 3D
+// mesh the candidates are depth-1 cuboids over the whole volume,
+// scored on all six faces. Every topology scores through the row
+// kernel of bestfit.go.
 func (m *Mesh) BestFit(w, l int) (Submesh, bool) {
 	if m.torus {
 		return m.torusBestFit(w, l)
@@ -142,26 +129,7 @@ func (m *Mesh) BestFit(w, l int) (Submesh, bool) {
 	if w <= 0 || l <= 0 || w > m.w || l > m.l {
 		return Submesh{}, false
 	}
-	if m.h > 1 {
-		// Depth-1 candidates over the whole volume, scored on all six
-		// faces (volume.go).
-		return m.BestFit3D(w, l, 1)
-	}
-	k := m.hist.scorer()
-	k.reset(m, w, l, 1)
-	mask := sizedScratch(&m.hist.winMask, m.wpr)
-	fresh := true
-	for y := 0; ; y++ {
-		y = m.nextWindowRow(y, w, l, fresh)
-		if y+l > m.l {
-			break
-		}
-		if m.planarFitMaskInto(mask, y, 0, w, l, 1) && k.scoreRow(m, mask, y, 0) {
-			break
-		}
-		fresh = false
-	}
-	return k.result()
+	return m.bestFit3D(w, l, 1)
 }
 
 // SlideFit returns the first entirely free w x l x h frame in the

@@ -1,9 +1,9 @@
 package mesh
 
 // This file is the torus query layer of the occupancy index. The
-// authoritative state (the bitboard words and the lazy row aggregates —
-// see Mesh) is planar and maintained identically for both topologies;
-// wrap-around semantics are resolved at query time:
+// occupancy state (the bitboard words — see Mesh) is planar and
+// maintained identically for both topologies; wrap-around semantics
+// are resolved at query time:
 //
 //   - a free run that reaches the x = W-1 edge continues at x = 0, so
 //     the run at a base is the planar run plus the row's leading run,
@@ -12,13 +12,13 @@ package mesh
 //   - a rectangle whose extent crosses the x or y seam is split into
 //     two (one seam) or four (both seams) planar rectangles, each
 //     pop-counted off the words (wrapPieces, wrapBusy);
-//   - the per-row max-run aggregate is widened into an upper bound by
-//     adding the row's leading run when the trailing edge is free
-//     (rowBoundAt) — a bound is all the searches need for pruning.
+//   - the searches' row pruning asks whether a row holds a wrapped free
+//     run of the width (torusRowFits): a planar run, or the trailing run
+//     carried across the seam into the leading run.
 //
-// Keeping the state planar means every mutation path, invariant and
-// repair rule of the planar index carries over unchanged, and mesh-mode
-// behaviour cannot drift: the torus branches are gated on m.torus.
+// Keeping the state planar means every mutation path and invariant of
+// the planar index carries over unchanged, and mesh-mode behaviour
+// cannot drift: the torus branches are gated on m.torus.
 
 // NewTorus returns an empty w x l torus mesh: occupancy queries and
 // searches treat the x and y extents as rings, so sub-meshes may cross
@@ -50,51 +50,20 @@ func (m *Mesh) runAt(x, y int) int {
 	return r
 }
 
-// rowBoundAt returns an upper bound on the widest free run of row y
-// under the mesh's topology: the exact planar aggregate on a mesh
-// (repairing staleness), widened on a torus by the row's leading run
-// when the trailing edge is free — the seam run is the trailing run
-// plus the leading run, and the trailing run never exceeds the planar
-// maximum, so the sum bounds it. Searches use the bound to discard
-// whole rows; an over-estimate only costs a probe, never a miss.
-func (m *Mesh) rowBoundAt(y int) int {
-	b := m.rowMaxAt(y)
-	if !m.torus || b == 0 || b >= m.w {
-		return b
+// torusRowFits reports whether row y holds a free run of at least w
+// cells (1 <= w <= W) on the ring: a planar run (rowFitsWidth), or,
+// when the trailing edge is free, the trailing run plus the leading
+// run it continues into across the seam. A row that is not fully free
+// has a busy cell, so the sum never exceeds W.
+func (m *Mesh) torusRowFits(y, w int) bool {
+	if m.rowFitsWidth(y, w) {
+		return true
 	}
 	if !m.freeBitAt(y, m.w-1) {
-		return b
-	}
-	b += m.runAtBits(y, 0)
-	if b > m.w {
-		b = m.w
-	}
-	return b
-}
-
-// looseRowBound is rowBoundAt without the staleness repair: the stored
-// rowMax bounds the widest run from above even when stale, and the
-// torus widening reads only the words (trailing-edge bit plus leading
-// run), so the result is a valid upper bound — what filters need,
-// never what an exact answer may use.
-func (m *Mesh) looseRowBound(y int) int {
-	b := m.rowMax[y]
-	if m.torus && b > 0 && b < m.w && m.freeBitAt(y, m.w-1) {
-		if b += m.runAtBits(y, 0); b > m.w {
-			b = m.w
-		}
-	}
-	return b
-}
-
-// rowBoundFits reports whether rowBoundAt(y) >= w, but consults the
-// repair-free looseRowBound first: a loose bound below w blocks the
-// row without the O(W) rescan.
-func (m *Mesh) rowBoundFits(y, w int) bool {
-	if m.looseRowBound(y) < w {
 		return false
 	}
-	return m.rowBoundAt(y) >= w
+	words := m.rowWords(y)
+	return m.w-1-maskPrevBusy(words, m.w-1)+maskNextBusy(words, 0, m.w) >= w
 }
 
 // wrapValid reports whether s is a well-formed sub-mesh of the torus:
@@ -190,7 +159,7 @@ func (m *Mesh) torusSubFree(s Submesh) bool {
 
 // torusWindowSkip prunes base rows for a w-wide, l-tall window whose
 // rows wrap: it returns the next base row >= y whose window contains no
-// row with rowBoundAt < w, or m.l when none remains. When fresh is
+// row failing torusRowFits, or m.l when none remains. When fresh is
 // false the window of base y-1 was clean, so only row y+l-1 is new to
 // it. A blocking row at or after the base lets the search jump straight
 // past it; a blocking row in the wrapped prefix ends the search, since
@@ -208,7 +177,7 @@ func (m *Mesh) torusWindowSkip(y, w, l int, fresh bool) int {
 			if yy >= m.l {
 				yy -= m.l
 			}
-			if !m.rowBoundFits(yy, w) {
+			if !m.torusRowFits(yy, w) {
 				bad = i
 				break
 			}

@@ -1,18 +1,19 @@
 package mesh
 
-// This file is the 3D query and search layer of the occupancy index
-// (PR 4). The authoritative state is dimension-general (mesh.go): the
-// bitboard words are per-(row, plane), the per-row aggregates stack
-// into the z-axis planeMax aggregate, and cuboid occupancy queries
+// This file is the 3D query and search layer of the occupancy index.
+// The occupancy state is dimension-general (mesh.go): the bitboard
+// words are per-(row, plane), and cuboid occupancy queries
 // (SubFree/FitsAt/BusyInRect/FreeInRect) are masked word compares and
-// pop-counts over the slab's rows. The searches here port the planar
-// ones:
+// pop-counts over the slab's rows. The searches here serve both
+// depths — a planar search is the depth-1 case:
 //
-//   - firstFit3D / BestFit3D scan candidate bases in (z, y, x) order,
-//     pruning whole planes with planeMax (z-pruning) and whole window
-//     rows with rowMax, and read each surviving window row's bases off
-//     a bitboard fit mask exactly like the planar CandidatesRow;
-//     BestFit3D scores them with the row kernel of bestfit.go;
+//   - firstFit3D / bestFit3D scan candidate bases in (z, y, x) order,
+//     pruning window rows whose plane-rows cannot hold the width
+//     (nextWindowRow, amortized across base rows), and read each
+//     surviving window row's bases off a bitboard fit mask; bestFit3D
+//     scores them with the row kernel of bestfit.go. The planar
+//     FirstFit and BestFit are their h == 1 calls; only the torus keeps
+//     searches of its own (torus.go);
 //   - largestFree3D runs the planar maximal-rectangle-in-histogram
 //     sweep — the same segment kernel, sweepRow — per projected plane
 //     under a z-extent outer loop: for every (base plane, depth) pair
@@ -23,38 +24,8 @@ package mesh
 //     reference the differential tests hold the sweep to, result for
 //     result (mirroring largestFreeScan).
 //
-// A depth-1 mesh never reaches this file: every public 3D entry point
-// delegates to the planar machinery there, so 2D (and torus) behaviour
-// is bit-identical to PR 3 by construction.
-
-// planeMaxRescan re-derives plane z's aggregate from the per-row
-// bounds. The row bounds themselves may be stale-high, so the result
-// stays an upper bound — which is all the plane filter needs — but it
-// sheds the over-estimate left by a lowered row. Called by searches on
-// stale planes only.
-func (m *Mesh) planeMaxRescan(z int) {
-	max := 0
-	for r := z * m.l; r < (z+1)*m.l; r++ {
-		if m.rowMax[r] > max {
-			max = m.rowMax[r]
-		}
-	}
-	m.planeMax[z], m.planeStale[z] = max, false
-}
-
-// planeFitsWidth reports whether plane z can possibly hold a free run
-// of width w. The stored aggregate bounds the true widest run from
-// above even when stale, so a value below w rejects the plane in O(1);
-// an inconclusive stale plane pays one O(L) re-derivation.
-func (m *Mesh) planeFitsWidth(z, w int) bool {
-	if m.planeMax[z] < w {
-		return false
-	}
-	if m.planeStale[z] {
-		m.planeMaxRescan(z)
-	}
-	return m.planeMax[z] >= w
-}
+// On a depth-1 mesh LargestFree3D delegates to the planar LargestFree,
+// so its probe phase and memoization are the planar ones.
 
 // FitsAt3D reports whether the w x l x h cuboid based at (x, y, z)
 // lies on the mesh and is entirely free: one masked word compare per
@@ -79,43 +50,6 @@ func (m *Mesh) FitsAt3D(x, y, z, w, l, h int) bool {
 	return true
 }
 
-// nextWindowPlane advances the base plane past every z-window that
-// contains a plane too narrow for width w (planeMax < w): it returns
-// the next base plane >= z whose window planes z..z+h-1 all pass the
-// plane filter, or m.h when none remains. A blocking plane rules out
-// every window containing it, so the scan jumps straight past it.
-func (m *Mesh) nextWindowPlane(z, w, h int) int {
-	for z+h <= m.h {
-		bad := -1
-		for i := h - 1; i >= 0; i-- {
-			if !m.planeFitsWidth(z+i, w) {
-				bad = z + i
-				break
-			}
-		}
-		if bad < 0 {
-			return z
-		}
-		z = bad + 1
-	}
-	return m.h
-}
-
-// blockingWindowRow returns the highest row yy in [y, y+l-1] whose
-// plane-rows across the z-window cannot hold width w, or -1 when every
-// window row passes. Any base row in [y, yy] would contain row yy, so
-// the search jumps to yy+1.
-func (m *Mesh) blockingWindowRow(y, z, w, l, h int) int {
-	for yy := y + l - 1; yy >= y; yy-- {
-		for zz := z; zz < z+h; zz++ {
-			if !m.rowFitsWidth(m.rowIdx(yy, zz), w) {
-				return yy
-			}
-		}
-	}
-	return -1
-}
-
 // FirstFit3D returns the first (in (z, y, x) base order) free
 // w x l x h cuboid — the contiguous first-fit search generalized with
 // the depth axis. On a depth-1 mesh (including the torus, where h must
@@ -124,36 +58,32 @@ func (m *Mesh) FirstFit3D(w, l, h int) (Submesh, bool) {
 	if w <= 0 || l <= 0 || h <= 0 || w > m.w || l > m.l || h > m.h {
 		return Submesh{}, false
 	}
-	if m.h == 1 {
-		return m.FirstFit(w, l)
+	if m.torus {
+		return m.torusFirstFit(w, l)
 	}
 	return m.firstFit3D(w, l, h)
 }
 
 // firstFit3D scans the candidate space plane window by plane window,
-// the surviving windows answered by a bitboard fit mask per base row.
-// Arguments are positive and within the mesh sides; the mesh has
-// depth > 1 (planar meshes take the 2D path).
+// the surviving window rows answered by a bitboard fit mask each.
+// Arguments are positive and within the mesh sides.
 func (m *Mesh) firstFit3D(w, l, h int) (Submesh, bool) {
 	mask := sizedScratch(&m.hist.winMask, m.wpr)
-	for z := 0; ; z++ {
-		z = m.nextWindowPlane(z, w, h)
-		if z+h > m.h {
-			return Submesh{}, false
-		}
-		for y := 0; y+l <= m.l; {
-			if bad := m.blockingWindowRow(y, z, w, l, h); bad >= 0 {
-				y = bad + 1
-				continue
+	for z := 0; z+h <= m.h; z++ {
+		fresh := true
+		for y := 0; ; y++ {
+			if y = m.nextWindowRow(y, z, w, l, h, fresh); y+l > m.l {
+				break
 			}
 			if m.planarFitMaskInto(mask, y, z, w, l, h) {
 				if x := firstMaskBit(mask, m.w); x >= 0 {
 					return SubAt3D(x, y, z, w, l, h), true
 				}
 			}
-			y++
+			fresh = false
 		}
 	}
+	return Submesh{}, false
 }
 
 // BestFit3D returns the free w x l x h cuboid whose placement touches
@@ -166,28 +96,33 @@ func (m *Mesh) BestFit3D(w, l, h int) (Submesh, bool) {
 	if w <= 0 || l <= 0 || h <= 0 || w > m.w || l > m.l || h > m.h {
 		return Submesh{}, false
 	}
-	if m.h == 1 {
-		return m.BestFit(w, l)
+	if m.torus {
+		return m.torusBestFit(w, l)
 	}
+	return m.bestFit3D(w, l, h)
+}
+
+// bestFit3D hands every surviving window row's fit mask, in (z, y)
+// order, to the scoring kernel, which stops at the first candidate
+// reaching the geometric ceiling. Arguments are positive and within
+// the mesh sides.
+func (m *Mesh) bestFit3D(w, l, h int) (Submesh, bool) {
 	k := m.hist.scorer()
 	k.reset(m, w, l, h)
 	mask := sizedScratch(&m.hist.winMask, m.wpr)
-	for z := 0; ; z++ {
-		z = m.nextWindowPlane(z, w, h)
-		if z+h > m.h {
-			return k.result()
-		}
-		for y := 0; y+l <= m.l; {
-			if bad := m.blockingWindowRow(y, z, w, l, h); bad >= 0 {
-				y = bad + 1
-				continue
+	for z := 0; z+h <= m.h; z++ {
+		fresh := true
+		for y := 0; ; y++ {
+			if y = m.nextWindowRow(y, z, w, l, h, fresh); y+l > m.l {
+				break
 			}
 			if m.planarFitMaskInto(mask, y, z, w, l, h) && k.scoreRow(m, mask, y, z) {
 				return k.result()
 			}
-			y++
+			fresh = false
 		}
 	}
+	return k.result()
 }
 
 // spread3 is the 3D shape tie-breaker: the spread between the longest

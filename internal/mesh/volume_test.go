@@ -265,7 +265,7 @@ func TestVolumeOracleBoxOps(t *testing.T) {
 
 // TestVolumeOracleCellOps drives random scattered (per-processor)
 // allocate/release sequences and their doomed variants on a 3D mesh
-// through the model, covering the per-cell aggregate settle across
+// through the model, covering the per-cell bit flips across
 // plane-rows.
 func TestVolumeOracleCellOps(t *testing.T) {
 	runCellOps(t, New3D(5, 7, 3), 67, 800, checkQueries3D) // odd-ish sides: no alignment accidents

@@ -47,15 +47,15 @@ func notFinite(format string, line int, field string, v float64) error {
 
 // ReadTrace parses a native-format trace and returns its usable
 // records sorted by arrival. It takes records through the streaming
-// readers' record step (one line may be up to 1 MiB), so it skips,
-// parses and drops exactly the lines they do. Shapes are derived with
-// ShapeFor against the given mesh geometry (a depth-d record shapes
-// its per-plane processors and requests d planes); per-processor
-// message counts are drawn from rng with mean numMes, one draw per
-// usable record in file order (they are a property of the simulated
-// communication, not of the trace).
+// readers' record step in their default window (DefaultTraceChunk,
+// which bounds a line), so it skips, parses, drops and rejects exactly
+// the lines they do. Shapes are derived with ShapeFor against the
+// given mesh geometry (a depth-d record shapes its per-plane processors
+// and requests d planes); per-processor message counts are drawn from
+// rng with mean numMes, one draw per usable record in file order (they
+// are a property of the simulated communication, not of the trace).
 func ReadTrace(r io.Reader, meshW, meshL int, numMes float64, rng *stats.Stream) ([]Job, error) {
-	sc := newTraceScanner(r, meshW, meshL, 1<<20)
+	sc := newTraceScanner(r, meshW, meshL, 0)
 	var jobs []Job
 	for {
 		rec, ok, err := sc.next()

@@ -34,8 +34,9 @@ import (
 )
 
 // DefaultTraceChunk is the trace reader's window size when the
-// constructor is given a non-positive chunk: large enough that refills
-// are rare, small enough to be irrelevant next to any mesh state.
+// constructor is given a non-positive chunk, and ReadTrace's always:
+// large enough that refills are rare, small enough to be irrelevant
+// next to any mesh state. A line longer than the window is an error.
 const DefaultTraceChunk = 64 * 1024
 
 // traceScanner windows an io.Reader through a fixed buffer and hands
@@ -91,8 +92,7 @@ func (sc *traceScanner) nextLine() (line []byte, ok bool, err error) {
 			sc.start = 0
 		}
 		if sc.end == len(sc.buf) {
-			return nil, false, fmt.Errorf("workload: trace line %d exceeds the %d-byte chunk window (raise the chunk size)",
-				sc.line+1, len(sc.buf))
+			return nil, false, fmt.Errorf("workload: trace line %d exceeds the %d-byte chunk window", sc.line+1, len(sc.buf))
 		}
 		n, rerr := sc.r.Read(sc.buf[sc.end:])
 		sc.end += n

@@ -70,37 +70,64 @@ func TestTraceSourceMatchesReadTrace(t *testing.T) {
 	}
 }
 
+// separatorCases are the one-verdict-per-record cases of the three
+// native-trace readers. Bytes at or below ' ' separate fields, so a
+// control byte or a tab does; NBSP (U+00A0) and NEL (U+0085) are
+// multi-byte runes and do not. All three readers share one line limit,
+// the default chunk window, so lines padded past it fail in each.
+var separatorCases = []struct {
+	name, sep, eol string
+	want           string // the error; "" when all three records are accepted
+}{
+	{"control byte", "\x01", "\n", ""},
+	{"NBSP", "\u00a0", "\n", "workload: trace line 2: want 3 fields, got 2"},
+	{"NEL", "\u0085", "\n", "workload: trace line 2: want 3 fields, got 2"},
+	{"tab", "\t", "\n", ""},
+	{"CRLF", " ", "\r\n", ""},
+	{"100 KiB of trailing spaces", " ", strings.Repeat(" ", 100<<10) + "\n",
+		"workload: trace line 1 exceeds the 65536-byte chunk window"},
+}
+
+// separatorText renders a separator case as a three-record trace, its
+// second record split by the case's separator; unsorted moves the first
+// arrival past the others.
+func separatorText(sep, eol string, sorted bool) string {
+	first := "1"
+	if !sorted {
+		first = "9"
+	}
+	return first + " 4 10" + eol + "3" + sep + "4 10" + eol + "5 4 10" + eol
+}
+
+// errText is an error's message, "" for nil.
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}
+
+// streamAll drains a TraceSource over text, returning the jobs it
+// yielded and the error that ended it.
+func streamAll(text string) ([]Job, error) {
+	src := NewTraceSource(strings.NewReader(text), "t", 16, 22, 5, stats.NewStream(3), 0)
+	var streamed []Job
+	for j, ok := src.Next(); ok; j, ok = src.Next() {
+		streamed = append(streamed, j)
+	}
+	return streamed, src.Err()
+}
+
 // TestTraceReadersAgreeOnSeparators holds the three native-trace
-// readers to one verdict per record. Bytes at or below ' ' separate
-// fields, so a control byte or a tab does; NBSP (U+00A0) and NEL
-// (U+0085) are multi-byte runes and do not. On a sorted trace the
-// validation scan, the stream and the materialized reader must accept
-// the same records or fail with the same error; on an unsorted one the
-// scan and the materialized reader, meshsim's fallback pair, must.
+// readers to one verdict per record (separatorCases). On a sorted trace
+// the validation scan, the stream and the materialized reader must
+// accept the same records or fail with the same error; on an unsorted
+// one the scan and the materialized reader, meshsim's fallback pair,
+// must.
 func TestTraceReadersAgreeOnSeparators(t *testing.T) {
-	cases := []struct {
-		name, sep, eol string
-		want           string // the error; "" when all three records are accepted
-	}{
-		{"control byte", "\x01", "\n", ""},
-		{"NBSP", "\u00a0", "\n", "workload: trace line 2: want 3 fields, got 2"},
-		{"NEL", "\u0085", "\n", "workload: trace line 2: want 3 fields, got 2"},
-		{"tab", "\t", "\n", ""},
-		{"CRLF", " ", "\r\n", ""},
-	}
-	errText := func(err error) string {
-		if err == nil {
-			return ""
-		}
-		return err.Error()
-	}
-	for _, c := range cases {
+	for _, c := range separatorCases {
 		for _, sorted := range []bool{true, false} {
-			first := "1"
-			if !sorted {
-				first = "9"
-			}
-			text := first + " 4 10" + c.eol + "3" + c.sep + "4 10" + c.eol + "5 4 10" + c.eol
+			text := separatorText(c.sep, c.eol, sorted)
 			st, scanErr := ScanTrace(strings.NewReader(text), 16, 22, 0)
 			jobs, readErr := ReadTrace(strings.NewReader(text), 16, 22, 5, stats.NewStream(3))
 			if got := errText(scanErr); got != c.want {
@@ -115,12 +142,8 @@ func TestTraceReadersAgreeOnSeparators(t *testing.T) {
 			if !sorted {
 				continue
 			}
-			src := NewTraceSource(strings.NewReader(text), "t", 16, 22, 5, stats.NewStream(3), 0)
-			var streamed []Job
-			for j, ok := src.Next(); ok; j, ok = src.Next() {
-				streamed = append(streamed, j)
-			}
-			if got := errText(src.Err()); got != errText(scanErr) {
+			streamed, streamErr := streamAll(text)
+			if got := errText(streamErr); got != errText(scanErr) {
 				t.Errorf("%s: TraceSource error %q, ScanTrace error %q", c.name, got, errText(scanErr))
 			}
 			if c.want == "" && !slices.Equal(streamed, jobs) {
@@ -128,6 +151,41 @@ func TestTraceReadersAgreeOnSeparators(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzTraceSource holds the three native-trace readers to one another
+// on arbitrary bytes: the validation scan and the materialized reader
+// fail with the same error or accept the same number of records; when
+// they accept, the scan calls the trace ordered exactly when the stream
+// drains it without its ordering error, and an ordered trace streams
+// exactly the materialized jobs. The seeds are the separator cases.
+func FuzzTraceSource(f *testing.F) {
+	for _, c := range separatorCases {
+		f.Add(separatorText(c.sep, c.eol, true))
+		f.Add(separatorText(c.sep, c.eol, false))
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		st, scanErr := ScanTrace(strings.NewReader(text), 16, 22, 0)
+		jobs, readErr := ReadTrace(strings.NewReader(text), 16, 22, 5, stats.NewStream(3))
+		if errText(scanErr) != errText(readErr) {
+			t.Fatalf("ScanTrace error %q, ReadTrace error %q", errText(scanErr), errText(readErr))
+		}
+		if scanErr != nil {
+			return
+		}
+		if st.Jobs != len(jobs) {
+			t.Fatalf("ScanTrace accepted %d records, ReadTrace %d", st.Jobs, len(jobs))
+		}
+		streamed, streamErr := streamAll(text)
+		switch {
+		case st.Ordered && streamErr != nil:
+			t.Fatalf("ScanTrace says ordered, TraceSource failed: %v", streamErr)
+		case !st.Ordered && !strings.Contains(errText(streamErr), "requires nondecreasing arrivals"):
+			t.Fatalf("ScanTrace says unordered, TraceSource ended with %q", errText(streamErr))
+		case st.Ordered && !slices.Equal(streamed, jobs):
+			t.Fatalf("streamed %+v, materialized %+v", streamed, jobs)
+		}
+	})
 }
 
 // TestTraceSourceTruncatedFinalLine checks a final record without a
