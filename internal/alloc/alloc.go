@@ -180,11 +180,9 @@ func (b *pieceBufs) get() []mesh.Submesh {
 }
 
 // release frees every piece of a, panicking on double release, then
-// recycles a.Pieces. Pieces are freed in reverse allocation order:
-// strategies hand out pieces in row-major sweeps, and freeing
-// right-to-left lets the occupancy index's run repair stop at the
-// still-busy left neighbor instead of re-propagating across the whole
-// just-freed span.
+// recycles a.Pieces. Pieces are freed last first. The order does not
+// matter to the mesh: each ReleaseSub flips only its own piece's words
+// and maintains nothing derived from its neighbours.
 func (b *pieceBufs) release(m *mesh.Mesh, a Allocation) {
 	for i := len(a.Pieces) - 1; i >= 0; i-- {
 		if err := m.ReleaseSub(a.Pieces[i]); err != nil {

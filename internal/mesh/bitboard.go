@@ -4,25 +4,31 @@ import "math/bits"
 
 // This file is the word-parallel bitboard core of the occupancy index:
 // per-(row, plane) uint64 masks of the free processors — the only
-// occupancy state — flipped span by span by every mutation path and
-// read by every search. Bit x of plane-row r's words is 1 iff cell
-// (x, r) is free, so a 1024-wide row is 16 words and the inner loops of
-// the searches become machine-word operations:
+// occupancy state — flipped box by box by every mutation path and read
+// by every search. Bit x of plane-row r's words is 1 iff cell (x, r) is
+// free, so a 1024-wide row is 16 words and the inner loops of the
+// searches become machine-word operations:
 //
-//   - a row-span freeness probe is a masked compare per touched word
-//     (rowFreeSpan), and free-run extraction is one TrailingZeros64
-//     per word transition (maskNextFree/maskNextBusy);
-//   - the searches' row pruning asks whether a row holds a free run of
-//     width w at all (rowFitsWidth): a one-word row narrows in a
-//     register, a wider one walks its runs until one is long enough;
+//   - every cuboid operation is one masked word operation per touched
+//     word of each plane-row, under span masks built once per box
+//     (spanOf): the all-free and all-busy checks (boxIs), the flip
+//     (flipBox) and the free count (boxFree); the pin marks of a faulty
+//     mesh share the layout, so its releases run on words too (fault.go);
+//   - free-run extraction is one TrailingZeros64 per word transition
+//     (maskNextFree/maskNextBusy), and the searches' row pruning asks
+//     whether a row holds a free run of width w at all (rowFitsWidth):
+//     a one-word row narrows in a register, a wider one walks its runs
+//     until one is long enough;
 //   - the candidate bases of a w x l window row are a *fit mask*: AND
 //     the window rows' words (bit x survives iff column x is free in
 //     every row), then narrow by width with ⌈log2 w⌉ shift-AND steps
 //     (fitMask) — bit x of the result is set iff the whole w x l
-//     rectangle based at x is free, and enumeration is bit iteration;
+//     rectangle based at x is free, and enumeration is bit iteration.
+//     A w x l x h window reads the rows of an AND-projected slab of h
+//     planes (slabOf), so it is l ANDs, not l·h;
 //   - the torus seam band is one word rotation (doubleRowInto) instead
-//     of a per-column copy, and the 3D AND-projected plane is a flat
-//     word-wise AND across z slabs (volume.go).
+//     of a per-column copy, and the 3D sweep's AND-projected plane is a
+//     flat word-wise AND across z slabs (volume.go).
 //
 // Layout invariants (enforced by checkTables after every mutation in
 // the model-checked tests and the fuzz target, where busy is the naive
@@ -52,13 +58,13 @@ func (m *Mesh) freeBitAt(r, x int) bool {
 	return m.freeW[r*m.wpr+x>>6]>>uint(x&63)&1 != 0
 }
 
-// setFreeBit marks column x of plane-row r free. The single-cell flip
-// behind the per-node mutation paths (Allocate/Release and their
-// rollbacks); spans go through markRowSpan.
-func (m *Mesh) setFreeBit(r, x int) { m.freeW[r*m.wpr+x>>6] |= 1 << uint(x&63) }
-
-// clearFreeBit marks column x of plane-row r busy.
-func (m *Mesh) clearFreeBit(r, x int) { m.freeW[r*m.wpr+x>>6] &^= 1 << uint(x&63) }
+// cellBit returns the word index and the bit of processor c in freeW's
+// layout, which the pin marks share: the per-node mutation paths and
+// the fault paths flip single bits through it; boxes go through
+// flipBox.
+func (m *Mesh) cellBit(c Coord) (int, uint64) {
+	return m.rowIdx(c.Y, c.Z)*m.wpr + c.X>>6, 1 << uint(c.X&63)
+}
 
 // rowFullyFree reports whether every cell of plane-row r is free: full
 // words all ones, the tail word exactly the tail mask. O(wpr).
@@ -104,62 +110,6 @@ func fillRowFree(words []uint64, w int) {
 	if tail := uint(w & 63); tail != 0 {
 		words[len(words)-1] = ^uint64(0) >> (64 - tail)
 	}
-}
-
-// markRowSpan flips the free bits of columns [x1, x2] of plane-row r:
-// busy clears them, free sets them. The span is in-row (x2 < w), so
-// the tail rule is preserved. This is the bitboard's whole incremental
-// maintenance: the span mutation paths funnel through it (flipBox), the
-// per-node ones flip single bits (setFreeBit/clearFreeBit).
-func (m *Mesh) markRowSpan(r, x1, x2 int, toBusy bool) {
-	row := m.rowWords(r)
-	w0, w1 := x1>>6, x2>>6
-	for i := w0; i <= w1; i++ {
-		lo, hi := 0, 63
-		if i == w0 {
-			lo = x1 & 63
-		}
-		if i == w1 {
-			hi = x2 & 63
-		}
-		mask := (^uint64(0) >> uint(63-(hi-lo))) << uint(lo)
-		if toBusy {
-			row[i] &^= mask
-		} else {
-			row[i] |= mask
-		}
-	}
-}
-
-// rowFreeSpan reports whether columns [x, x+w) of plane-row r are all
-// free — the per-row masked compare behind the word-path FitsAt. The
-// span is assumed in bounds (x+w <= W).
-func (m *Mesh) rowFreeSpan(r, x, w int) bool {
-	row := m.rowWords(r)
-	w0, w1 := x>>6, (x+w-1)>>6
-	for i := w0; i <= w1; i++ {
-		lo, hi := 0, 63
-		if i == w0 {
-			lo = x & 63
-		}
-		if i == w1 {
-			hi = (x + w - 1) & 63
-		}
-		mask := (^uint64(0) >> uint(63-(hi-lo))) << uint(lo)
-		if row[i]&mask != mask {
-			return false
-		}
-	}
-	return true
-}
-
-// rowFreeSpanWrap is rowFreeSpan with the x extent wrapping around the
-// torus ring: a span past W splits into its two planar pieces.
-func (m *Mesh) rowFreeSpanWrap(r, x, w int) bool {
-	if x+w <= m.w {
-		return m.rowFreeSpan(r, x, w)
-	}
-	return m.rowFreeSpan(r, x, m.w-x) && m.rowFreeSpan(r, 0, x+w-m.w)
 }
 
 // maskNextFree returns the position of the first set (free) bit of
@@ -211,13 +161,13 @@ func maskNextBusy(words []uint64, x, limit int) int {
 	return limit
 }
 
-// rowFitsWidth reports whether plane-row r holds a free run of at least
-// w cells (w >= 1) — the row pruning of every search. A one-word row
-// narrows in a register by shift-AND doubling (fitMask's fold), stopping
-// once no bit survives; a wider row walks its runs off the words and
-// stops at the first run of w, or when fewer than w columns remain.
-func (m *Mesh) rowFitsWidth(r, w int) bool {
-	words := m.rowWords(r)
+// rowFitsWidth reports whether a row's words (a plane-row, or a row of
+// an AND-projected slab) hold a free run of at least w cells (w >= 1) —
+// the row pruning of every search. A one-word row narrows in a register
+// by shift-AND doubling (fitMask's fold), stopping once no bit survives;
+// a wider row walks its runs off the words and stops at the first run
+// of w, or when fewer than w columns remain.
+func (m *Mesh) rowFitsWidth(words []uint64, w int) bool {
 	if len(words) == 1 {
 		v := words[0]
 		for have := 1; have < w && v != 0; {
@@ -248,12 +198,6 @@ func anyBit(words []uint64) bool {
 		}
 	}
 	return false
-}
-
-// runAtBits returns the free-run length at (x, plane-row r) read off
-// the words: the count of consecutive free cells from x rightward.
-func (m *Mesh) runAtBits(r, x int) int {
-	return maskNextBusy(m.rowWords(r), x, m.w) - x
 }
 
 // shiftDownAnd narrows buf in place: buf &= (buf >> s) in position
@@ -291,73 +235,66 @@ func fitMask(buf []uint64, w int) {
 	}
 }
 
-// windowMaskInto ANDs the free words of the l x h window of plane-rows
-// based at row y, planes z..z+h-1 into dst (wpr words) and reports
-// whether any bit survived — bit x of the result is set iff column x
-// is free in every window row, so a zero mask has no candidate base at
-// any width and callers can stop before the fit-mask narrowing.
-func (m *Mesh) windowMaskInto(dst []uint64, y, z, l, h int) bool {
-	copy(dst, m.rowWords(m.rowIdx(y, z)))
-	if l == 1 && h == 1 {
-		return anyBit(dst)
+// slabOf returns the rows of the h planes from z, AND-projected: bit x
+// of slab row y is set iff column x of row y is free in every one of
+// those planes, so a slab row holds a free run of width w only if all
+// h plane-rows under it do, and a window's AND over l slab rows is its
+// AND over all l·h plane-rows. A depth-1 slab is plane z's own words; a
+// deeper one is built in the 3D sweep's projection scratch, which is
+// free while a FirstFit or BestFit runs (largestFree3D places its
+// winner only after its sweep is done).
+func (m *Mesh) slabOf(z, h int) []uint64 {
+	pw := m.l * m.wpr
+	if h == 1 {
+		return m.freeW[z*pw : (z+1)*pw]
 	}
-	for zz := z; zz < z+h; zz++ {
-		yy0 := y
-		if zz == z {
-			yy0 = y + 1
-		}
-		for yy := yy0; yy < y+l; yy++ {
-			src := m.rowWords(m.rowIdx(yy, zz))
-			var any uint64
-			for i, v := range src {
-				dst[i] &= v
-				any |= dst[i]
-			}
-			if any == 0 {
-				return false
-			}
+	proj := sizedScratch(&m.hist.proj, pw)
+	copy(proj, m.freeW[z*pw:(z+1)*pw])
+	for zz := z + 1; zz < z+h; zz++ {
+		for i, v := range m.freeW[zz*pw : (zz+1)*pw] {
+			proj[i] &= v
 		}
 	}
-	return true
+	return proj
 }
 
-// planarFitMaskInto builds the width-w fit mask of the w x l x h
-// window family based at row y, planes z..z+h-1: bit x of dst is set
-// iff the cuboid based at (x, y, z) is entirely free. A false return
-// means the mask is certainly zero (some window column is nowhere
-// free); true means enumeration may still find no set bit.
-func (m *Mesh) planarFitMaskInto(dst []uint64, y, z, w, l, h int) bool {
-	if !m.windowMaskInto(dst, y, z, l, h) {
-		return false
-	}
-	fitMask(dst, w)
-	return true
-}
-
-// torusRowAndInto ANDs the free words of the l wrapped window rows
-// y..y+l-1 (mod L) into dst (wpr words), reporting whether any bit
-// survived — the planar half of a torus fit mask. Doubling commutes
-// with AND (both are per-bit), so ANDing first and rotating the seam
-// band once (doubleRowInto) equals doubling every row.
-func (m *Mesh) torusRowAndInto(dst []uint64, y, l int) bool {
-	yy := y
-	if yy >= m.l {
-		yy -= m.l
-	}
-	copy(dst, m.rowWords(yy))
+// windowMaskInto ANDs rows y..y+l-1 of slab into dst (wpr words) and
+// reports whether any bit survived — bit x of the result is set iff
+// column x is free in every window row, so a zero mask has no candidate
+// base at any width and callers can stop before the fit-mask
+// narrowing. Rows past L wrap: a torus window (slab is then the whole
+// depth-1 mesh) continues at row 0; planar windows never reach L.
+func (m *Mesh) windowMaskInto(dst, slab []uint64, y, l int) bool {
+	wpr, end := m.wpr, y+l
+	copy(dst, slab[y*wpr:(y+1)*wpr])
 	if l == 1 {
 		return anyBit(dst)
 	}
-	for i := 1; i < l; i++ {
-		yy := y + i
-		if yy >= m.l {
-			yy -= m.l
+	if end <= m.l {
+		return andRows(dst, slab[(y+1)*wpr:end*wpr])
+	}
+	return andRows(dst, slab[(y+1)*wpr:]) && andRows(dst, slab[:(end-m.l)*wpr])
+}
+
+// andRows ANDs each len(dst)-word row of rows into dst in turn and
+// reports whether any bit survived, stopping at the first row that
+// leaves dst zero. A one-word row folds in a register.
+func andRows(dst, rows []uint64) bool {
+	if len(dst) == 1 {
+		v := dst[0]
+		for _, r := range rows {
+			if v &= r; v == 0 {
+				break
+			}
 		}
-		src := m.rowWords(yy)
-		var any uint64
-		for j, v := range src {
-			dst[j] &= v
-			any |= dst[j]
+		dst[0] = v
+		return v != 0
+	}
+	for ; len(rows) > 0; rows = rows[len(dst):] {
+		row, any := rows[:len(dst)], uint64(0)
+		for i := range dst {
+			dst[i] &= row[i]
+			any |= dst[i]
 		}
 		if any == 0 {
 			return false
@@ -366,13 +303,28 @@ func (m *Mesh) torusRowAndInto(dst []uint64, y, l int) bool {
 	return true
 }
 
+// planarFitMaskInto builds the width-w fit mask of the w x l window
+// based at row y of slab: bit x of dst is set iff the w x l x h cuboid
+// the slab projects, based at (x, y), is entirely free. A false return
+// means the mask is certainly zero (some window column is nowhere
+// free); true means enumeration may still find no set bit.
+func (m *Mesh) planarFitMaskInto(dst, slab []uint64, y, w, l int) bool {
+	if !m.windowMaskInto(dst, slab, y, l) {
+		return false
+	}
+	fitMask(dst, w)
+	return true
+}
+
 // torusFitMaskInto builds the width-w torus fit mask of the wrapped
 // window rows y..y+l-1 into band (wordsPerRow(2W) words), using rowAnd
 // (wpr words) for the planar AND: set bits below W are exactly the
 // wrapped candidate bases (a bit in [W, 2W) is the same placement seen
-// from the second copy). False means no base survived the AND.
+// from the second copy). Doubling commutes with AND (both are per-bit),
+// so ANDing first and rotating the seam band once (doubleRowInto)
+// equals doubling every row. False means no base survived the AND.
 func (m *Mesh) torusFitMaskInto(band, rowAnd []uint64, y, w, l int) bool {
-	if !m.torusRowAndInto(rowAnd, y, l) {
+	if !m.windowMaskInto(rowAnd, m.freeW, y, l) {
 		return false
 	}
 	m.doubleRowInto(band, rowAnd)
@@ -417,23 +369,76 @@ func firstMaskBit(words []uint64, limit int) int {
 	return -1
 }
 
-// busyRowSpanBits counts the busy cells in columns [x1, x2] of
-// plane-row r: the span length minus the popcount of its free bits —
-// the busy counts behind BusyInRect, read straight off the bitboard.
-func (m *Mesh) busyRowSpanBits(r, x1, x2 int) int {
-	row := m.rowWords(r)
-	w0, w1 := x1>>6, x2>>6
-	free := 0
-	for i := w0; i <= w1; i++ {
-		lo, hi := 0, 63
-		if i == w0 {
-			lo = x1 & 63
+// span is the column span x1..x2 of a plane-row in word form, built
+// once per box: words w0..w1 of the row, the first masked by m0 and the
+// last by m1, the ones between whole. The box kernels walk a row as the
+// words before the last (the mask turns whole after the first) and then
+// the last word under its mask ANDed with m1, so a span inside one word
+// costs one masked operation per row with no per-word mask selection.
+type span struct {
+	w0, w1 int
+	m0, m1 uint64
+}
+
+// spanOf returns the word form of columns x1..x2 (0 <= x1 <= x2 < W).
+func spanOf(x1, x2 int) span {
+	return span{x1 >> 6, x2 >> 6, ^uint64(0) << uint(x1&63), ^uint64(0) >> uint(63-x2&63)}
+}
+
+// boxIs reports whether every cell of the (valid, in-bounds) box s,
+// columns sp, reads want in the words: ^0 all free, 0 all busy. One
+// masked compare per touched word of each plane-row; the first
+// mismatch ends the walk.
+func (m *Mesh) boxIs(s Submesh, sp span, want uint64) bool {
+	f, wpr := m.freeW, m.wpr
+	for z := s.Z1; z <= s.Z2; z++ {
+		for o, end := m.rowIdx(s.Y1, z)*wpr, m.rowIdx(s.Y2, z)*wpr; o <= end; o += wpr {
+			mk := sp.m0
+			for i := o + sp.w0; i < o+sp.w1; i++ {
+				if (f[i]^want)&mk != 0 {
+					return false
+				}
+				mk = ^uint64(0)
+			}
+			if (f[o+sp.w1]^want)&mk&sp.m1 != 0 {
+				return false
+			}
 		}
-		if i == w1 {
-			hi = x2 & 63
-		}
-		mask := (^uint64(0) >> uint(63-(hi-lo))) << uint(lo)
-		free += bits.OnesCount64(row[i] & mask)
 	}
-	return x2 - x1 + 1 - free
+	return true
+}
+
+// flipBox inverts the free bits of the (valid, in-bounds) box s,
+// columns sp: one XOR per touched word of each plane-row. Its callers
+// have checked the box uniform (all free before an allocation, all
+// busy before a release), so the flip marks it busy or free.
+func (m *Mesh) flipBox(s Submesh, sp span) {
+	f, wpr := m.freeW, m.wpr
+	for z := s.Z1; z <= s.Z2; z++ {
+		for o, end := m.rowIdx(s.Y1, z)*wpr, m.rowIdx(s.Y2, z)*wpr; o <= end; o += wpr {
+			mk := sp.m0
+			for i := o + sp.w0; i < o+sp.w1; i++ {
+				f[i] ^= mk
+				mk = ^uint64(0)
+			}
+			f[o+sp.w1] ^= mk & sp.m1
+		}
+	}
+}
+
+// boxFree counts the free cells of the (valid, in-bounds) box s: one
+// masked popcount per touched word of each plane-row.
+func (m *Mesh) boxFree(s Submesh) int {
+	sp, f, wpr, n := spanOf(s.X1, s.X2), m.freeW, m.wpr, 0
+	for z := s.Z1; z <= s.Z2; z++ {
+		for o, end := m.rowIdx(s.Y1, z)*wpr, m.rowIdx(s.Y2, z)*wpr; o <= end; o += wpr {
+			mk := sp.m0
+			for i := o + sp.w0; i < o+sp.w1; i++ {
+				n += bits.OnesCount64(f[i] & mk)
+				mk = ^uint64(0)
+			}
+			n += bits.OnesCount64(f[o+sp.w1] & mk & sp.m1)
+		}
+	}
+	return n
 }

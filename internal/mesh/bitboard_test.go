@@ -206,11 +206,10 @@ func TestBitboardZeroAllocSteadyState(t *testing.T) {
 			m = NewTorus(130, 40)
 		}
 		fragment(t, m, 77, 0.3)
+		var bases []int
 		drain := func() int {
-			n := 0
-			for range m.CandidatesRow(7, 9, 6) {
-				n++
-			}
+			bases = fitBases(m, bases[:0], 7, 9, 6)
+			n := len(bases)
 			for range m.FreeSeq() {
 				n++
 			}

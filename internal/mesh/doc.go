@@ -8,15 +8,19 @@
 //
 // Occupancy lives in one authoritative store, a word-parallel bitboard:
 // one uint64 bit per processor, set when it is free, W/64 words per
-// (row, plane). Every mutation flips span masks in place, and every
-// query reads the words: a processor's state is one bit test, a
-// rectangle's busy count is a masked popcount per row, a free run is a
-// trailing-zero scan, and the candidate bases of a w x l window row
+// (row, plane). Every cuboid operation — the all-free check before an
+// allocation, the all-busy check before a release, the flip, a
+// rectangle's free count — is one masked word operation per touched
+// word of each row, under span masks built once per box. A free run is
+// a trailing-zero scan, and the candidate bases of a w x l window row
 // are a fit mask — the window rows' words ANDed and narrowed by width
-// with shift-AND steps. Nothing else is maintained: the searches
-// discard a window row by asking the words whether the row holds a
-// free run of the width at all (a register fold on a one-word row, a
-// run walk on a wider one), so a mutation is a bare span flip.
+// with shift-AND steps; a 3D window reads the rows of its h planes'
+// AND-projection, so it folds l rows, not l·h. Nothing else is
+// maintained: the searches discard a window row by asking the words
+// whether the row holds a free run of the width at all (a register
+// fold on a one-word row, a run walk on a wider one), so a mutation is
+// a bare span flip. Failed processors are marked in bitboards of the
+// same layout, so releasing over them is word operations too.
 //
 // The index is shared by every strategy; no operation rebuilds a full
 // table per allocation decision. See the Mesh type for the exact

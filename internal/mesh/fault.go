@@ -1,6 +1,9 @@
 package mesh
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Pinned cells model failed processors: a failed cell reads as busy to
 // every query path — the bitboard words, and so the torus seam band
@@ -11,7 +14,10 @@ import "fmt"
 //
 // The occupancy state of a faulty mesh is the pair (allocated, pinned)
 // per cell, with busy = allocated ∪ pinned maintained as the derived
-// view the index runs on:
+// view the index runs on. The pin marks (pinned, and overlay for the
+// pins over a live allocation) are bitboards in the words' own layout,
+// so every fault path is bit operations on the same word indices
+// (cellBit), and a release is word operations:
 //
 //   - Fail on a free cell marks it busy (one bit flip) and pins it.
 //   - Fail on an allocated cell pins it in place and records the live
@@ -19,7 +25,9 @@ import "fmt"
 //   - Release and ReleaseSub never free a pinned cell: releasing an
 //     allocation whose region contains an overlay clears the overlay
 //     and keeps the cell busy, so a failed processor can never leak
-//     back into the free pool through its victim's teardown.
+//     back into the free pool through its victim's teardown. ReleaseSub
+//     does it per touched word: free |= mask &^ pinned, overlay &^=
+//     pinned (releaseSubPinnedAware).
 //   - Recover unpins: an overlaid cell stays busy (its allocation still
 //     holds it); a bare pin frees the cell (one bit flip).
 //
@@ -32,8 +40,8 @@ import "fmt"
 // meshes never carry them.
 func (m *Mesh) ensureFault() {
 	if m.pinned == nil {
-		m.pinned = make([]bool, m.w*m.l*m.h)
-		m.overlay = make([]bool, m.w*m.l*m.h)
+		m.pinned = make([]uint64, len(m.freeW))
+		m.overlay = make([]uint64, len(m.freeW))
 	}
 }
 
@@ -47,20 +55,20 @@ func (m *Mesh) Fail(c Coord) error {
 		return fmt.Errorf("mesh: fail out of bounds %v", c)
 	}
 	m.ensureFault()
-	idx := m.Index(c)
-	if m.pinned[idx] {
+	i, b := m.cellBit(c)
+	if m.pinned[i]&b != 0 {
 		return fmt.Errorf("mesh: fail already-failed %v", c)
 	}
-	m.pinned[idx] = true
+	m.pinned[i] |= b
 	m.pinnedCount++
-	if m.Busy(c) {
+	if m.freeW[i]&b == 0 {
 		// A live allocation holds the cell: pin over it, words untouched.
-		m.overlay[idx] = true
+		m.overlay[i] |= b
 		m.overlayCount++
 		return nil
 	}
 	m.freeCount--
-	m.clearFreeBit(m.rowIdx(c.Y, c.Z), c.X)
+	m.freeW[i] &^= b
 	return nil
 }
 
@@ -71,19 +79,19 @@ func (m *Mesh) Recover(c Coord) error {
 	if !m.InBounds(c) {
 		return fmt.Errorf("mesh: recover out of bounds %v", c)
 	}
-	idx := m.Index(c)
-	if m.pinned == nil || !m.pinned[idx] {
+	if !m.Pinned(c) {
 		return fmt.Errorf("mesh: recover not-failed %v", c)
 	}
-	m.pinned[idx] = false
+	i, b := m.cellBit(c)
+	m.pinned[i] &^= b
 	m.pinnedCount--
-	if m.overlay[idx] {
-		m.overlay[idx] = false
+	if m.overlay[i]&b != 0 {
+		m.overlay[i] &^= b
 		m.overlayCount--
 		return nil
 	}
 	m.freeCount++
-	m.setFreeBit(m.rowIdx(c.Y, c.Z), c.X)
+	m.freeW[i] |= b
 	m.noteRelease()
 	return nil
 }
@@ -91,7 +99,11 @@ func (m *Mesh) Recover(c Coord) error {
 // Pinned reports whether processor c is failed. Out-of-bounds
 // coordinates are not pinned.
 func (m *Mesh) Pinned(c Coord) bool {
-	return m.pinned != nil && m.InBounds(c) && m.pinned[m.Index(c)]
+	if m.pinned == nil || !m.InBounds(c) {
+		return false
+	}
+	i, b := m.cellBit(c)
+	return m.pinned[i]&b != 0
 }
 
 // PinnedCount returns the number of failed processors.
@@ -113,11 +125,11 @@ func (m *Mesh) releasePinnedAware(nodes []Coord) error {
 		if !m.InBounds(c) {
 			return fmt.Errorf("mesh: release out of bounds %v", c)
 		}
-		idx := m.Index(c)
-		if !m.Busy(c) {
+		i, b := m.cellBit(c)
+		if m.freeW[i]&b != 0 {
 			return fmt.Errorf("mesh: release already-free %v", c)
 		}
-		if m.pinned[idx] && !m.overlay[idx] {
+		if m.pinned[i]&^m.overlay[i]&b != 0 {
 			return fmt.Errorf("mesh: release pinned %v", c)
 		}
 	}
@@ -125,32 +137,31 @@ func (m *Mesh) releasePinnedAware(nodes []Coord) error {
 	// mirroring the pristine path; a duplicate rolls every prior flip
 	// back so errors stay side-effect free.
 	freed := 0
-	for i, c := range nodes {
-		idx := m.Index(c)
-		r := m.rowIdx(c.Y, c.Z)
+	for k, c := range nodes {
+		i, b := m.cellBit(c)
 		dup := false
 		switch {
-		case m.pinned[idx]:
-			if m.overlay[idx] {
-				m.overlay[idx] = false
+		case m.pinned[i]&b != 0:
+			if m.overlay[i]&b != 0 {
+				m.overlay[i] &^= b
 				m.overlayCount--
 			} else {
 				dup = true
 			}
-		case !m.freeBitAt(r, c.X):
-			m.setFreeBit(r, c.X)
+		case m.freeW[i]&b == 0:
+			m.freeW[i] |= b
 			freed++
 		default:
 			dup = true
 		}
 		if dup {
-			for k := 0; k < i; k++ {
-				p := nodes[k]
-				if m.pinned[m.Index(p)] {
-					m.overlay[m.Index(p)] = true
+			for _, p := range nodes[:k] {
+				j, pb := m.cellBit(p)
+				if m.pinned[j]&pb != 0 {
+					m.overlay[j] |= pb
 					m.overlayCount++
 				} else {
-					m.clearFreeBit(m.rowIdx(p.Y, p.Z), p.X)
+					m.freeW[j] &^= pb
 				}
 			}
 			return fmt.Errorf("mesh: duplicate coordinate %v in request", c)
@@ -164,52 +175,55 @@ func (m *Mesh) releasePinnedAware(nodes []Coord) error {
 }
 
 // releaseSubPinnedAware is ReleaseSub on a mesh with failed processors
-// (bounds already checked): overlays in the cuboid are cleared and
-// their cells stay busy, everything else must be allocated and is
-// freed. A cuboid that turns out pin-free takes the uniform flipBox
-// path after all.
-func (m *Mesh) releaseSubPinnedAware(s Submesh) error {
-	pinnedIn := 0
+// (bounds already checked), columns sp, in two word passes over the
+// box's plane-rows. The check reads each touched word under its mask:
+// the bare pins (pinned, not overlaid) and the free cells are the cells
+// a release may not meet, and the lowest set bit of the first nonzero
+// such word — rows in (z, y) order, words left to right — is the
+// scan-order first offending cell the error names. The apply pass
+// frees the unpinned cells and clears the overlays of the pinned ones,
+// which stay busy.
+func (m *Mesh) releaseSubPinnedAware(s Submesh, sp span) error {
+	f, pinned, overlay, wpr := m.freeW, m.pinned, m.overlay, m.wpr
+	bad := func(i int, mk uint64) uint64 { return pinned[i]&mk&^overlay[i] | f[i]&mk }
 	for z := s.Z1; z <= s.Z2; z++ {
-		for y := s.Y1; y <= s.Y2; y++ {
-			row := (z*m.l + y) * m.w
-			r := m.rowIdx(y, z)
-			for x := s.X1; x <= s.X2; x++ {
-				switch {
-				case m.pinned[row+x]:
-					if !m.overlay[row+x] {
-						return fmt.Errorf("mesh: release pinned %v", Coord{x, y, z})
-					}
-					pinnedIn++
-				case m.freeBitAt(r, x):
-					return fmt.Errorf("mesh: release already-free %v", Coord{x, y, z})
+		for o, end := m.rowIdx(s.Y1, z)*wpr, m.rowIdx(s.Y2, z)*wpr; o <= end; o += wpr {
+			i, mk := o+sp.w0, sp.m0
+			for i < o+sp.w1 && bad(i, mk) == 0 {
+				i, mk = i+1, ^uint64(0)
+			}
+			if i == o+sp.w1 {
+				mk &= sp.m1
+			}
+			if v := bad(i, mk); v != 0 {
+				c := Coord{(i-o)<<6 + bits.TrailingZeros64(v), o/wpr - z*m.l, z}
+				if m.Pinned(c) {
+					return fmt.Errorf("mesh: release pinned %v", c)
 				}
+				return fmt.Errorf("mesh: release already-free %v", c)
 			}
 		}
 	}
-	if pinnedIn == 0 {
-		m.flipBox(s.X1, s.Y1, s.Z1, s.X2, s.Y2, s.Z2, false)
-		m.freeCount += s.Area()
-		return nil
+	pins := 0
+	apply := func(i int, mk uint64) {
+		pin := pinned[i] & mk
+		f[i] |= mk &^ pin
+		overlay[i] &^= pin
+		pins += bits.OnesCount64(pin)
 	}
-	freed := 0
 	for z := s.Z1; z <= s.Z2; z++ {
-		for y := s.Y1; y <= s.Y2; y++ {
-			row := (z*m.l + y) * m.w
-			r := m.rowIdx(y, z)
-			for x := s.X1; x <= s.X2; x++ {
-				if m.pinned[row+x] {
-					m.overlay[row+x] = false
-					m.overlayCount--
-				} else {
-					m.setFreeBit(r, x)
-					freed++
-				}
+		for o, end := m.rowIdx(s.Y1, z)*wpr, m.rowIdx(s.Y2, z)*wpr; o <= end; o += wpr {
+			mk := sp.m0
+			for i := o + sp.w0; i < o+sp.w1; i++ {
+				apply(i, mk)
+				mk = ^uint64(0)
 			}
+			apply(o+sp.w1, mk&sp.m1)
 		}
 	}
-	m.freeCount += freed
-	if freed > 0 {
+	m.overlayCount -= pins
+	if freed := s.Area() - pins; freed > 0 {
+		m.freeCount += freed
 		m.noteRelease()
 	}
 	return nil

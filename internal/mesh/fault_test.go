@@ -62,8 +62,21 @@ func drawNodes(m *Mesh, rng *rand.Rand) []Coord {
 	return nodes
 }
 
+// wideBox draws an on-mesh box up to a whole row wide, up to three
+// rows long and up to two planes deep: on a mesh wider than 64 its
+// span crosses word boundaries, so its release runs the word passes
+// over first, middle and last words under different masks.
+func wideBox(m *Mesh, rng *rand.Rand) Submesh {
+	x, y, z := rng.Intn(m.W()), rng.Intn(m.L()), rng.Intn(m.H())
+	return SubAt3D(x, y, z, 1+rng.Intn(m.W()-x), 1+rng.Intn(min(3, m.L()-y)), 1+rng.Intn(min(2, m.H()-z)))
+}
+
 // runFaultChurn churns one mesh with model-checked fault and
-// allocation ops, checking the query layer periodically.
+// allocation ops, checking the query layer periodically. It keeps the
+// boxes it allocated — small ones, some hanging off the mesh, and wide
+// ones (wideBox) — and releases them, and aims half its failures at
+// cells inside them, so releases meet overlaid pins in every word of a
+// multi-word row; random releases, mostly doomed, ride along.
 func runFaultChurn(t *testing.T, m *Mesh, steps int, queryCheck func(*testing.T, *Mesh, *rand.Rand)) {
 	t.Helper()
 	if testing.Short() {
@@ -71,15 +84,35 @@ func runFaultChurn(t *testing.T, m *Mesh, steps int, queryCheck func(*testing.T,
 	}
 	cm := newCellModel(m)
 	rng := rand.New(rand.NewSource(41))
+	var live []Submesh
 	for i := 0; i < steps; i++ {
-		switch rng.Intn(10) {
+		switch rng.Intn(12) {
 		case 0, 1:
-			cm.failCell(t, randCoord(m, rng))
+			c := randCoord(m, rng)
+			if len(live) > 0 && rng.Intn(2) == 0 {
+				b := live[rng.Intn(len(live))]
+				c = Coord{b.X1 + rng.Intn(b.W()), b.Y1 + rng.Intn(b.L()), b.Z1 + rng.Intn(b.H())}
+			}
+			cm.failCell(t, c)
 		case 2:
 			cm.recoverCell(t, cm.drawRecover(rng))
 		case 3, 4, 5, 6:
-			cm.allocSub(t, randCuboid(m, rng, 4))
+			s := randCuboid(m, rng, 4)
+			if rng.Intn(2) == 0 {
+				s = wideBox(m, rng)
+			}
+			if cm.allocSub(t, s) == nil {
+				live = append(live, s)
+			}
 		case 7, 8:
+			if len(live) == 0 {
+				break
+			}
+			k := rng.Intn(len(live))
+			cm.releaseSub(t, live[k])
+			live[k] = live[len(live)-1]
+			live = live[:len(live)-1]
+		case 9:
 			cm.releaseSub(t, randCuboid(m, rng, 3))
 		default:
 			cm.release(t, drawNodes(m, rng))
@@ -90,12 +123,19 @@ func runFaultChurn(t *testing.T, m *Mesh, steps int, queryCheck func(*testing.T,
 	}
 }
 
+// The fault oracles run on one-word rows and on rows of two and three
+// words (70 and 130 wide), where a box's span has first, middle and
+// last words. The wide meshes take more steps: a release must meet an
+// overlay in a word past the first, left of the box's first column
+// within that word, before a mask applied to the wrong word shows.
 func TestFaultOraclePlanar(t *testing.T) {
 	runFaultChurn(t, New(16, 22), 400, checkQueries)
+	runFaultChurn(t, New(130, 9), 1200, checkQueries)
 }
 
 func TestFaultOracle3D(t *testing.T) {
 	runFaultChurn(t, New3D(8, 9, 4), 400, checkQueries3D)
+	runFaultChurn(t, New3D(70, 6, 3), 1200, checkQueries3D)
 }
 
 // TestFaultOracleTorus churns a torus with seam-crossing allocations

@@ -62,19 +62,21 @@ type histScratch struct {
 	nFailed     int
 	failedEpoch uint64
 
-	// Bitboard word scratch (bitboard.go): the window fit mask of
-	// CandidatesRow, the torus window AND, and the doubled seam band
-	// shared by the torus CandidatesRow and the torus sweep — safe to
-	// share because the probe phase's candidate enumerations always
-	// complete before a sweep starts (largestFreeHist runs its phases
-	// strictly in sequence).
+	// Bitboard word scratch (bitboard.go): the window fit mask of the
+	// FirstFit and BestFit walks, the torus window AND, and the doubled
+	// seam band shared by the torus searches and the torus sweep — safe
+	// to share because the probe phase's searches always complete
+	// before a sweep starts (largestFreeHist runs its phases strictly in
+	// sequence).
 	winMask  []uint64
 	rowAnd   []uint64
 	bandMask []uint64
 
-	// 3D-search scratch (volume.go): the word-AND projected plane, the
-	// MW(d, l) table and the per-projection sweep records. The segment
-	// buffers above serve both sweeps; a mesh only ever exercises one.
+	// 3D-search scratch (volume.go): the word-AND projected plane —
+	// the 3D sweep's, and the slab a deeper-than-one FirstFit or BestFit
+	// walks (slabOf), which only runs once a sweep is done — the MW(d, l)
+	// table and the per-projection sweep records. The segment buffers
+	// above serve both sweeps; a mesh only ever exercises one.
 	proj  []uint64
 	mw3   []int
 	cand3 []int

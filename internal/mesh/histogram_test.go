@@ -60,7 +60,7 @@ func driveDifferential(t *testing.T, m *Mesh, seed int64, steps int) {
 			s := SubAt(x, y, 1+rng.Intn(min(4, m.w)), 1+rng.Intn(min(4, m.l)))
 			if m.torus {
 				for _, p := range m.SplitWrap(nil, s) {
-					if m.scanBusyBox(p.X1, p.Y1, 0, p.X2, p.Y2, 0) != 0 {
+					if !m.SubFree(p) {
 						goto next
 					}
 				}

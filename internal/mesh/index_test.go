@@ -10,7 +10,9 @@ package mesh
 // must return exactly what the seed's exhaustive scans returned.
 
 import (
+	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -80,10 +82,10 @@ func checkTables(t *testing.T, m *Mesh) {
 		for x := 0; x < m.w; x++ {
 			widest = max(widest, wantRun[r*m.w+x])
 		}
-		if widest > 0 && !m.rowFitsWidth(r, widest) {
+		if widest > 0 && !m.rowFitsWidth(m.rowWords(r), widest) {
 			t.Fatalf("rowFitsWidth(%d, %d) = false, widest run is %d\n%s", r, widest, widest, m)
 		}
-		if m.rowFitsWidth(r, widest+1) {
+		if m.rowFitsWidth(m.rowWords(r), widest+1) {
 			t.Fatalf("rowFitsWidth(%d, %d) = true, widest run is %d\n%s", r, widest+1, widest, m)
 		}
 	}
@@ -97,12 +99,13 @@ func checkTables(t *testing.T, m *Mesh) {
 		t.Fatalf("freeCount = %d, words say %d", m.freeCount, m.Size()-nbusy)
 	}
 	// Pin bookkeeping (fault.go): every pin is busy, every overlay is a
-	// pin, and the counters match the maps — so the derived busy map the
-	// checks above ran against is exactly allocated ∪ pinned.
+	// pin, and the counters match the mark words, cell by cell and by
+	// popcount — so no mark bit sits past W, and the derived busy map
+	// the checks above ran against is exactly allocated ∪ pinned.
 	pc, oc := 0, 0
 	for i := range busy {
-		p := m.pinned != nil && m.pinned[i]
-		o := m.overlay != nil && m.overlay[i]
+		p := markSet(m, m.pinned, m.CoordOf(i))
+		o := markSet(m, m.overlay, m.CoordOf(i))
 		if o && !p {
 			t.Fatalf("overlay without pin at %v\n%s", m.CoordOf(i), m)
 		}
@@ -120,6 +123,27 @@ func checkTables(t *testing.T, m *Mesh) {
 		t.Fatalf("pinnedCount/overlayCount = %d/%d, pin maps say %d/%d",
 			m.pinnedCount, m.overlayCount, pc, oc)
 	}
+	if m.pinned != nil && (len(m.pinned) != len(m.freeW) || len(m.overlay) != len(m.freeW)) {
+		t.Fatalf("pin marks hold %d/%d words, freeW %d", len(m.pinned), len(m.overlay), len(m.freeW))
+	}
+	pw, ow := 0, 0
+	for i := range m.pinned {
+		pw += bits.OnesCount64(m.pinned[i])
+		ow += bits.OnesCount64(m.overlay[i])
+	}
+	if pw != pc || ow != oc {
+		t.Fatalf("pin mark words hold %d/%d bits, their cells %d/%d", pw, ow, pc, oc)
+	}
+}
+
+// markSet reports whether cell c's bit is set in a pin-mark bitboard
+// (pinned or overlay); nil marks read clear.
+func markSet(m *Mesh, marks []uint64, c Coord) bool {
+	if marks == nil {
+		return false
+	}
+	i, b := m.cellBit(c)
+	return marks[i]&b != 0
 }
 
 // seedFitsAt is the seed's per-base probe: min rightRun over the rows.
@@ -346,23 +370,44 @@ func candidatesByRunTable(m *Mesh, y, w, l int) []int {
 	return out
 }
 
-// checkCandidatesRow cross-checks the word-parallel CandidatesRow
-// enumeration against the run-table walk for one (y, w, l) query: same
+// fitBases appends to dst, left to right, every base x of row y where
+// the w x l sub-mesh based at (x, y) is free, read off the fit mask the
+// searches build: on a planar mesh the depth-1 slab's of plane 0
+// (planarFitMaskInto), on a torus the seam band's, whose bits below W
+// are the wrapped bases (torusFitMaskInto). It uses the mesh's own
+// scratch, so it allocates nothing once dst has room.
+func fitBases(m *Mesh, dst []int, y, w, l int) []int {
+	if w <= 0 || l <= 0 || w > m.w || l > m.l || y < 0 || y >= m.l {
+		return dst
+	}
+	mask := sizedScratch(&m.hist.winMask, m.wpr)
+	limit := m.w
+	if m.torus {
+		mask = sizedScratch(&m.hist.bandMask, wordsPerRow(2*m.w))
+		if !m.torusFitMaskInto(mask, sizedScratch(&m.hist.rowAnd, m.wpr), y, w, l) {
+			return dst
+		}
+	} else if y+l > m.l || !m.planarFitMaskInto(mask, m.slabOf(0, 1), y, w, l) {
+		return dst
+	}
+	for i, v := range mask {
+		for ; v != 0; v &= v - 1 {
+			if x := i<<6 + bits.TrailingZeros64(v); x < limit {
+				dst = append(dst, x)
+			}
+		}
+	}
+	return dst
+}
+
+// checkCandidatesRow cross-checks the fit-mask base enumeration
+// (fitBases) against the run-table walk for one (y, w, l) query: same
 // bases, same left-to-right order.
 func checkCandidatesRow(t *testing.T, m *Mesh, y, w, l int) {
 	t.Helper()
 	want := candidatesByRunTable(m, y, w, l)
-	i := 0
-	for x := range m.CandidatesRow(y, w, l) {
-		if i >= len(want) || want[i] != x {
-			t.Fatalf("CandidatesRow(%d,%d,%d) yields %d at index %d; run tables say %v\n%s",
-				y, w, l, x, i, want, m)
-		}
-		i++
-	}
-	if i != len(want) {
-		t.Fatalf("CandidatesRow(%d,%d,%d) yielded %d bases; run tables say %v\n%s",
-			y, w, l, i, want, m)
+	if got := fitBases(m, nil, y, w, l); !slices.Equal(got, want) {
+		t.Fatalf("fit-mask bases of (%d,%d,%d) = %v; run tables say %v\n%s", y, w, l, got, want, m)
 	}
 }
 
@@ -664,13 +709,15 @@ func TestIndexOracleCellOps(t *testing.T) {
 // FuzzIndexOps interprets the fuzz input as a mutation program over a
 // small mesh and runs every instruction through the per-cell model, so
 // each verdict and the cells each instruction leaves busy are checked
-// at once. The same program runs on a planar mesh, a torus mesh and a
-// 3D mesh: the mutation paths are topology- and dimension-independent,
-// so all three must stay sound, and the torus and volumetric queries
-// are cross-checked against their naive scans at the end. The 3D mesh
-// receives the planar rectangle extruded to a cuboid whose z extent is
-// derived from the op byte, so in-bounds, out-of-bounds and
-// overlapping cuboids all occur. Bit 0x80 of the op selects release
+// at once. The same program runs on a planar mesh, a torus mesh, a 3D
+// mesh and a planar mesh two words wide: the mutation paths are
+// topology- and dimension-independent, so all four must stay sound,
+// and the torus and volumetric queries are cross-checked against their
+// naive scans at the end. The 3D mesh receives the planar rectangle
+// extruded to a cuboid whose z extent is derived from the op byte, so
+// in-bounds, out-of-bounds and overlapping cuboids all occur. The
+// 70-wide mesh receives it scaled to columns 8·x1 .. 8·x2+10, so boxes
+// lie in either word, straddle bit 64, or run past either edge. Bit 0x80 of the op selects release
 // over allocation, and bits 0x60 the kind: 0 a box (AllocateSub,
 // ReleaseSub), 0x40 a fault of the box's base cell (Fail, Recover),
 // 0x60 the box's cells as one scattered request (Allocate, Release),
@@ -683,11 +730,16 @@ func FuzzIndexOps(f *testing.F) {
 	f.Add([]byte{0x41, 3, 3, 0, 0, 0, 1, 1, 5, 5, 0x80, 1, 1, 5, 5, 0xc1, 3, 3, 0, 0})
 	f.Add([]byte{0x42, 2, 2, 0, 0, 0x43, 5, 5, 0, 0, 0, 0, 0, 7, 8, 0x80, 0, 0, 7, 8})
 	f.Add([]byte{0x61, 1, 1, 3, 2, 0x41, 2, 1, 0, 0, 0xe1, 1, 1, 3, 2, 0x71, 4, 4, 5, 5, 0x61, 4, 4, 5, 5})
+	// On the 70-wide mesh: allocate columns 8..66, fail column 64 under
+	// it, release the box — the overlay sits in the second word, left of
+	// the first word's mask.
+	f.Add([]byte{0, 2, 1, 8, 2, 0x40, 9, 1, 9, 1, 0x80, 2, 1, 8, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		models := []*cellModel{
 			newCellModel(New(8, 9)),
 			newCellModel(NewTorus(8, 9)),
 			newCellModel(New3D(8, 9, 4)),
+			newCellModel(New(70, 9)),
 		}
 		rng := rand.New(rand.NewSource(7))
 		for len(data) >= 5 {
@@ -696,9 +748,12 @@ func FuzzIndexOps(f *testing.F) {
 			s := Sub(int(x1)%10-1, int(y1)%11-1, int(x2)%10-1, int(y2)%11-1)
 			for _, cm := range models {
 				b := s
-				if cm.m.h > 1 {
+				switch {
+				case cm.m.h > 1:
 					b.Z1 = int(op&0x0f)%6 - 1
 					b.Z2 = b.Z1 + int(op>>4&0x07)%4
+				case cm.m.w > 64:
+					b.X1, b.X2 = 8*s.X1, 8*s.X2+10
 				}
 				release := op&0x80 != 0
 				switch op & 0x60 {
@@ -730,5 +785,6 @@ func FuzzIndexOps(f *testing.F) {
 		checkQueries(t, models[0].m, rng)
 		checkTorusQueries(t, models[1].m, rng)
 		checkQueries3D(t, models[2].m, rng)
+		checkQueries(t, models[3].m, rng)
 	})
 }

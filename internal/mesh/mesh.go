@@ -14,15 +14,15 @@ import "fmt"
 // (bitboard.go) is the only occupancy state: wpr uint64 words per
 // plane-row (rows are addressed by the plane-row index r = z·L + y, so
 // a 2D mesh has r == y), bit x set iff the cell is free, tail bits past
-// W always zero. Mutations flip it span by span (markRowSpan) or bit by
-// bit and maintain nothing else but freeCount, and every query derives
-// from it on demand: Busy(c) is one bit test, cuboid busy/free counts
-// are math/bits.OnesCount64 over masked words (busyRowSpanBits,
-// scanBusyBox), freeness probes are masked compares (rowFreeSpan), and
-// free-run lookups — CandidatesRow fit masks, FreeSeq, the row pruning
-// of the searches (rowFitsWidth), the torus seam runs — are
-// trailing-zero scans or shift-AND folds (maskNextFree/maskNextBusy,
-// runAtBits).
+// W always zero. Mutations flip it box by box (flipBox, one masked word
+// operation per touched word of each plane-row, the span masks built
+// once per box by spanOf) or bit by bit and maintain nothing else but
+// freeCount, and every query derives from it on demand: Busy(c) is one
+// bit test, cuboid freeness probes and free counts are the same masked
+// word walk (boxIs, boxFree), and free-run lookups — the searches' fit
+// masks over AND-projected slab rows, FreeSeq, their row pruning
+// (rowFitsWidth), the torus seam runs — are trailing-zero scans or
+// shift-AND folds (maskNextFree/maskNextBusy).
 //
 // The invariants (checkTables in index_test.go checks them after every
 // mutation, beside a naive per-cell model that predicts which cells
@@ -61,10 +61,12 @@ type Mesh struct {
 	// in the words, and the release paths refuse to free them.
 	// overlay marks the pinned cells whose failing flip found a live
 	// allocation underneath — their release clears the overlay and
-	// leaves the cell busy. Both are nil until the first Fail, so
+	// leaves the cell busy. Both are bitboards in freeW's layout (bit x
+	// of plane-row r's words is cell (x, r), tail bits zero), so a
+	// release runs on words; both are nil until the first Fail, so
 	// fault-free meshes pay nothing.
-	pinned       []bool
-	overlay      []bool
+	pinned       []uint64
+	overlay      []uint64
 	pinnedCount  int
 	overlayCount int
 }
@@ -138,25 +140,11 @@ func (m *Mesh) CoordOf(i int) Coord {
 // Busy reports whether processor c is allocated: one bit test.
 func (m *Mesh) Busy(c Coord) bool { return !m.freeBitAt(m.rowIdx(c.Y, c.Z), c.X) }
 
-// scanBusyBox counts the busy cells of the inclusive cuboid straight
-// off the bitboard: one masked popcount pass per plane-row
-// (busyRowSpanBits), W/64 word operations per row. The cuboid is
-// assumed in bounds and valid.
-func (m *Mesh) scanBusyBox(x1, y1, z1, x2, y2, z2 int) int {
-	n := 0
-	for z := z1; z <= z2; z++ {
-		for y := y1; y <= y2; y++ {
-			n += m.busyRowSpanBits(m.rowIdx(y, z), x1, x2)
-		}
-	}
-	return n
-}
-
 // BusyInRect returns the number of allocated processors inside s: a
-// masked popcount per plane-row off the bitboard. On a torus, s may
-// cross the wrap-around seams (X2 >= W or Y2 >= L) and is answered as
-// its seam-split planar pieces. Out-of-range or invalid sub-meshes
-// return 0.
+// masked popcount per touched word of each plane-row off the bitboard
+// (boxFree). On a torus, s may cross the wrap-around seams (X2 >= W or
+// Y2 >= L) and is answered as its seam-split planar pieces.
+// Out-of-range or invalid sub-meshes return 0.
 func (m *Mesh) BusyInRect(s Submesh) int {
 	if m.torus {
 		if !m.wrapValid(s) {
@@ -167,7 +155,7 @@ func (m *Mesh) BusyInRect(s Submesh) int {
 	if !s.Valid() || !m.InBounds(s.Base()) || !m.InBounds(s.End()) {
 		return 0
 	}
-	return m.scanBusyBox(s.X1, s.Y1, s.Z1, s.X2, s.Y2, s.Z2)
+	return s.Area() - m.boxFree(s)
 }
 
 // FreeInRect returns the number of free processors inside s — the
@@ -183,56 +171,15 @@ func (m *Mesh) FreeInRect(s Submesh) int {
 	if !s.Valid() || !m.InBounds(s.Base()) || !m.InBounds(s.End()) {
 		return 0
 	}
-	return s.Area() - m.scanBusyBox(s.X1, s.Y1, s.Z1, s.X2, s.Y2, s.Z2)
+	return m.boxFree(s)
 }
 
 // FitsAt reports whether the w x l sub-mesh based at (x,y) in plane 0
-// lies on the mesh and is entirely free: one masked word compare per
-// window row (rowFreeSpan), with the first busy cell ending the probe.
-// On a torus the base must be on the grid but the extent may cross
-// either seam (x+w > W, y+l > L), as long as it does not exceed the
-// ring sizes. FitsAt3D is the cuboid generalization.
-func (m *Mesh) FitsAt(x, y, w, l int) bool {
-	if m.torus {
-		if w <= 0 || l <= 0 || w > m.w || l > m.l ||
-			x < 0 || x >= m.w || y < 0 || y >= m.l {
-			return false
-		}
-		for j := 0; j < l; j++ {
-			yy := y + j
-			if yy >= m.l {
-				yy -= m.l
-			}
-			if !m.rowFreeSpanWrap(yy, x, w) {
-				return false
-			}
-		}
-		return true
-	}
-	if w <= 0 || l <= 0 || x < 0 || y < 0 || x+w > m.w || y+l > m.l {
-		return false
-	}
-	// Plane-0 rows have r == y on any depth.
-	for j := 0; j < l; j++ {
-		if !m.rowFreeSpan(y+j, x, w) {
-			return false
-		}
-	}
-	return true
-}
-
-// flipBox marks the (validated) cuboid busy or free: whole-word writes
-// per plane-row (markRowSpan), no per-cell loop anywhere on the path.
-func (m *Mesh) flipBox(x1, y1, z1, x2, y2, z2 int, toBusy bool) {
-	if !toBusy {
-		m.noteRelease()
-	}
-	for z := z1; z <= z2; z++ {
-		for y := y1; y <= y2; y++ {
-			m.markRowSpan(m.rowIdx(y, z), x1, x2, toBusy)
-		}
-	}
-}
+// lies on the mesh and is entirely free: SubFree of that sub-mesh. On a
+// torus the base must be on the grid but the extent may cross either
+// seam (x+w > W, y+l > L), as long as it does not exceed the ring
+// sizes. FitsAt3D is the cuboid generalization.
+func (m *Mesh) FitsAt(x, y, w, l int) bool { return m.SubFree(SubAt(x, y, w, l)) }
 
 // Allocate marks the processors busy. It returns an error — without
 // side effects — if any is out of bounds or already allocated; a
@@ -243,44 +190,40 @@ func (m *Mesh) Allocate(nodes []Coord) error {
 		if !m.InBounds(c) {
 			return fmt.Errorf("mesh: allocate out of bounds %v", c)
 		}
-		if !m.freeBitAt(m.rowIdx(c.Y, c.Z), c.X) {
+		if i, b := m.cellBit(c); m.freeW[i]&b == 0 {
 			return fmt.Errorf("mesh: allocate already-busy %v", c)
 		}
 	}
 	// Reject duplicate coordinates inside one request: every node was
 	// free above, so hitting a cleared bit while marking means this very
 	// request cleared it.
-	for i, c := range nodes {
-		r := m.rowIdx(c.Y, c.Z)
-		if !m.freeBitAt(r, c.X) {
-			for k := 0; k < i; k++ {
-				p := nodes[k]
-				m.setFreeBit(m.rowIdx(p.Y, p.Z), p.X)
+	for k, c := range nodes {
+		i, b := m.cellBit(c)
+		if m.freeW[i]&b == 0 {
+			for _, p := range nodes[:k] {
+				j, pb := m.cellBit(p)
+				m.freeW[j] |= pb
 			}
 			return fmt.Errorf("mesh: duplicate coordinate %v in request", c)
 		}
-		m.clearFreeBit(r, c.X)
+		m.freeW[i] &^= b
 	}
 	m.freeCount -= len(nodes)
 	return nil
 }
 
-// AllocateSub marks an entire sub-mesh busy. The overlap check is one
-// masked word compare per plane-row (rowFreeSpan); the flip is
-// whole-word writes over the same rows.
+// AllocateSub marks an entire sub-mesh busy. The overlap check and the
+// flip are each one masked word operation per touched word of each
+// plane-row, under span masks built once (boxIs, flipBox).
 func (m *Mesh) AllocateSub(s Submesh) error {
 	if !s.Valid() || !m.InBounds(s.Base()) || !m.InBounds(s.End()) {
 		return fmt.Errorf("mesh: allocate invalid sub-mesh %v", s)
 	}
-	w := s.W()
-	for z := s.Z1; z <= s.Z2; z++ {
-		for y := s.Y1; y <= s.Y2; y++ {
-			if !m.rowFreeSpan(m.rowIdx(y, z), s.X1, w) {
-				return fmt.Errorf("mesh: sub-mesh %v overlaps busy %v", s, m.firstInRect(s, true))
-			}
-		}
+	sp := spanOf(s.X1, s.X2)
+	if !m.boxIs(s, sp, ^uint64(0)) {
+		return fmt.Errorf("mesh: sub-mesh %v overlaps busy %v", s, m.firstInRect(s, true))
 	}
-	m.flipBox(s.X1, s.Y1, s.Z1, s.X2, s.Y2, s.Z2, true)
+	m.flipBox(s, sp)
 	m.freeCount -= s.Area()
 	return nil
 }
@@ -313,23 +256,23 @@ func (m *Mesh) Release(nodes []Coord) error {
 		if !m.InBounds(c) {
 			return fmt.Errorf("mesh: release out of bounds %v", c)
 		}
-		if m.freeBitAt(m.rowIdx(c.Y, c.Z), c.X) {
+		if i, b := m.cellBit(c); m.freeW[i]&b != 0 {
 			return fmt.Errorf("mesh: release already-free %v", c)
 		}
 	}
 	// Reject duplicate coordinates inside one request, mirroring
 	// Allocate: every node was busy above, so hitting a set bit while
 	// clearing means this very request set it.
-	for i, c := range nodes {
-		r := m.rowIdx(c.Y, c.Z)
-		if m.freeBitAt(r, c.X) {
-			for k := 0; k < i; k++ {
-				p := nodes[k]
-				m.clearFreeBit(m.rowIdx(p.Y, p.Z), p.X)
+	for k, c := range nodes {
+		i, b := m.cellBit(c)
+		if m.freeW[i]&b != 0 {
+			for _, p := range nodes[:k] {
+				j, pb := m.cellBit(p)
+				m.freeW[j] &^= pb
 			}
 			return fmt.Errorf("mesh: duplicate coordinate %v in request", c)
 		}
-		m.setFreeBit(r, c.X)
+		m.freeW[i] |= b
 	}
 	m.freeCount += len(nodes)
 	m.noteRelease()
@@ -358,37 +301,30 @@ func (m *Mesh) ReleaseSub(s Submesh) error {
 			}
 		}
 	}
+	sp := spanOf(s.X1, s.X2)
 	if m.pinnedCount > 0 {
-		return m.releaseSubPinnedAware(s)
+		return m.releaseSubPinnedAware(s, sp)
 	}
-	if m.scanBusyBox(s.X1, s.Y1, s.Z1, s.X2, s.Y2, s.Z2) != s.Area() {
+	if !m.boxIs(s, sp, 0) {
 		return fmt.Errorf("mesh: release already-free %v", m.firstInRect(s, false))
 	}
-	m.flipBox(s.X1, s.Y1, s.Z1, s.X2, s.Y2, s.Z2, false)
+	m.flipBox(s, sp)
 	m.freeCount += s.Area()
+	m.noteRelease()
 	return nil
 }
 
 // SubFree reports whether every processor of s is free (paper
-// Definition 3): one masked word compare per plane-row, the first busy
-// cell ending the probe. On a torus, s may cross the wrap-around
-// seams. Out-of-range sub-meshes are not free.
+// Definition 3): one masked word compare per touched word of each
+// plane-row (boxIs), the first busy cell ending the probe. On a torus,
+// s may cross the wrap-around seams and is probed as its seam-split
+// planar pieces. Out-of-range sub-meshes are not free.
 func (m *Mesh) SubFree(s Submesh) bool {
 	if m.torus {
 		return m.torusSubFree(s)
 	}
-	if !s.Valid() || !m.InBounds(s.Base()) || !m.InBounds(s.End()) {
-		return false
-	}
-	w := s.W()
-	for z := s.Z1; z <= s.Z2; z++ {
-		for y := s.Y1; y <= s.Y2; y++ {
-			if !m.rowFreeSpan(m.rowIdx(y, z), s.X1, w) {
-				return false
-			}
-		}
-	}
-	return true
+	return s.Valid() && m.InBounds(s.Base()) && m.InBounds(s.End()) &&
+		m.boxIs(s, spanOf(s.X1, s.X2), ^uint64(0))
 }
 
 // FreeNodes returns the free processors plane by plane in row-major
@@ -405,10 +341,8 @@ func (m *Mesh) FreeNodes() []Coord {
 // returns to its factory all-free state.
 func (m *Mesh) Reset() {
 	if m.pinned != nil {
-		for i := range m.pinned {
-			m.pinned[i] = false
-			m.overlay[i] = false
-		}
+		clear(m.pinned)
+		clear(m.overlay)
 		m.pinnedCount, m.overlayCount = 0, 0
 	}
 	m.freeCount = m.Size()
@@ -428,11 +362,10 @@ func (m *Mesh) String() string {
 			b = append(b, fmt.Sprintf("z=%d\n", z)...)
 		}
 		for y := m.l - 1; y >= 0; y-- {
-			row := (z*m.l + y) * m.w
 			r := m.rowIdx(y, z)
 			for x := 0; x < m.w; x++ {
 				switch {
-				case m.pinned != nil && m.pinned[row+x]:
+				case m.Pinned(Coord{x, y, z}):
 					b = append(b, 'x')
 				case !m.freeBitAt(r, x):
 					b = append(b, '#')

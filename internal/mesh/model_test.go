@@ -49,7 +49,7 @@ func (cm *cellModel) verify(t *testing.T) {
 		if m.Pinned(c) != cm.pin[i] {
 			t.Fatalf("Pinned(%v) = %v, model says %v\n%s", c, m.Pinned(c), cm.pin[i], m)
 		}
-		if ov := m.overlay != nil && m.overlay[i]; ov != (cm.alloc[i] && cm.pin[i]) {
+		if ov := markSet(m, m.overlay, c); ov != (cm.alloc[i] && cm.pin[i]) {
 			t.Fatalf("overlay(%v) = %v, model says %v\n%s", c, ov, !ov, m)
 		}
 		if cm.alloc[i] {

@@ -6,11 +6,32 @@ package mesh
 // differential tests hold the production searches to them, result for
 // result.
 
+// runAtBits returns the free-run length at (x, plane-row r) read off
+// the words: the count of consecutive free cells from x rightward.
+func (m *Mesh) runAtBits(r, x int) int {
+	return maskNextBusy(m.rowWords(r), x, m.w) - x
+}
+
+// runAt returns the length of the free run at (x, y) in the row's
+// traversal order: the planar rightward run on a mesh; on a torus a run
+// reaching the x = W-1 edge continues at x = 0, capped at W.
+func (m *Mesh) runAt(x, y int) int {
+	r := m.runAtBits(y, x)
+	if !m.torus || r == 0 || x+r < m.w || r == m.w {
+		return r
+	}
+	r += m.runAtBits(y, 0)
+	if r > m.w {
+		r = m.w
+	}
+	return r
+}
+
 // blockedUntil returns 0 when the w x l sub-mesh based at (x,y) is
 // free, and otherwise the number of bases to skip: the first blocking
 // row's busy processor at x+run blocks every base in [x, x+run]. It is
-// the run-probing reference for the bitboard fit mask (CandidatesRow) —
-// the churn differentials compare the two base enumerations window by
+// the run-probing reference for the bitboard fit mask (fitBases) — the
+// churn differentials compare the two base enumerations window by
 // window. Runs are derived from the words on demand (runAtBits), a
 // path independent of the fit masks it checks.
 func (m *Mesh) blockedUntil(x, y, w, l int) int {
@@ -121,7 +142,7 @@ func (m *Mesh) largestFreeScan(maxW, maxL, maxArea int) (Submesh, bool) {
 // skip: the first blocking row's run ends at a busy processor that
 // blocks every base in [x, x+run], exactly as in the planar search.
 // Retained as the run-probing reference the torus fit-mask enumeration
-// (CandidatesRow) is differentially tested against.
+// (fitBases) is differentially tested against.
 func (m *Mesh) torusBlockedUntil(x, y, w, l int) int {
 	for i := 0; i < l; i++ {
 		yy := y + i

@@ -1,9 +1,6 @@
 package mesh
 
-import (
-	"iter"
-	"math/bits"
-)
+import "iter"
 
 // This file implements the free-rectangle searches used by the
 // allocation strategies. Candidate bases come off the bitboard
@@ -12,81 +9,28 @@ import (
 // are exactly the bases where the whole w x l window is free —
 // enumerated by TrailingZeros64 instead of probed one run at a time.
 // The run-table walk the mask replaced is kept in the tests as
-// blockedUntil, the reference they hold the mask enumeration to.
-
-// CandidatesRow yields, left to right, every base x in row y where the
-// w x l sub-mesh based at (x,y) is entirely free: the window rows'
-// free words AND into one mask, the fit mask narrows it to width w,
-// and the set bits are the bases. On a torus every grid position is a
-// candidate base and the extent wraps across the seams — the ANDed row
-// rotates into its doubled seam band first, so wrapped spans read
-// contiguously, and only bits below W are bases (a bit in [W, 2W) is
-// the same wrapped placement seen from its second copy).
-func (m *Mesh) CandidatesRow(y, w, l int) iter.Seq[int] {
-	return func(yield func(int) bool) {
-		if m.torus {
-			if w <= 0 || l <= 0 || w > m.w || l > m.l || y < 0 || y >= m.l {
-				return
-			}
-			band := sizedScratch(&m.hist.bandMask, wordsPerRow(2*m.w))
-			if !m.torusFitMaskInto(band, sizedScratch(&m.hist.rowAnd, m.wpr), y, w, l) {
-				return
-			}
-			for i, v := range band {
-				base := i << 6
-				for v != 0 {
-					x := base + bits.TrailingZeros64(v)
-					if x >= m.w {
-						return
-					}
-					if !yield(x) {
-						return
-					}
-					v &= v - 1
-				}
-			}
-			return
-		}
-		if w <= 0 || l <= 0 || y < 0 || y+l > m.l {
-			return
-		}
-		mask := sizedScratch(&m.hist.winMask, m.wpr)
-		if !m.planarFitMaskInto(mask, y, 0, w, l, 1) {
-			return
-		}
-		for i, v := range mask {
-			base := i << 6
-			for v != 0 {
-				if !yield(base + bits.TrailingZeros64(v)) {
-					return
-				}
-				v &= v - 1
-			}
-		}
-	}
-}
+// blockedUntil, the reference they hold the fit masks to
+// (checkCandidatesRow).
 
 // nextWindowRow advances the base row past every window that contains
-// a plane-row too narrow for width w (rowFitsWidth): the window of base
-// row y spans rows y..y+l-1 of planes z..z+h-1. When fresh is false the
+// a slab row too narrow for width w (rowFitsWidth): the window of base
+// row y spans rows y..y+l-1 of slab (slabOf), one row per projected
+// row, however many planes the slab folds. When fresh is false the
 // window of base y-1 was clean, so only its newly entered top row
 // y+l-1 needs checking; a blocking row lets the scan jump straight past
 // it. It returns the next viable base row, or m.l when none remains.
-// Amortized O(h) row checks per base row.
-func (m *Mesh) nextWindowRow(y, z, w, l, h int, fresh bool) int {
+// Amortized O(1) row checks per base row.
+func (m *Mesh) nextWindowRow(slab []uint64, y, w, l int, fresh bool) int {
 	for y+l <= m.l {
 		first := y
 		if !fresh {
 			first = y + l - 1
 		}
 		bad := -1
-	rows:
 		for yy := y + l - 1; yy >= first; yy-- {
-			for zz := z; zz < z+h; zz++ {
-				if !m.rowFitsWidth(m.rowIdx(yy, zz), w) {
-					bad = yy
-					break rows
-				}
+			if !m.rowFitsWidth(slab[yy*m.wpr:(yy+1)*m.wpr], w) {
+				bad = yy
+				break
 			}
 		}
 		if bad < 0 {

@@ -5,16 +5,17 @@ package mesh
 // maintained identically for both topologies; wrap-around semantics
 // are resolved at query time:
 //
-//   - a free run that reaches the x = W-1 edge continues at x = 0, so
-//     the run at a base is the planar run plus the row's leading run,
-//     capped at W (runAt) — both pieces are word scans off the bitboard
-//     (runAtBits), a few shifts per run;
 //   - a rectangle whose extent crosses the x or y seam is split into
 //     two (one seam) or four (both seams) planar rectangles, each
-//     pop-counted off the words (wrapPieces, wrapBusy);
+//     probed or pop-counted off the words by the planar box kernels
+//     (wrapPieces, torusSubFree, wrapBusy);
 //   - the searches' row pruning asks whether a row holds a wrapped free
 //     run of the width (torusRowFits): a planar run, or the trailing run
-//     carried across the seam into the leading run.
+//     (a free run reaching the x = W-1 edge) carried across the seam
+//     into the leading run;
+//   - a window's candidate bases are its rows' AND (windowMaskInto, its
+//     rows wrapping past L) rotated into the doubled seam band and
+//     narrowed by width (torusFitMaskInto).
 //
 // Keeping the state planar means every mutation path and invariant of
 // the planar index carries over unchanged, and mesh-mode behaviour
@@ -34,29 +35,13 @@ func NewTorus(w, l int) *Mesh {
 // Torus reports whether the mesh wraps around in both dimensions.
 func (m *Mesh) Torus() bool { return m.torus }
 
-// runAt returns the length of the free run at (x, y) in the row's
-// traversal order: the planar rightward run on a mesh, derived from the
-// bitboard words on demand; on a torus a run reaching the x = W-1 edge
-// continues at x = 0, capped at W.
-func (m *Mesh) runAt(x, y int) int {
-	r := m.runAtBits(y, x)
-	if !m.torus || r == 0 || x+r < m.w || r == m.w {
-		return r
-	}
-	r += m.runAtBits(y, 0)
-	if r > m.w {
-		r = m.w
-	}
-	return r
-}
-
 // torusRowFits reports whether row y holds a free run of at least w
 // cells (1 <= w <= W) on the ring: a planar run (rowFitsWidth), or,
 // when the trailing edge is free, the trailing run plus the leading
 // run it continues into across the seam. A row that is not fully free
 // has a busy cell, so the sum never exceeds W.
 func (m *Mesh) torusRowFits(y, w int) bool {
-	if m.rowFitsWidth(y, w) {
+	if m.rowFitsWidth(m.rowWords(y), w) {
 		return true
 	}
 	if !m.freeBitAt(y, m.w-1) {
@@ -122,39 +107,30 @@ func (m *Mesh) SplitWrap(dst []Submesh, s Submesh) []Submesh {
 }
 
 // wrapBusy returns the busy count of a (wrapValid) possibly
-// seam-crossing sub-mesh by summing its planar pieces.
+// seam-crossing sub-mesh by summing its planar pieces (boxFree).
 func (m *Mesh) wrapBusy(s Submesh) int {
 	ps, n := m.wrapPieces(s)
 	busy := 0
-	for i := 0; i < n; i++ {
-		p := ps[i]
-		busy += m.scanBusyBox(p.X1, p.Y1, 0, p.X2, p.Y2, 0)
+	for _, p := range ps[:n] {
+		busy += p.Area() - m.boxFree(p)
 	}
 	return busy
 }
 
 // torusSubFree reports whether every processor of the possibly
-// seam-crossing sub-mesh is free. Shallow rectangles are answered by
-// one wrap-aware run probe per row; tall ones by the busy count of its
-// seam-split planar pieces, masked popcounts off the bitboard words
-// (wrapBusy).
+// seam-crossing sub-mesh is free: the planar box probe (boxIs) over
+// each of its seam-split pieces, the first busy cell ending it.
 func (m *Mesh) torusSubFree(s Submesh) bool {
 	if !m.wrapValid(s) {
 		return false
 	}
-	if w := s.W(); s.L() <= 8 {
-		for y := s.Y1; y <= s.Y2; y++ {
-			yy := y
-			if yy >= m.l {
-				yy -= m.l
-			}
-			if m.runAt(s.X1, yy) < w {
-				return false
-			}
+	ps, n := m.wrapPieces(s)
+	for _, p := range ps[:n] {
+		if !m.boxIs(p, spanOf(p.X1, p.X2), ^uint64(0)) {
+			return false
 		}
-		return true
 	}
-	return m.wrapBusy(s) == 0
+	return true
 }
 
 // torusWindowSkip prunes base rows for a w-wide, l-tall window whose
@@ -196,19 +172,24 @@ func (m *Mesh) torusWindowSkip(y, w, l int, fresh bool) int {
 
 // torusFirstFit is FirstFit over the torus candidate space: bases are
 // every (x, y) of the grid in row-major order, and extents wrap across
-// both seams.
+// both seams. A window row's bases are the set bits below W of its
+// seam-band fit mask (torusFitMaskInto); the lowest is the row's first.
 func (m *Mesh) torusFirstFit(w, l int) (Submesh, bool) {
 	if w <= 0 || l <= 0 || w > m.w || l > m.l {
 		return Submesh{}, false
 	}
+	rowAnd := sizedScratch(&m.hist.rowAnd, m.wpr)
+	band := sizedScratch(&m.hist.bandMask, wordsPerRow(2*m.w))
 	fresh := true
 	for y := 0; y < m.l; y++ {
 		y = m.torusWindowSkip(y, w, l, fresh)
 		if y >= m.l {
 			break
 		}
-		for x := range m.CandidatesRow(y, w, l) {
-			return SubAt(x, y, w, l), true
+		if m.torusFitMaskInto(band, rowAnd, y, w, l) {
+			if x := firstMaskBit(band, m.w); x >= 0 {
+				return SubAt(x, y, w, l), true
+			}
 		}
 		fresh = false
 	}

@@ -4,16 +4,21 @@ package mesh
 // The occupancy state is dimension-general (mesh.go): the bitboard
 // words are per-(row, plane), and cuboid occupancy queries
 // (SubFree/FitsAt/BusyInRect/FreeInRect) are masked word compares and
-// pop-counts over the slab's rows. The searches here serve both
-// depths — a planar search is the depth-1 case:
+// pop-counts over the cuboid's plane-rows (boxIs, boxFree). The
+// searches here serve both depths — a planar search is the depth-1
+// case:
 //
-//   - firstFit3D / bestFit3D scan candidate bases in (z, y, x) order,
-//     pruning window rows whose plane-rows cannot hold the width
-//     (nextWindowRow, amortized across base rows), and read each
-//     surviving window row's bases off a bitboard fit mask; bestFit3D
-//     scores them with the row kernel of bestfit.go. The planar
-//     FirstFit and BestFit are their h == 1 calls; only the torus keeps
-//     searches of its own (torus.go);
+//   - firstFit3D / bestFit3D scan candidate bases in (z, y, x) order.
+//     For each base plane z they walk the slab of planes z..z+h-1
+//     (slabOf: plane z's own words when h == 1, else the planes'
+//     word-wise AND), pruning base rows whose window holds a slab row
+//     that cannot hold the width (nextWindowRow, amortized across base
+//     rows), and read each surviving window row's bases off a bitboard
+//     fit mask of l slab rows; bestFit3D scores them with the row
+//     kernel of bestfit.go. A slab row too narrow means a zero fit mask
+//     at every base over it, so the pruning skips only bases neither
+//     search acts on. The planar FirstFit and BestFit are their h == 1
+//     calls; only the torus keeps searches of its own (torus.go);
 //   - largestFree3D runs the planar maximal-rectangle-in-histogram
 //     sweep — the same segment kernel, sweepRow — per projected plane
 //     under a z-extent outer loop: for every (base plane, depth) pair
@@ -28,26 +33,15 @@ package mesh
 // so its probe phase and memoization are the planar ones.
 
 // FitsAt3D reports whether the w x l x h cuboid based at (x, y, z)
-// lies on the mesh and is entirely free: one masked word compare per
-// plane-row, mirroring the planar FitsAt word path. The torus query
-// layer is 2D-only, so on a torus any h other than 1 reports false and
-// h == 1 defers to the wrap-aware FitsAt.
+// lies on the mesh and is entirely free: SubFree of that cuboid, as the
+// planar FitsAt. The torus query layer is 2D-only, so on a torus any h
+// other than 1 reports false and h == 1 defers to the wrap-aware
+// FitsAt.
 func (m *Mesh) FitsAt3D(x, y, z, w, l, h int) bool {
 	if m.torus {
 		return h == 1 && z == 0 && m.FitsAt(x, y, w, l)
 	}
-	if w <= 0 || l <= 0 || h <= 0 || x < 0 || y < 0 || z < 0 ||
-		x+w > m.w || y+l > m.l || z+h > m.h {
-		return false
-	}
-	for zz := z; zz < z+h; zz++ {
-		for yy := y; yy < y+l; yy++ {
-			if !m.rowFreeSpan(m.rowIdx(yy, zz), x, w) {
-				return false
-			}
-		}
-	}
-	return true
+	return m.SubFree(SubAt3D(x, y, z, w, l, h))
 }
 
 // FirstFit3D returns the first (in (z, y, x) base order) free
@@ -70,12 +64,13 @@ func (m *Mesh) FirstFit3D(w, l, h int) (Submesh, bool) {
 func (m *Mesh) firstFit3D(w, l, h int) (Submesh, bool) {
 	mask := sizedScratch(&m.hist.winMask, m.wpr)
 	for z := 0; z+h <= m.h; z++ {
+		slab := m.slabOf(z, h)
 		fresh := true
 		for y := 0; ; y++ {
-			if y = m.nextWindowRow(y, z, w, l, h, fresh); y+l > m.l {
+			if y = m.nextWindowRow(slab, y, w, l, fresh); y+l > m.l {
 				break
 			}
-			if m.planarFitMaskInto(mask, y, z, w, l, h) {
+			if m.planarFitMaskInto(mask, slab, y, w, l) {
 				if x := firstMaskBit(mask, m.w); x >= 0 {
 					return SubAt3D(x, y, z, w, l, h), true
 				}
@@ -111,12 +106,13 @@ func (m *Mesh) bestFit3D(w, l, h int) (Submesh, bool) {
 	k.reset(m, w, l, h)
 	mask := sizedScratch(&m.hist.winMask, m.wpr)
 	for z := 0; z+h <= m.h; z++ {
+		slab := m.slabOf(z, h)
 		fresh := true
 		for y := 0; ; y++ {
-			if y = m.nextWindowRow(y, z, w, l, h, fresh); y+l > m.l {
+			if y = m.nextWindowRow(slab, y, w, l, fresh); y+l > m.l {
 				break
 			}
-			if m.planarFitMaskInto(mask, y, z, w, l, h) && k.scoreRow(m, mask, y, z) {
+			if m.planarFitMaskInto(mask, slab, y, w, l) && k.scoreRow(m, mask, y, z) {
 				return k.result()
 			}
 			fresh = false

@@ -245,7 +245,7 @@ func checkQueries3D(t *testing.T, m *Mesh, rng *rand.Rand) {
 func checkFitMask3D(t *testing.T, m *Mesh, y, z, w, l, h int) {
 	t.Helper()
 	mask := make([]uint64, m.wpr)
-	m.planarFitMaskInto(mask, y, z, w, l, h)
+	m.planarFitMaskInto(mask, m.slabOf(z, h), y, w, l)
 	for x := 0; x < m.wpr*64; x++ {
 		want := x+w <= m.w && m.blockedUntil3D(x, y, z, w, l, h) == 0
 		if got := mask[x>>6]>>uint(x&63)&1 == 1; got != want {

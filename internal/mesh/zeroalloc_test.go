@@ -8,8 +8,10 @@ import (
 // TestWarmOpsAllocateNothing holds each warm occupancy operation to
 // fewer than one heap allocation per op, on meshes with 40% of their
 // cells scattered busy: the constrained-largest searches on planar and
-// torus meshes, with and without failed cells; the Fail/Recover cycle;
-// the word-parallel primitives at one-, four- and sixteen-word rows
+// torus meshes, with and without failed cells; the 3D FirstFit and
+// BestFit walks over AND-projected slabs; the Fail/Recover cycle, and
+// the overlay cycle that releases a block over a failed cell; the
+// word-parallel primitives at one-, four- and sixteen-word rows
 // (masked fit probes, free-run extraction, the planar sweep and the
 // projected-plane 3D sweep); and AllocateSub/ReleaseSub round trips
 // over a fixed tiling, with no search in the loop. Each row is a setup
@@ -53,6 +55,37 @@ func TestWarmOpsAllocateNothing(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+		}
+	}
+	// overlayCycle fails a cell of a live block, releases the block —
+	// the release clears the overlay word by word and leaves the failed
+	// cell busy — recovers the cell and allocates the block again.
+	overlayCycle := func(t *testing.T) func() {
+		m := New(64, 64)
+		block, c := SubAt(4, 4, 16, 16), Coord{X: 10, Y: 10}
+		if err := m.AllocateSub(block); err != nil {
+			t.Fatal(err)
+		}
+		return func() {
+			if err := m.Fail(c); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.ReleaseSub(block); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Recover(c); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.AllocateSub(block); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// search3D times one 3D search on a 40%-fragmented 32x32x8 mesh.
+	search3D := func(search func(m *Mesh)) setup {
+		return func(t *testing.T) func() {
+			m := frag(t, New3D(32, 32, 8))
+			return func() { search(m) }
 		}
 	}
 	// churn tiles the mesh at half density with bw x bl x bh blocks,
@@ -106,7 +139,10 @@ func TestWarmOpsAllocateNothing(t *testing.T) {
 		{"search/largest_free/256x256/mesh", false, largest(planar(256), false, 128, 128, 4096)},
 		{"search/largest_free/256x256/torus", false, largest(torus(256), false, 128, 128, 4096)},
 		{"fault/largest_free/64x64/mesh", false, largest(planar(64), true, 32, 32, 512)},
+		{"search/first_fit3d/32x32x8", false, search3D(func(m *Mesh) { m.FirstFit3D(8, 8, 3) })},
+		{"search/best_fit3d/32x32x8", false, search3D(func(m *Mesh) { m.BestFit3D(8, 8, 3) })},
 		{"fault/fail_recover/64x64/mesh", false, failRecover(64)},
+		{"mutate/overlay_cycle/64x64", false, overlayCycle},
 		{"fault/largest_free/256x256/mesh", true, largest(planar(256), true, 128, 128, 4096)},
 		{"fault/largest_free/64x64/torus", true, largest(torus(64), true, 32, 32, 512)},
 		{"fault/fail_recover/256x256/mesh", true, failRecover(256)},
