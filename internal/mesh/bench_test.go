@@ -129,6 +129,44 @@ func fragmentHalf(b *testing.B, m *Mesh, side int) *Mesh {
 	return m
 }
 
+// BenchmarkProbes times perfbench's five mesh search probes at their
+// sizes and arguments, each on fragmentHalf at side W/8 — on a square
+// mesh exactly perfbench's fragment layout (the same stream, seed and
+// draw order) — so a change to the searches is resolved over many
+// rounds, not read off one traced rep's probe sample.
+func BenchmarkProbes(b *testing.B) {
+	cases := []struct {
+		name   string
+		build  func() *Mesh
+		search func(m *Mesh) bool
+	}{
+		{"best_fit_ns.512", func() *Mesh { return New(512, 512) },
+			func(m *Mesh) bool { _, ok := m.BestFit(16, 16); return ok }},
+		{"best_fit_ns.torus256", func() *Mesh { return NewTorus(256, 256) },
+			func(m *Mesh) bool { _, ok := m.BestFit(16, 16); return ok }},
+		{"largest_free_ns.1024", func() *Mesh { return New(1024, 1024) },
+			func(m *Mesh) bool { _, ok := m.LargestFree(512, 512, 1<<16); return ok }},
+		{"largest_free3d_ns.64x64x16", func() *Mesh { return New3D(64, 64, 16) },
+			func(m *Mesh) bool { _, ok := m.LargestFree3D(32, 32, 8, 1<<13); return ok }},
+		{"first_fit_ns.64", func() *Mesh { return New(64, 64) },
+			func(m *Mesh) bool { _, ok := m.FirstFit(6, 6); return ok }},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			m := c.build()
+			m = fragmentHalf(b, m, m.w/8)
+			if !c.search(m) {
+				b.Fatal("search found nothing on the fragmented mesh")
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.search(m)
+			}
+		})
+	}
+}
+
 // BenchmarkSweep times the constrained-largest search's full sweep —
 // the MW table alone, at the height caps of perfbench's search probes
 // (half the mesh) — on half-busy fabrics. Coarse blocks leave long

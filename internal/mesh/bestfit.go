@@ -3,9 +3,10 @@ package mesh
 import "math/bits"
 
 // This file is the BestFit scoring kernel. Every BestFit search —
-// planar, torus or 3D — walks its candidate base rows, builds each row's fit mask, and hands the mask
-// to one fitScorer, which scores the row's candidates in ascending x
-// off per-row arrays instead of probing their faces one by one:
+// planar, torus or 3D — runs the window walk (walk.go) and hands each
+// fit mask it yields to one fitScorer, which scores the row's
+// candidates in ascending x off per-row arrays instead of probing
+// their faces one by one:
 //
 //   - side faces: col counts the busy cells of each column over the
 //     window's plane-rows. The counts slide with the base row — each

@@ -15,13 +15,13 @@ import "math/bits"
 //     (flipBox) and the free count (boxFree); the pin marks of a faulty
 //     mesh share the layout, so its releases run on words too (fault.go);
 //   - free-run extraction is one TrailingZeros64 per word transition
-//     (maskNextFree/maskNextBusy), and the searches' row pruning asks
-//     whether a row holds a free run of width w at all (rowFitsWidth):
-//     a one-word row narrows in a register, a wider one walks its runs
-//     until one is long enough;
+//     (maskNextFree/maskNextBusy), and the window walk's width check on
+//     wide rows asks whether an AND of rows holds a free run of width w
+//     at all (rowFitsWidth), walking its runs until one is long enough;
 //   - the candidate bases of a w x l window row are a *fit mask*: AND
 //     the window rows' words (bit x survives iff column x is free in
-//     every row), then narrow by width with ⌈log2 w⌉ shift-AND steps
+//     every row; the walk of walk.go does it in O(1) row ANDs per base
+//     row), then narrow by width with ⌈log2 w⌉ shift-AND steps
 //     (fitMask) — bit x of the result is set iff the whole w x l
 //     rectangle based at x is free, and enumeration is bit iteration.
 //     A w x l x h window reads the rows of an AND-projected slab of h
@@ -161,22 +161,12 @@ func maskNextBusy(words []uint64, x, limit int) int {
 	return limit
 }
 
-// rowFitsWidth reports whether a row's words (a plane-row, or a row of
-// an AND-projected slab) hold a free run of at least w cells (w >= 1) —
-// the row pruning of every search. A one-word row narrows in a register
-// by shift-AND doubling (fitMask's fold), stopping once no bit survives;
-// a wider row walks its runs off the words and stops at the first run
-// of w, or when fewer than w columns remain.
+// rowFitsWidth reports whether a row's words (a plane-row, or an AND
+// of slab rows) hold a free run of at least w cells (w >= 1) — the
+// width check of the window walk on wide rows (walk.go). It walks the
+// runs off the words and stops at the first run of w, or when fewer
+// than w columns remain.
 func (m *Mesh) rowFitsWidth(words []uint64, w int) bool {
-	if len(words) == 1 {
-		v := words[0]
-		for have := 1; have < w && v != 0; {
-			s := min(have, w-have)
-			v &= v >> uint(s)
-			have += s
-		}
-		return v != 0
-	}
 	for x := 0; ; {
 		x0 := maskNextFree(words, x, m.w)
 		if x0+w > m.w {
@@ -226,13 +216,21 @@ func shiftDownAnd(buf []uint64, s int) {
 // with overlap), so doubling reaches w in ⌈log2 w⌉ shift-AND passes.
 func fitMask(buf []uint64, w int) {
 	for have := 1; have < w; {
-		s := have
-		if have+s > w {
-			s = w - have
-		}
+		s := min(have, w-have)
 		shiftDownAnd(buf, s)
 		have += s
 	}
+}
+
+// fold is fitMask on one word, in a register, stopping once no bit
+// survives — the row form of the one-word walk (walk.go).
+func fold(v uint64, w int) uint64 {
+	for have := 1; have < w && v != 0; {
+		s := min(have, w-have)
+		v &= v >> uint(s)
+		have += s
+	}
+	return v
 }
 
 // slabOf returns the rows of the h planes from z, AND-projected: bit x
@@ -256,80 +254,6 @@ func (m *Mesh) slabOf(z, h int) []uint64 {
 		}
 	}
 	return proj
-}
-
-// windowMaskInto ANDs rows y..y+l-1 of slab into dst (wpr words) and
-// reports whether any bit survived — bit x of the result is set iff
-// column x is free in every window row, so a zero mask has no candidate
-// base at any width and callers can stop before the fit-mask
-// narrowing. Rows past L wrap: a torus window (slab is then the whole
-// depth-1 mesh) continues at row 0; planar windows never reach L.
-func (m *Mesh) windowMaskInto(dst, slab []uint64, y, l int) bool {
-	wpr, end := m.wpr, y+l
-	copy(dst, slab[y*wpr:(y+1)*wpr])
-	if l == 1 {
-		return anyBit(dst)
-	}
-	if end <= m.l {
-		return andRows(dst, slab[(y+1)*wpr:end*wpr])
-	}
-	return andRows(dst, slab[(y+1)*wpr:]) && andRows(dst, slab[:(end-m.l)*wpr])
-}
-
-// andRows ANDs each len(dst)-word row of rows into dst in turn and
-// reports whether any bit survived, stopping at the first row that
-// leaves dst zero. A one-word row folds in a register.
-func andRows(dst, rows []uint64) bool {
-	if len(dst) == 1 {
-		v := dst[0]
-		for _, r := range rows {
-			if v &= r; v == 0 {
-				break
-			}
-		}
-		dst[0] = v
-		return v != 0
-	}
-	for ; len(rows) > 0; rows = rows[len(dst):] {
-		row, any := rows[:len(dst)], uint64(0)
-		for i := range dst {
-			dst[i] &= row[i]
-			any |= dst[i]
-		}
-		if any == 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// planarFitMaskInto builds the width-w fit mask of the w x l window
-// based at row y of slab: bit x of dst is set iff the w x l x h cuboid
-// the slab projects, based at (x, y), is entirely free. A false return
-// means the mask is certainly zero (some window column is nowhere
-// free); true means enumeration may still find no set bit.
-func (m *Mesh) planarFitMaskInto(dst, slab []uint64, y, w, l int) bool {
-	if !m.windowMaskInto(dst, slab, y, l) {
-		return false
-	}
-	fitMask(dst, w)
-	return true
-}
-
-// torusFitMaskInto builds the width-w torus fit mask of the wrapped
-// window rows y..y+l-1 into band (wordsPerRow(2W) words), using rowAnd
-// (wpr words) for the planar AND: set bits below W are exactly the
-// wrapped candidate bases (a bit in [W, 2W) is the same placement seen
-// from the second copy). Doubling commutes with AND (both are per-bit),
-// so ANDing first and rotating the seam band once (doubleRowInto)
-// equals doubling every row. False means no base survived the AND.
-func (m *Mesh) torusFitMaskInto(band, rowAnd []uint64, y, w, l int) bool {
-	if !m.windowMaskInto(rowAnd, m.freeW, y, l) {
-		return false
-	}
-	m.doubleRowInto(band, rowAnd)
-	fitMask(band, w)
-	return true
 }
 
 // doubleRowInto builds the torus seam band of one W-bit row mask by

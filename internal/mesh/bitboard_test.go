@@ -108,9 +108,9 @@ func TestDoubleRowMatchesModulo(t *testing.T) {
 
 // churnBitboard drives random sub-mesh allocate/release traffic through
 // the per-cell model — including rejected requests, which must roll
-// back cleanly — while cross-checking the word-parallel candidate
-// enumeration against the retained run-table walk, and on a torus the
-// wrapped runs and row test (checkTorusRows), after every mutation.
+// back cleanly — while holding the window walk to the retained
+// run-table walk (checkWalk), and on a torus the wrapped runs and the
+// ring width check (checkTorusRows), after every mutation.
 func churnBitboard(t *testing.T, m *Mesh, rng *rand.Rand, steps int) {
 	t.Helper()
 	cm := newCellModel(m)
@@ -128,54 +128,51 @@ func churnBitboard(t *testing.T, m *Mesh, rng *rand.Rand, steps int) {
 			live[i] = live[len(live)-1]
 			live = live[:len(live)-1]
 		}
+		for q := 0; q < 4; q++ {
+			checkWalk(t, m, 1+rng.Intn(m.w), 1+rng.Intn(m.l), 1, 0)
+		}
 		if m.torus {
 			checkTorusRows(t, m)
-		}
-		for q := 0; q < 4; q++ {
-			w, l := 1+rng.Intn(m.w), 1+rng.Intn(m.l)
-			y := rng.Intn(m.l)
-			if !m.torus {
-				if l > m.l {
-					l = m.l
-				}
-				y = rng.Intn(m.l - l + 1)
-			}
-			checkCandidatesRow(t, m, y, w, l)
 		}
 	}
 }
 
+// The churns run on two-word rows and on one-word rows, the window
+// walk's two forms.
 func TestBitboardChurnPlanar(t *testing.T) {
 	churnBitboard(t, New(97, 13), rand.New(rand.NewSource(74)), 400)
+	churnBitboard(t, New(45, 13), rand.New(rand.NewSource(77)), 400)
 }
 
 func TestBitboardChurnTorus(t *testing.T) {
 	churnBitboard(t, NewTorus(97, 13), rand.New(rand.NewSource(75)), 400)
+	churnBitboard(t, NewTorus(45, 13), rand.New(rand.NewSource(78)), 400)
 }
 
-// The 3D churn additionally cross-checks the per-plane window fit mask
-// against the volumetric run-table walk.
+// The 3D churn holds the window walk over a random plane window to the
+// volumetric run-table walk.
 func TestBitboardChurn3D(t *testing.T) {
 	rng := rand.New(rand.NewSource(76))
-	m := New3D(70, 9, 5)
-	cm := newCellModel(m)
-	var live []Submesh
-	for step := 0; step < 300; step++ {
-		if rng.Intn(3) > 0 || len(live) == 0 {
-			w, l, h := 1+rng.Intn(m.w/2+1), 1+rng.Intn(m.l), 1+rng.Intn(m.h)
-			s := SubAt3D(rng.Intn(m.w-w+1), rng.Intn(m.l-l+1), rng.Intn(m.h-h+1), w, l, h)
-			if cm.allocSub(t, s) == nil {
-				live = append(live, s)
+	for _, m := range []*Mesh{New3D(70, 9, 5), New3D(30, 9, 5)} {
+		cm := newCellModel(m)
+		var live []Submesh
+		for step := 0; step < 300; step++ {
+			if rng.Intn(3) > 0 || len(live) == 0 {
+				w, l, h := 1+rng.Intn(m.w/2+1), 1+rng.Intn(m.l), 1+rng.Intn(m.h)
+				s := SubAt3D(rng.Intn(m.w-w+1), rng.Intn(m.l-l+1), rng.Intn(m.h-h+1), w, l, h)
+				if cm.allocSub(t, s) == nil {
+					live = append(live, s)
+				}
+			} else {
+				i := rng.Intn(len(live))
+				cm.releaseSub(t, live[i])
+				live[i] = live[len(live)-1]
+				live = live[:len(live)-1]
 			}
-		} else {
-			i := rng.Intn(len(live))
-			cm.releaseSub(t, live[i])
-			live[i] = live[len(live)-1]
-			live = live[:len(live)-1]
-		}
-		for q := 0; q < 3; q++ {
-			w, l, h := 1+rng.Intn(m.w), 1+rng.Intn(m.l), 1+rng.Intn(m.h)
-			checkFitMask3D(t, m, rng.Intn(m.l-l+1), rng.Intn(m.h-h+1), w, l, h)
+			for q := 0; q < 3; q++ {
+				w, l, h := 1+rng.Intn(m.w), 1+rng.Intn(m.l), 1+rng.Intn(m.h)
+				checkWalk(t, m, w, l, h, rng.Intn(m.h-h+1))
+			}
 		}
 	}
 }
@@ -206,10 +203,9 @@ func TestBitboardZeroAllocSteadyState(t *testing.T) {
 			m = NewTorus(130, 40)
 		}
 		fragment(t, m, 77, 0.3)
-		var bases []int
 		drain := func() int {
-			bases = fitBases(m, bases[:0], 7, 9, 6)
-			n := len(bases)
+			checkWalk(t, m, 9, 6, 1, 0)
+			n := 0
 			for range m.FreeSeq() {
 				n++
 			}

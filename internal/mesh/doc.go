@@ -15,11 +15,12 @@
 // a trailing-zero scan, and the candidate bases of a w x l window row
 // are a fit mask — the window rows' words ANDed and narrowed by width
 // with shift-AND steps; a 3D window reads the rows of its h planes'
-// AND-projection, so it folds l rows, not l·h. Nothing else is
-// maintained: the searches discard a window row by asking the words
-// whether the row holds a free run of the width at all (a register
-// fold on a one-word row, a run walk on a wider one), so a mutation is
-// a bare span flip. Failed processors are marked in bitboards of the
+// AND-projection, so it folds l rows, not l·h. FirstFit and BestFit
+// run one window walk on every fabric (walk.go): suffix ANDs and a
+// running AND give each window's AND in O(1) row operations per base
+// row, and a partial AND without a free run of the width jumps the
+// walk past every window containing it. Nothing else is maintained, so
+// a mutation is a bare span flip. Failed processors are marked in bitboards of the
 // same layout, so releasing over them is word operations too.
 //
 // The index is shared by every strategy; no operation rebuilds a full
@@ -66,10 +67,11 @@
 //
 // On a 3D mesh the searches gain the depth axis (FirstFit3D, BestFit3D,
 // LargestFree3D, FitsAt3D) scanning candidate bases in (z, y, x) order.
-// FirstFit and BestFit run one loop for both depths — the planar search
-// is its depth-1 case — while LargestFree3D delegates to the planar
-// LargestFree on depth-1 meshes, so 2D placements, tie-breaking and
-// memoization are those of the planar engine (volume.go).
+// FirstFit and BestFit run one loop for every fabric — the planar and
+// torus searches are its depth-1 case — while LargestFree3D delegates
+// to the planar LargestFree on depth-1 meshes, so 2D placements,
+// tie-breaking and memoization are those of the planar engine
+// (volume.go).
 //
 // # Coordinates
 //

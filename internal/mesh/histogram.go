@@ -62,14 +62,13 @@ type histScratch struct {
 	nFailed     int
 	failedEpoch uint64
 
-	// Bitboard word scratch (bitboard.go): the window fit mask of the
-	// FirstFit and BestFit walks, the torus window AND, and the doubled
-	// seam band shared by the torus searches and the torus sweep — safe
-	// to share because the probe phase's searches always complete
-	// before a sweep starts (largestFreeHist runs its phases strictly in
-	// sequence).
-	winMask  []uint64
-	rowAnd   []uint64
+	// Window-walk scratch (walk.go): the walk of the FirstFit and
+	// BestFit searches, its acc and suffix rows, and the doubled seam
+	// band shared by the torus walk and the torus sweep — safe to share
+	// because the probe phase's searches always complete before a sweep
+	// starts (largestFreeHist runs its phases strictly in sequence).
+	walk     walk
+	suf      []uint64
 	bandMask []uint64
 
 	// 3D-search scratch (volume.go): the word-AND projected plane —

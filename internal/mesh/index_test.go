@@ -12,7 +12,6 @@ package mesh
 import (
 	"math/bits"
 	"math/rand"
-	"slices"
 	"testing"
 )
 
@@ -325,7 +324,7 @@ func checkQueries(t *testing.T, m *Mesh, rng *rand.Rand) {
 		t.Fatalf("BestFit(%d,%d) = %v,%v; seed scan says %v,%v\n%s",
 			w, l, gotBF, okBF, wantBF, wantOkBF, m)
 	}
-	checkCandidatesRow(t, m, rng.Intn(m.l-l+1), w, l)
+	checkWalk(t, m, w, l, 1, 0)
 	for _, caps := range [][3]int{{w, l, w * l}, {w, l, 1 + rng.Intn(w*l)}, {m.w, m.l, m.w * m.l}} {
 		gotLF, okLF := m.LargestFree(caps[0], caps[1], caps[2])
 		wantLF, wantOkLF := seedLargestFree(m, caps[0], caps[1], caps[2])
@@ -343,71 +342,65 @@ func checkQueries(t *testing.T, m *Mesh, rng *rand.Rand) {
 	}
 }
 
-// candidatesByRunTable enumerates every fit base in row y through the
-// retained run-table walk (blockedUntil / torusBlockedUntil) — the
-// reference the bitboard fit-mask enumeration is tested against.
-func candidatesByRunTable(m *Mesh, y, w, l int) []int {
-	out := []int{}
-	if w <= 0 || l <= 0 || w > m.w || l > m.l {
-		return out
-	}
-	if m.torus {
-		for x := 0; x < m.w; x++ {
-			if m.torusBlockedUntil(x, y, w, l) == 0 {
-				out = append(out, x)
-			}
-		}
-		return out
-	}
-	if y+l > m.l {
-		return out
-	}
-	for x := 0; x+w <= m.w; x++ {
-		if m.blockedUntil(x, y, w, l) == 0 {
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
-// fitBases appends to dst, left to right, every base x of row y where
-// the w x l sub-mesh based at (x, y) is free, read off the fit mask the
-// searches build: on a planar mesh the depth-1 slab's of plane 0
-// (planarFitMaskInto), on a torus the seam band's, whose bits below W
-// are the wrapped bases (torusFitMaskInto). It uses the mesh's own
-// scratch, so it allocates nothing once dst has room.
-func fitBases(m *Mesh, dst []int, y, w, l int) []int {
-	if w <= 0 || l <= 0 || w > m.w || l > m.l || y < 0 || y >= m.l {
-		return dst
-	}
-	mask := sizedScratch(&m.hist.winMask, m.wpr)
-	limit := m.w
-	if m.torus {
-		mask = sizedScratch(&m.hist.bandMask, wordsPerRow(2*m.w))
-		if !m.torusFitMaskInto(mask, sizedScratch(&m.hist.rowAnd, m.wpr), y, w, l) {
-			return dst
-		}
-	} else if y+l > m.l || !m.planarFitMaskInto(mask, m.slabOf(0, 1), y, w, l) {
-		return dst
-	}
-	for i, v := range mask {
-		for ; v != 0; v &= v - 1 {
-			if x := i<<6 + bits.TrailingZeros64(v); x < limit {
-				dst = append(dst, x)
-			}
-		}
-	}
-	return dst
-}
-
-// checkCandidatesRow cross-checks the fit-mask base enumeration
-// (fitBases) against the run-table walk for one (y, w, l) query: same
-// bases, same left-to-right order.
-func checkCandidatesRow(t *testing.T, m *Mesh, y, w, l int) {
+// checkWalk drives the window walk (walk.go) of a w x l x h window
+// over the plane window from z, from base row 0 to its end, and holds
+// it to the reference run-table walks — torusBlockedUntil on a torus,
+// blockedUntil on a planar mesh, blockedUntil3D in 3D: every base row
+// it skips has no fitting base, and every base row it yields has one
+// and carries exactly the reference's bases as its mask bits below W
+// (on a mesh, with no bit set at or past W).
+func checkWalk(t *testing.T, m *Mesh, w, l, h, z int) {
 	t.Helper()
-	want := candidatesByRunTable(m, y, w, l)
-	if got := fitBases(m, nil, y, w, l); !slices.Equal(got, want) {
-		t.Fatalf("fit-mask bases of (%d,%d,%d) = %v; run tables say %v\n%s", y, w, l, got, want, m)
+	fits := func(x, y int) bool {
+		switch {
+		case m.torus:
+			return m.torusBlockedUntil(x, y, w, l) == 0
+		case x+w > m.w:
+			return false
+		case m.h == 1:
+			return m.blockedUntil(x, y, w, l) == 0
+		}
+		return m.blockedUntil3D(x, y, z, w, l, h) == 0
+	}
+	last := m.l - l
+	if m.torus {
+		last = m.l - 1
+	}
+	k := m.newWalk(m.slabOf(z, h), w, l)
+	for base := 0; ; {
+		y, mask, ok := k.next()
+		if !ok {
+			y = last + 1
+		} else if y < base || y > last {
+			t.Fatalf("%dx%dx%d walk at z=%d yielded base row %d after %d (last %d)\n%s", w, l, h, z, y, base-1, last, m)
+		}
+		for ; base < y; base++ {
+			for x := 0; x < m.w; x++ {
+				if fits(x, base) {
+					t.Fatalf("%dx%dx%d walk at z=%d skipped base row %d, but (%d,%d) fits\n%s", w, l, h, z, base, x, base, m)
+				}
+			}
+		}
+		if !ok {
+			return
+		}
+		limit, n := 64*len(mask), 0
+		if m.torus {
+			limit = m.w // the band's second copy repeats the bases
+		}
+		for x := 0; x < limit; x++ {
+			want := x < m.w && fits(x, y)
+			if got := mask[x>>6]>>uint(x&63)&1 == 1; got != want {
+				t.Fatalf("%dx%dx%d walk at z=%d: mask bit %d of base row %d = %v; run tables say %v\n%s", w, l, h, z, x, y, got, want, m)
+			}
+			if want {
+				n++
+			}
+		}
+		if n == 0 {
+			t.Fatalf("%dx%dx%d walk at z=%d yielded base row %d, which has no fit\n%s", w, l, h, z, y, m)
+		}
+		base = y + 1
 	}
 }
 
@@ -575,7 +568,7 @@ func naiveTorusLargestFree(m *Mesh, maxW, maxL, maxArea int) (Submesh, bool) {
 }
 
 // checkTorusRows holds every wrapped run (runAt) to the naive torus
-// runs, and the searches' wrapped row test (torusRowFits) exact at each
+// runs, and the walk's ring width check (ringFitsWidth) exact at each
 // row's widest wrapped run: true there, false one past it.
 func checkTorusRows(t *testing.T, m *Mesh) {
 	t.Helper()
@@ -588,11 +581,11 @@ func checkTorusRows(t *testing.T, m *Mesh) {
 			}
 			widest = max(widest, run[y*m.w+x])
 		}
-		if widest > 0 && !m.torusRowFits(y, widest) {
-			t.Fatalf("torusRowFits(%d, %d) = false, widest wrapped run is %d\n%s", y, widest, widest, m)
+		if widest > 0 && !m.ringFitsWidth(m.rowWords(y), widest) {
+			t.Fatalf("ringFitsWidth(row %d, %d) = false, widest wrapped run is %d\n%s", y, widest, widest, m)
 		}
-		if widest < m.w && m.torusRowFits(y, widest+1) {
-			t.Fatalf("torusRowFits(%d, %d) = true, widest wrapped run is %d\n%s", y, widest+1, widest, m)
+		if widest < m.w && m.ringFitsWidth(m.rowWords(y), widest+1) {
+			t.Fatalf("ringFitsWidth(row %d, %d) = true, widest wrapped run is %d\n%s", y, widest+1, widest, m)
 		}
 	}
 }
@@ -624,6 +617,19 @@ func checkTorusQueries(t *testing.T, m *Mesh, rng *rand.Rand) {
 		}
 		checkSplitWrap(t, m, s)
 	}
+	// The torus is depth 1: a box whose z extent is not plane 0 alone is
+	// off the mesh, never free and counting nothing.
+	for i := 0; i < 8; i++ {
+		s := SubAt(rng.Intn(m.w), rng.Intn(m.l), 1+rng.Intn(m.w), 1+rng.Intn(m.l))
+		s.Z1, s.Z2 = rng.Intn(3)-1, rng.Intn(3)-1
+		if s.Z1 == 0 && s.Z2 == 0 {
+			continue
+		}
+		if m.SubFree(s) || m.BusyInRect(s) != 0 || m.FreeInRect(s) != 0 {
+			t.Fatalf("torus box %v off plane 0: SubFree %v, BusyInRect %d, FreeInRect %d; want false, 0, 0",
+				s, m.SubFree(s), m.BusyInRect(s), m.FreeInRect(s))
+		}
+	}
 	w, l := 1+rng.Intn(m.w), 1+rng.Intn(m.l)
 	gotFF, okFF := m.FirstFit(w, l)
 	wantFF, wantOkFF := naiveTorusFirstFit(m, w, l)
@@ -637,7 +643,7 @@ func checkTorusQueries(t *testing.T, m *Mesh, rng *rand.Rand) {
 		t.Fatalf("torus BestFit(%d,%d) = %v,%v; naive scan says %v,%v\n%s",
 			w, l, gotBF, okBF, wantBF, wantOkBF, m)
 	}
-	checkCandidatesRow(t, m, rng.Intn(m.l), w, l)
+	checkWalk(t, m, w, l, 1, 0)
 	for _, caps := range [][3]int{{w, l, w * l}, {w, l, 1 + rng.Intn(w*l)}, {m.w, m.l, m.w * m.l}} {
 		gotLF, okLF := m.LargestFree(caps[0], caps[1], caps[2])
 		wantLF, wantOkLF := naiveTorusLargestFree(m, caps[0], caps[1], caps[2])
@@ -710,14 +716,16 @@ func TestIndexOracleCellOps(t *testing.T) {
 // small mesh and runs every instruction through the per-cell model, so
 // each verdict and the cells each instruction leaves busy are checked
 // at once. The same program runs on a planar mesh, a torus mesh, a 3D
-// mesh and a planar mesh two words wide: the mutation paths are
-// topology- and dimension-independent, so all four must stay sound,
-// and the torus and volumetric queries are cross-checked against their
+// mesh, and a planar mesh and a torus two words wide: the mutation
+// paths are topology- and dimension-independent, so all five must stay
+// sound, and the queries and searches are cross-checked against their
 // naive scans at the end. The 3D mesh receives the planar rectangle
 // extruded to a cuboid whose z extent is derived from the op byte, so
 // in-bounds, out-of-bounds and overlapping cuboids all occur. The
-// 70-wide mesh receives it scaled to columns 8·x1 .. 8·x2+10, so boxes
-// lie in either word, straddle bit 64, or run past either edge. Bit 0x80 of the op selects release
+// 70-wide meshes receive it scaled to columns 8·x1 .. 8·x2+10, so boxes
+// lie in either word, straddle bit 64, or run past either edge; on the
+// 70-wide torus the searches walk two-word rows, whose seam runs are
+// carried across a word boundary. Bit 0x80 of the op selects release
 // over allocation, and bits 0x60 the kind: 0 a box (AllocateSub,
 // ReleaseSub), 0x40 a fault of the box's base cell (Fail, Recover),
 // 0x60 the box's cells as one scattered request (Allocate, Release),
@@ -740,6 +748,7 @@ func FuzzIndexOps(f *testing.F) {
 			newCellModel(NewTorus(8, 9)),
 			newCellModel(New3D(8, 9, 4)),
 			newCellModel(New(70, 9)),
+			newCellModel(NewTorus(70, 9)),
 		}
 		rng := rand.New(rand.NewSource(7))
 		for len(data) >= 5 {
@@ -786,5 +795,6 @@ func FuzzIndexOps(f *testing.F) {
 		checkTorusQueries(t, models[1].m, rng)
 		checkQueries3D(t, models[2].m, rng)
 		checkQueries(t, models[3].m, rng)
+		checkTorusQueries(t, models[4].m, rng)
 	})
 }

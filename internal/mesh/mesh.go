@@ -6,8 +6,9 @@ import "fmt"
 // allocated, how many are free, and the searches over the free set. A
 // 2D mesh is the H == 1 special case: the depth axis adds plane-rows
 // without disturbing the planar index, and the contiguous searches run
-// one loop whose depth-1 case is the planar search. It is not safe for
-// concurrent use; a simulation owns one mesh.
+// one window walk whose depth-1 case is the planar and the torus
+// search. It is not safe for concurrent use; a simulation owns one
+// mesh.
 //
 // Occupancy is indexed incrementally — there is no per-decision
 // full-table rebuild anywhere. The word-parallel bitboard freeW
@@ -19,10 +20,10 @@ import "fmt"
 // once per box by spanOf) or bit by bit and maintain nothing else but
 // freeCount, and every query derives from it on demand: Busy(c) is one
 // bit test, cuboid freeness probes and free counts are the same masked
-// word walk (boxIs, boxFree), and free-run lookups — the searches' fit
-// masks over AND-projected slab rows, FreeSeq, their row pruning
-// (rowFitsWidth), the torus seam runs — are trailing-zero scans or
-// shift-AND folds (maskNextFree/maskNextBusy).
+// word walk (boxIs, boxFree), and free-run lookups — the window walk's
+// fit masks over AND-projected slab rows and its width checks
+// (rowFitsWidth, ringFitsWidth for the torus seam runs), FreeSeq — are
+// trailing-zero scans or shift-AND folds (maskNextFree/maskNextBusy).
 //
 // The invariants (checkTables in index_test.go checks them after every
 // mutation, beside a naive per-cell model that predicts which cells

@@ -30,10 +30,10 @@ func (m *Mesh) runAt(x, y int) int {
 // blockedUntil returns 0 when the w x l sub-mesh based at (x,y) is
 // free, and otherwise the number of bases to skip: the first blocking
 // row's busy processor at x+run blocks every base in [x, x+run]. It is
-// the run-probing reference for the bitboard fit mask (fitBases) — the
-// churn differentials compare the two base enumerations window by
-// window. Runs are derived from the words on demand (runAtBits), a
-// path independent of the fit masks it checks.
+// the run-probing reference for the window walk's fit masks
+// (checkWalk) — the churn differentials compare the two base
+// enumerations window by window. Runs are derived from the words on
+// demand (runAtBits), a path independent of the fit masks it checks.
 func (m *Mesh) blockedUntil(x, y, w, l int) int {
 	for yy := y; yy < y+l; yy++ {
 		if r := m.runAtBits(yy, x); r < w {
@@ -141,8 +141,8 @@ func (m *Mesh) largestFreeScan(maxW, maxL, maxArea int) (Submesh, bool) {
 // — extents wrapping — is free, and otherwise the number of bases to
 // skip: the first blocking row's run ends at a busy processor that
 // blocks every base in [x, x+run], exactly as in the planar search.
-// Retained as the run-probing reference the torus fit-mask enumeration
-// (fitBases) is differentially tested against.
+// Retained as the run-probing reference the torus window walk
+// (checkWalk) is differentially tested against.
 func (m *Mesh) torusBlockedUntil(x, y, w, l int) int {
 	for i := 0; i < l; i++ {
 		yy := y + i

@@ -3,58 +3,22 @@ package mesh
 import "iter"
 
 // This file implements the free-rectangle searches used by the
-// allocation strategies. Candidate bases come off the bitboard
-// (bitboard.go): the window rows' free words AND together, the
-// shift-AND fit mask narrows them to width w, and the surviving bits
-// are exactly the bases where the whole w x l window is free —
+// allocation strategies. FirstFit and BestFit are the depth-1 calls of
+// the 3D searches (volume.go), which run the window walk of walk.go on
+// every fabric: the walk ANDs window rows in O(1) row operations per
+// base row, and a window's fit mask (bitboard.go) has bit x set
+// exactly where the whole w x l window based at x is free — bases
 // enumerated by TrailingZeros64 instead of probed one run at a time.
-// The run-table walk the mask replaced is kept in the tests as
-// blockedUntil, the reference they hold the fit masks to
-// (checkCandidatesRow).
-
-// nextWindowRow advances the base row past every window that contains
-// a slab row too narrow for width w (rowFitsWidth): the window of base
-// row y spans rows y..y+l-1 of slab (slabOf), one row per projected
-// row, however many planes the slab folds. When fresh is false the
-// window of base y-1 was clean, so only its newly entered top row
-// y+l-1 needs checking; a blocking row lets the scan jump straight past
-// it. It returns the next viable base row, or m.l when none remains.
-// Amortized O(1) row checks per base row.
-func (m *Mesh) nextWindowRow(slab []uint64, y, w, l int, fresh bool) int {
-	for y+l <= m.l {
-		first := y
-		if !fresh {
-			first = y + l - 1
-		}
-		bad := -1
-		for yy := y + l - 1; yy >= first; yy-- {
-			if !m.rowFitsWidth(slab[yy*m.wpr:(yy+1)*m.wpr], w) {
-				bad = yy
-				break
-			}
-		}
-		if bad < 0 {
-			return y
-		}
-		y, fresh = bad+1, true // every base in [y, bad] contains row bad
-	}
-	return m.l
-}
+// The run-table walks the masks replaced are kept in the tests as
+// blockedUntil and its torus and 3D forms, the references checkWalk
+// holds the walk to.
 
 // FirstFit returns the first (row-major base order) free w x l sub-mesh,
 // the classic contiguous first-fit search. On a torus the candidate
 // space includes seam-crossing placements (the returned sub-mesh may
 // have X2 >= W or Y2 >= L; resolve it with SplitWrap). On a 3D mesh a
 // 2D request is a depth-1 cuboid anywhere in the volume.
-func (m *Mesh) FirstFit(w, l int) (Submesh, bool) {
-	if m.torus {
-		return m.torusFirstFit(w, l)
-	}
-	if w <= 0 || l <= 0 || w > m.w || l > m.l {
-		return Submesh{}, false
-	}
-	return m.firstFit3D(w, l, 1)
-}
+func (m *Mesh) FirstFit(w, l int) (Submesh, bool) { return m.FirstFit3D(w, l, 1) }
 
 // BestFit returns the free w x l sub-mesh whose placement touches the
 // most busy-or-border processors along its perimeter (Zhu-style best
@@ -66,15 +30,7 @@ func (m *Mesh) FirstFit(w, l int) (Submesh, bool) {
 // mesh the candidates are depth-1 cuboids over the whole volume,
 // scored on all six faces. Every topology scores through the row
 // kernel of bestfit.go.
-func (m *Mesh) BestFit(w, l int) (Submesh, bool) {
-	if m.torus {
-		return m.torusBestFit(w, l)
-	}
-	if w <= 0 || l <= 0 || w > m.w || l > m.l {
-		return Submesh{}, false
-	}
-	return m.bestFit3D(w, l, 1)
-}
+func (m *Mesh) BestFit(w, l int) (Submesh, bool) { return m.BestFit3D(w, l, 1) }
 
 // SlideFit returns the first entirely free w x l x h frame in the
 // frame-sliding stride pattern (Chuang & Tzeng): candidate bases step by

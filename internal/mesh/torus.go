@@ -9,13 +9,14 @@ package mesh
 //     two (one seam) or four (both seams) planar rectangles, each
 //     probed or pop-counted off the words by the planar box kernels
 //     (wrapPieces, torusSubFree, wrapBusy);
-//   - the searches' row pruning asks whether a row holds a wrapped free
-//     run of the width (torusRowFits): a planar run, or the trailing run
-//     (a free run reaching the x = W-1 edge) carried across the seam
-//     into the leading run;
-//   - a window's candidate bases are its rows' AND (windowMaskInto, its
-//     rows wrapping past L) rotated into the doubled seam band and
-//     narrowed by width (torusFitMaskInto).
+//   - the searches run the planar window walk (walk.go) with base rows
+//     0..L-1 and window rows wrapping past L. Its width check on wide
+//     rows asks whether an AND of rows holds a wrapped free run
+//     (ringFitsWidth): a planar run, or the trailing run (a free run
+//     reaching the x = W-1 edge) carried across the seam into the
+//     leading run. One-word rows enter the walk as ring fit masks
+//     (ringFold), and a wider window is rotated once into the doubled
+//     seam band (doubleRowInto) and narrowed there.
 //
 // Keeping the state planar means every mutation path and invariant of
 // the planar index carries over unchanged, and mesh-mode behaviour
@@ -35,29 +36,44 @@ func NewTorus(w, l int) *Mesh {
 // Torus reports whether the mesh wraps around in both dimensions.
 func (m *Mesh) Torus() bool { return m.torus }
 
-// torusRowFits reports whether row y holds a free run of at least w
-// cells (1 <= w <= W) on the ring: a planar run (rowFitsWidth), or,
-// when the trailing edge is free, the trailing run plus the leading
-// run it continues into across the seam. A row that is not fully free
-// has a busy cell, so the sum never exceeds W.
-func (m *Mesh) torusRowFits(y, w int) bool {
-	if m.rowFitsWidth(m.rowWords(y), w) {
+// ringFitsWidth reports whether a row's words (a torus row, or an AND
+// of torus rows) hold a free run of at least w cells (1 <= w <= W) on
+// the ring: a planar run (rowFitsWidth), or, when the trailing edge is
+// free, the trailing run plus the leading run it continues into across
+// the seam. Words that are not all free have a busy cell, so the sum
+// never exceeds W.
+func (m *Mesh) ringFitsWidth(words []uint64, w int) bool {
+	if m.rowFitsWidth(words, w) {
 		return true
 	}
-	if !m.freeBitAt(y, m.w-1) {
+	last := m.w - 1
+	if words[last>>6]>>uint(last&63)&1 == 0 {
 		return false
 	}
-	words := m.rowWords(y)
-	return m.w-1-maskPrevBusy(words, m.w-1)+maskNextBusy(words, 0, m.w) >= w
+	return last-maskPrevBusy(words, last)+maskNextBusy(words, 0, m.w) >= w
+}
+
+// ringFold is fold on a one-word torus row of W bits: each step
+// rotates within the ring instead of shifting, so bit x of the result
+// is set iff bits x..x+w-1 (mod W) of v all were.
+func ringFold(v uint64, w, W int) uint64 {
+	ring := ^uint64(0) >> uint(64-W)
+	for have := 1; have < w && v != 0; {
+		s := min(have, w-have)
+		v &= (v>>uint(s) | v<<uint(W-s)) & ring
+		have += s
+	}
+	return v
 }
 
 // wrapValid reports whether s is a well-formed sub-mesh of the torus:
-// base on the mesh, extents no larger than the rings. The end may
-// exceed the planar bounds — X2 >= W (or Y2 >= L) encodes a
-// seam-crossing extent, interpreted modulo the ring size.
+// base on the mesh, extents no larger than the rings, and in plane 0,
+// the torus being depth 1. The end may exceed the planar bounds — X2
+// >= W (or Y2 >= L) encodes a seam-crossing extent, interpreted modulo
+// the ring size.
 func (m *Mesh) wrapValid(s Submesh) bool {
 	return s.Valid() && s.X1 >= 0 && s.X1 < m.w && s.Y1 >= 0 && s.Y1 < m.l &&
-		s.W() <= m.w && s.L() <= m.l
+		s.W() <= m.w && s.L() <= m.l && s.Z1 == 0 && s.Z2 == 0
 }
 
 // wrapPieces splits a (wrapValid) possibly seam-crossing sub-mesh into
@@ -131,95 +147,6 @@ func (m *Mesh) torusSubFree(s Submesh) bool {
 		}
 	}
 	return true
-}
-
-// torusWindowSkip prunes base rows for a w-wide, l-tall window whose
-// rows wrap: it returns the next base row >= y whose window contains no
-// row failing torusRowFits, or m.l when none remains. When fresh is
-// false the window of base y-1 was clean, so only row y+l-1 is new to
-// it. A blocking row at or after the base lets the search jump straight
-// past it; a blocking row in the wrapped prefix ends the search, since
-// every later base's window wraps at least as far. Amortized O(1) per
-// base row.
-func (m *Mesh) torusWindowSkip(y, w, l int, fresh bool) int {
-	for y < m.l {
-		first := y
-		if !fresh {
-			first = y + l - 1
-		}
-		bad := -1
-		for i := y + l - 1; i >= first; i-- {
-			yy := i
-			if yy >= m.l {
-				yy -= m.l
-			}
-			if !m.torusRowFits(yy, w) {
-				bad = i
-				break
-			}
-		}
-		switch {
-		case bad < 0:
-			return y
-		case bad >= m.l:
-			return m.l
-		default:
-			y, fresh = bad+1, true // every base in [y, bad] contains row bad
-		}
-	}
-	return m.l
-}
-
-// torusFirstFit is FirstFit over the torus candidate space: bases are
-// every (x, y) of the grid in row-major order, and extents wrap across
-// both seams. A window row's bases are the set bits below W of its
-// seam-band fit mask (torusFitMaskInto); the lowest is the row's first.
-func (m *Mesh) torusFirstFit(w, l int) (Submesh, bool) {
-	if w <= 0 || l <= 0 || w > m.w || l > m.l {
-		return Submesh{}, false
-	}
-	rowAnd := sizedScratch(&m.hist.rowAnd, m.wpr)
-	band := sizedScratch(&m.hist.bandMask, wordsPerRow(2*m.w))
-	fresh := true
-	for y := 0; y < m.l; y++ {
-		y = m.torusWindowSkip(y, w, l, fresh)
-		if y >= m.l {
-			break
-		}
-		if m.torusFitMaskInto(band, rowAnd, y, w, l) {
-			if x := firstMaskBit(band, m.w); x >= 0 {
-				return SubAt(x, y, w, l), true
-			}
-		}
-		fresh = false
-	}
-	return Submesh{}, false
-}
-
-// torusBestFit is BestFit over the torus candidate space. The score
-// counts busy perimeter neighbours only: a torus has no border, and a
-// side spanning its whole ring has no perimeter in that dimension (the
-// ring closes on itself). The row-major-first candidate wins ties.
-func (m *Mesh) torusBestFit(w, l int) (Submesh, bool) {
-	if w <= 0 || l <= 0 || w > m.w || l > m.l {
-		return Submesh{}, false
-	}
-	k := m.hist.scorer()
-	k.reset(m, w, l, 1)
-	rowAnd := sizedScratch(&m.hist.rowAnd, m.wpr)
-	band := sizedScratch(&m.hist.bandMask, wordsPerRow(2*m.w))
-	fresh := true
-	for y := 0; y < m.l; y++ {
-		y = m.torusWindowSkip(y, w, l, fresh)
-		if y >= m.l {
-			break
-		}
-		if m.torusFitMaskInto(band, rowAnd, y, w, l) && k.scoreRow(m, band, y, 0) {
-			break
-		}
-		fresh = false
-	}
-	return k.result()
 }
 
 // largestIdeal returns the best conceivable (area, skew) under the

@@ -9,16 +9,15 @@ package mesh
 // case:
 //
 //   - firstFit3D / bestFit3D scan candidate bases in (z, y, x) order.
-//     For each base plane z they walk the slab of planes z..z+h-1
-//     (slabOf: plane z's own words when h == 1, else the planes'
-//     word-wise AND), pruning base rows whose window holds a slab row
-//     that cannot hold the width (nextWindowRow, amortized across base
-//     rows), and read each surviving window row's bases off a bitboard
-//     fit mask of l slab rows; bestFit3D scores them with the row
-//     kernel of bestfit.go. A slab row too narrow means a zero fit mask
-//     at every base over it, so the pruning skips only bases neither
-//     search acts on. The planar FirstFit and BestFit are their h == 1
-//     calls; only the torus keeps searches of its own (torus.go);
+//     For each base plane z they run one window walk (walk.go) over
+//     the slab of planes z..z+h-1 (slabOf: plane z's own words when
+//     h == 1, else the planes' word-wise AND), which yields the base
+//     rows whose window holds a fit with their fit masks: firstFit3D
+//     places the first mask's lowest base, and bestFit3D scores every
+//     mask with the row kernel of bestfit.go. A slab row too narrow
+//     zeroes the fit mask at every base over it, so the walk skips
+//     only bases neither search acts on. The planar and torus FirstFit
+//     and BestFit are their h == 1 calls;
 //   - largestFree3D runs the planar maximal-rectangle-in-histogram
 //     sweep — the same segment kernel, sweepRow — per projected plane
 //     under a z-extent outer loop: for every (base plane, depth) pair
@@ -52,30 +51,17 @@ func (m *Mesh) FirstFit3D(w, l, h int) (Submesh, bool) {
 	if w <= 0 || l <= 0 || h <= 0 || w > m.w || l > m.l || h > m.h {
 		return Submesh{}, false
 	}
-	if m.torus {
-		return m.torusFirstFit(w, l)
-	}
 	return m.firstFit3D(w, l, h)
 }
 
-// firstFit3D scans the candidate space plane window by plane window,
-// the surviving window rows answered by a bitboard fit mask each.
-// Arguments are positive and within the mesh sides.
+// firstFit3D walks the candidate space plane window by plane window
+// (walk.go) and places the lowest base of the first window row the
+// walk yields. Arguments are positive and within the mesh sides.
 func (m *Mesh) firstFit3D(w, l, h int) (Submesh, bool) {
-	mask := sizedScratch(&m.hist.winMask, m.wpr)
 	for z := 0; z+h <= m.h; z++ {
-		slab := m.slabOf(z, h)
-		fresh := true
-		for y := 0; ; y++ {
-			if y = m.nextWindowRow(slab, y, w, l, fresh); y+l > m.l {
-				break
-			}
-			if m.planarFitMaskInto(mask, slab, y, w, l) {
-				if x := firstMaskBit(mask, m.w); x >= 0 {
-					return SubAt3D(x, y, z, w, l, h), true
-				}
-			}
-			fresh = false
+		k := m.newWalk(m.slabOf(z, h), w, l)
+		if y, mask, ok := k.next(); ok {
+			return SubAt3D(firstMaskBit(mask, m.w), y, z, w, l, h), true
 		}
 	}
 	return Submesh{}, false
@@ -91,31 +77,22 @@ func (m *Mesh) BestFit3D(w, l, h int) (Submesh, bool) {
 	if w <= 0 || l <= 0 || h <= 0 || w > m.w || l > m.l || h > m.h {
 		return Submesh{}, false
 	}
-	if m.torus {
-		return m.torusBestFit(w, l)
-	}
 	return m.bestFit3D(w, l, h)
 }
 
-// bestFit3D hands every surviving window row's fit mask, in (z, y)
-// order, to the scoring kernel, which stops at the first candidate
-// reaching the geometric ceiling. Arguments are positive and within
-// the mesh sides.
+// bestFit3D hands every window row the walks yield, in (z, y) order,
+// to the scoring kernel, which stops at the first candidate reaching
+// the geometric ceiling. Arguments are positive and within the mesh
+// sides.
 func (m *Mesh) bestFit3D(w, l, h int) (Submesh, bool) {
 	k := m.hist.scorer()
 	k.reset(m, w, l, h)
-	mask := sizedScratch(&m.hist.winMask, m.wpr)
 	for z := 0; z+h <= m.h; z++ {
-		slab := m.slabOf(z, h)
-		fresh := true
-		for y := 0; ; y++ {
-			if y = m.nextWindowRow(slab, y, w, l, fresh); y+l > m.l {
-				break
-			}
-			if m.planarFitMaskInto(mask, slab, y, w, l) && k.scoreRow(m, mask, y, z) {
+		wk := m.newWalk(m.slabOf(z, h), w, l)
+		for y, mask, ok := wk.next(); ok; y, mask, ok = wk.next() {
+			if k.scoreRow(m, mask, y, z) {
 				return k.result()
 			}
-			fresh = false
 		}
 	}
 	return k.result()

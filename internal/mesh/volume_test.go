@@ -217,7 +217,7 @@ func checkQueries3D(t *testing.T, m *Mesh, rng *rand.Rand) {
 		t.Fatalf("BestFit3D(%d,%d,%d) = %v,%v; naive scan says %v,%v\n%s",
 			w, l, h, gotBF, okBF, wantBF, wantOkBF, m)
 	}
-	checkFitMask3D(t, m, rng.Intn(m.l-l+1), rng.Intn(m.h-h+1), w, l, h)
+	checkWalk(t, m, w, l, h, rng.Intn(m.h-h+1))
 	for _, caps := range [][4]int{
 		{w, l, h, w * l * h},
 		{w, l, h, 1 + rng.Intn(w*l*h)},
@@ -234,23 +234,6 @@ func checkQueries3D(t *testing.T, m *Mesh, rng *rand.Rand) {
 		if okLF != refOkLF || gotLF != refLF {
 			t.Fatalf("LargestFree3D(%v) = %v,%v; retained scan says %v,%v\n%s",
 				caps, gotLF, okLF, refLF, refOkLF, m)
-		}
-	}
-}
-
-// checkFitMask3D cross-checks the bitboard window fit mask for one
-// (y, z) window base against the retained run-table walk
-// (blockedUntil3D): bit x set exactly when the w x l x h box based at
-// (x, y, z) is free, and every bit past the last legal base clear.
-func checkFitMask3D(t *testing.T, m *Mesh, y, z, w, l, h int) {
-	t.Helper()
-	mask := make([]uint64, m.wpr)
-	m.planarFitMaskInto(mask, m.slabOf(z, h), y, w, l)
-	for x := 0; x < m.wpr*64; x++ {
-		want := x+w <= m.w && m.blockedUntil3D(x, y, z, w, l, h) == 0
-		if got := mask[x>>6]>>uint(x&63)&1 == 1; got != want {
-			t.Fatalf("fit mask bit %d for %dx%dx%d at (y=%d,z=%d) = %v; run tables say %v\n%s",
-				x, w, l, h, y, z, got, want, m)
 		}
 	}
 }

@@ -8,8 +8,9 @@ import (
 // TestWarmOpsAllocateNothing holds each warm occupancy operation to
 // fewer than one heap allocation per op, on meshes with 40% of their
 // cells scattered busy: the constrained-largest searches on planar and
-// torus meshes, with and without failed cells; the 3D FirstFit and
-// BestFit walks over AND-projected slabs; the Fail/Recover cycle, and
+// torus meshes, with and without failed cells; the window walks of
+// FirstFit and BestFit on wide and one-word torus rows, wide planar
+// rows and AND-projected 3D slabs; the Fail/Recover cycle, and
 // the overlay cycle that releases a block over a failed cell; the
 // word-parallel primitives at one-, four- and sixteen-word rows
 // (masked fit probes, free-run extraction, the planar sweep and the
@@ -81,13 +82,14 @@ func TestWarmOpsAllocateNothing(t *testing.T) {
 			}
 		}
 	}
-	// search3D times one 3D search on a 40%-fragmented 32x32x8 mesh.
-	search3D := func(search func(m *Mesh)) setup {
+	// search times one search on a 40%-fragmented fabric.
+	search := func(build func() *Mesh, op func(m *Mesh)) setup {
 		return func(t *testing.T) func() {
-			m := frag(t, New3D(32, 32, 8))
-			return func() { search(m) }
+			m := frag(t, build())
+			return func() { op(m) }
 		}
 	}
+	volume := func() *Mesh { return New3D(32, 32, 8) }
 	// churn tiles the mesh at half density with bw x bl x bh blocks,
 	// all allocated, pins cells of the free half, and returns a
 	// ReleaseSub+AllocateSub round trip on the next block, warmed once
@@ -139,8 +141,11 @@ func TestWarmOpsAllocateNothing(t *testing.T) {
 		{"search/largest_free/256x256/mesh", false, largest(planar(256), false, 128, 128, 4096)},
 		{"search/largest_free/256x256/torus", false, largest(torus(256), false, 128, 128, 4096)},
 		{"fault/largest_free/64x64/mesh", false, largest(planar(64), true, 32, 32, 512)},
-		{"search/first_fit3d/32x32x8", false, search3D(func(m *Mesh) { m.FirstFit3D(8, 8, 3) })},
-		{"search/best_fit3d/32x32x8", false, search3D(func(m *Mesh) { m.BestFit3D(8, 8, 3) })},
+		{"search/first_fit3d/32x32x8", false, search(volume, func(m *Mesh) { m.FirstFit3D(8, 8, 3) })},
+		{"search/best_fit3d/32x32x8", false, search(volume, func(m *Mesh) { m.BestFit3D(8, 8, 3) })},
+		{"search/first_fit/97x97/torus", false, search(torus(97), func(m *Mesh) { m.FirstFit(4, 3) })},
+		{"search/best_fit/64x64/torus", false, search(torus(64), func(m *Mesh) { m.BestFit(3, 2) })},
+		{"search/best_fit/256x256/mesh", false, search(planar(256), func(m *Mesh) { m.BestFit(3, 2) })},
 		{"fault/fail_recover/64x64/mesh", false, failRecover(64)},
 		{"mutate/overlay_cycle/64x64", false, overlayCycle},
 		{"fault/largest_free/256x256/mesh", true, largest(planar(256), true, 128, 128, 4096)},
