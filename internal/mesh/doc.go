@@ -30,10 +30,13 @@
 // earlier scalar run tables and summed-area table).
 //
 // BestFit scores a base row's candidates with one row kernel for every
-// topology (bestfit.go, docs/occupancy-index.md §14): the side faces
-// come from per-column busy counts that slide with the base row, the
-// other faces from per-row prefix sums, and the scan stops at the
-// first candidate whose score reaches its geometric ceiling.
+// topology (bestfit.go, docs/occupancy-index.md §14). A later candidate
+// must score strictly more to win, so the kernel skips every word of
+// the fit mask whose bound — sides only at the run ends of the mask,
+// faces no busier than the rows they span — is at most the best, drops
+// the bases that must score 0 on depth-1 fabrics, and scores the rest
+// off the words; the scan stops at the first candidate whose score
+// reaches its geometric ceiling.
 //
 // The constrained-largest search (LargestFree, the heart of GABL's
 // carving) runs as a best-first shape-probe phase, its divisor pairs

@@ -80,9 +80,10 @@ type histScratch struct {
 	mw3   []int
 	cand3 []int
 
-	// fit is the BestFit searches' scoring kernel (bestfit.go),
-	// allocated by the first BestFit: held by value it would grow every
-	// mesh by a few hundred bytes that most strategies never touch.
+	// fit is the BestFit searches' scoring kernel (bestfit.go) with its
+	// filter scratch, allocated by the first BestFit: held by value it
+	// would grow every mesh by a few hundred bytes that most strategies
+	// never touch.
 	fit *fitScorer
 }
 

@@ -10,6 +10,7 @@ package mesh
 // must return exactly what the seed's exhaustive scans returned.
 
 import (
+	"hash/fnv"
 	"math/bits"
 	"math/rand"
 	"testing"
@@ -730,7 +731,10 @@ func TestIndexOracleCellOps(t *testing.T) {
 // ReleaseSub), 0x40 a fault of the box's base cell (Fail, Recover),
 // 0x60 the box's cells as one scattered request (Allocate, Release),
 // its base listed twice when bit 0x10 is set. Releases that land on
-// pinned cells exercise the overlay paths.
+// pinned cells exercise the overlay paths. The search shapes are drawn
+// from a source seeded with a hash of the whole input, so every input
+// asks its own shapes: the checks' one shape per model, then six more
+// per model, every other one with sides up to 4 (checkSearchShapes).
 func FuzzIndexOps(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 2, 2, 1, 0, 0, 0x80, 1, 1, 3, 3})
 	f.Add([]byte{0, 1, 1, 3, 4, 0, 0, 0, 7, 8, 0x80, 1, 1, 3, 4})
@@ -750,7 +754,9 @@ func FuzzIndexOps(f *testing.F) {
 			newCellModel(New(70, 9)),
 			newCellModel(NewTorus(70, 9)),
 		}
-		rng := rand.New(rand.NewSource(7))
+		h := fnv.New64a()
+		h.Write(data)
+		rng := rand.New(rand.NewSource(int64(h.Sum64())))
 		for len(data) >= 5 {
 			op, x1, y1, x2, y2 := data[0], data[1], data[2], data[3], data[4]
 			data = data[5:]
@@ -796,5 +802,37 @@ func FuzzIndexOps(f *testing.F) {
 		checkQueries3D(t, models[2].m, rng)
 		checkQueries(t, models[3].m, rng)
 		checkTorusQueries(t, models[4].m, rng)
+		for _, cm := range models {
+			checkSearchShapes(t, cm.m, rng)
+		}
 	})
+}
+
+// checkSearchShapes holds FirstFit3D, BestFit3D and the window walk to
+// the naive scans on six request shapes drawn from rng, every other one
+// small (sides up to 4, depth 1, the requests whose candidates the
+// BestFit scorer's bound and filter prune hardest).
+func checkSearchShapes(t *testing.T, m *Mesh, rng *rand.Rand) {
+	t.Helper()
+	for i := 0; i < 6; i++ {
+		w, l, h := 1+rng.Intn(m.w), 1+rng.Intn(m.l), 1+rng.Intn(m.h)
+		if i%2 == 0 {
+			w, l, h = 1+rng.Intn(min(4, m.w)), 1+rng.Intn(min(4, m.l)), 1
+		}
+		var want Submesh
+		var wantOK bool
+		switch {
+		case m.torus:
+			want, wantOK = naiveTorusFirstFit(m, w, l)
+		case m.h > 1:
+			want, wantOK = naiveFirstFit3D(m, w, l, h)
+		default:
+			want, wantOK = seedFirstFit(m, w, l)
+		}
+		if got, ok := m.FirstFit3D(w, l, h); got != want || ok != wantOK {
+			t.Fatalf("FirstFit3D(%d,%d,%d) = %v,%v; naive scan says %v,%v\n%s", w, l, h, got, ok, want, wantOK, m)
+		}
+		checkBestFit(t, m, w, l, h)
+		checkWalk(t, m, w, l, h, rng.Intn(m.h-h+1))
+	}
 }

@@ -13,8 +13,9 @@ package mesh
 //     the slab of planes z..z+h-1 (slabOf: plane z's own words when
 //     h == 1, else the planes' word-wise AND), which yields the base
 //     rows whose window holds a fit with their fit masks: firstFit3D
-//     places the first mask's lowest base, and bestFit3D scores every
-//     mask with the row kernel of bestfit.go. A slab row too narrow
+//     places the first mask's lowest base, and bestFit3D hands every
+//     mask to the row kernel of bestfit.go, which scores only the
+//     candidates that could beat the best. A slab row too narrow
 //     zeroes the fit mask at every base over it, so the walk skips
 //     only bases neither search acts on. The planar and torus FirstFit
 //     and BestFit are their h == 1 calls;
@@ -81,9 +82,9 @@ func (m *Mesh) BestFit3D(w, l, h int) (Submesh, bool) {
 }
 
 // bestFit3D hands every window row the walks yield, in (z, y) order,
-// to the scoring kernel, which stops at the first candidate reaching
-// the geometric ceiling. Arguments are positive and within the mesh
-// sides.
+// to the scoring kernel, which skips the candidates that cannot beat
+// the best so far and stops at the first candidate reaching the
+// geometric ceiling. Arguments are positive and within the mesh sides.
 func (m *Mesh) bestFit3D(w, l, h int) (Submesh, bool) {
 	k := m.hist.scorer()
 	k.reset(m, w, l, h)
