@@ -24,17 +24,37 @@ func fragmented(b *testing.B) *Mesh {
 	return m
 }
 
+// BenchmarkFirstFit times FirstFit on the paper's 16x22 mesh at ~40%
+// scattered occupancy: a 4x2 request, which fits, and a 4x5 one, which
+// does not — a failing search, the common case of a streamed FirstFit
+// run under load.
 func BenchmarkFirstFit(b *testing.B) {
-	m := fragmented(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.FirstFit(4, 5)
+	cases := []struct {
+		name string
+		w, l int
+		fits bool
+	}{
+		{"4x2", 4, 2, true},
+		{"4x5nofit", 4, 5, false},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			m := fragmented(b)
+			if _, ok := m.FirstFit(c.w, c.l); ok != c.fits {
+				b.Fatalf("FirstFit(%d,%d) found a fit: %v, want %v", c.w, c.l, ok, c.fits)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.FirstFit(c.w, c.l)
+			}
+		})
 	}
 }
 
 // BenchmarkBestFit times BestFit on the paper's 16x22 mesh at ~40%
-// scattered occupancy, where the request finds no fit; on
+// scattered occupancy, where a 4x2 request fits and nothing 3 wide is
+// 3 tall; on
 // ~30%-fragmented fabrics — a 128x128 mesh, a 64x64 torus and a
 // 32x32x8 volume — where busy cells lie next to most bases, so the
 // scorer's bound skips few words; and on a 128x128 mesh about a fifth
@@ -54,7 +74,7 @@ func BenchmarkBestFit(b *testing.B) {
 		w, l, h int
 		fits    bool
 	}{
-		{"16x22", fragmented, 4, 5, 1, false},
+		{"16x22", fragmented, 4, 2, 1, true},
 		{"mesh128", scattered(New(128, 128)), 6, 5, 1, true},
 		{"torus64", scattered(NewTorus(64, 64)), 6, 5, 1, true},
 		{"volume32x32x8", scattered(New3D(32, 32, 8)), 4, 3, 2, true},
@@ -186,11 +206,13 @@ func BenchmarkProbes(b *testing.B) {
 }
 
 // BenchmarkSweep times the constrained-largest search's full sweep —
-// the MW table alone, at the height caps of perfbench's search probes
-// (half the mesh) — on half-busy fabrics. Coarse blocks leave long
-// plateaus of equal column height, few segments per row; fine blocks
-// leave a segment every few columns, where stepping the stack per
-// segment saves little over stepping it per column.
+// the MW table alone (maxWidths), at the length and depth caps of
+// perfbench's search probes (half the mesh) — on half-busy fabrics.
+// Coarse blocks leave long plateaus of equal column height, few
+// segments per row; fine blocks leave a segment every few columns,
+// where stepping the stack per segment saves little over stepping it
+// per column. The torus case is the only timing of the torus sweep:
+// no workload runs GABL on a torus.
 func BenchmarkSweep(b *testing.B) {
 	cases := []struct {
 		name  string
@@ -205,13 +227,7 @@ func BenchmarkSweep(b *testing.B) {
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
 			m := fragmentHalf(b, c.build(), c.side)
-			sweep := func() {
-				if m.h > 1 {
-					m.sweepVolumeSerial(m.l/2, m.h/2)
-				} else {
-					m.maxWidthByHeight(m.l / 2)
-				}
-			}
+			sweep := func() { m.maxWidths(m.l/2, max(1, m.h/2)) }
 			sweep() // size the scratch
 			b.ReportAllocs()
 			b.ResetTimer()

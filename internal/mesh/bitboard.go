@@ -27,8 +27,9 @@ import "math/bits"
 //     A w x l x h window reads the rows of an AND-projected slab of h
 //     planes (slabOf), so it is l ANDs, not l·h;
 //   - the torus seam band is one word rotation (doubleRowInto) instead
-//     of a per-column copy, and the 3D sweep's AND-projected plane is a
-//     flat word-wise AND across z slabs (volume.go).
+//     of a per-column copy, and a slab is a flat word-wise AND of its
+//     planes, read by the window walks and the constrained-largest
+//     sweep alike.
 //
 // Layout invariants (enforced by checkTables after every mutation in
 // the model-checked tests and the fuzz target, where busy is the naive
@@ -66,10 +67,10 @@ func (m *Mesh) cellBit(c Coord) (int, uint64) {
 	return m.rowIdx(c.Y, c.Z)*m.wpr + c.X>>6, 1 << uint(c.X&63)
 }
 
-// rowFullyFree reports whether every cell of plane-row r is free: full
-// words all ones, the tail word exactly the tail mask. O(wpr).
-func (m *Mesh) rowFullyFree(r int) bool {
-	words := m.rowWords(r)
+// rowFullyFree reports whether every cell of a row's words (a
+// plane-row or a slab row) is free: full words all ones, the tail word
+// exactly the tail mask. O(wpr).
+func (m *Mesh) rowFullyFree(words []uint64) bool {
 	last := len(words) - 1
 	for i := 0; i < last; i++ {
 		if words[i] != ^uint64(0) {
@@ -238,9 +239,9 @@ func fold(v uint64, w int) uint64 {
 // those planes, so a slab row holds a free run of width w only if all
 // h plane-rows under it do, and a window's AND over l slab rows is its
 // AND over all l·h plane-rows. A depth-1 slab is plane z's own words; a
-// deeper one is built in the 3D sweep's projection scratch, which is
-// free while a FirstFit or BestFit runs (largestFree3D places its
-// winner only after its sweep is done).
+// deeper one is built in one scratch buffer, so a slab stays valid
+// until the next slabOf (largestFree sweeps its slabs one at a time and
+// locates its winner only after the sweep is done).
 func (m *Mesh) slabOf(z, h int) []uint64 {
 	pw := m.l * m.wpr
 	if h == 1 {

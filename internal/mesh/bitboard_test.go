@@ -215,7 +215,7 @@ func TestBitboardZeroAllocSteadyState(t *testing.T) {
 		m.BestFit(9, 6)
 		drain() // warm the scratch
 		avg := testing.AllocsPerRun(100, func() {
-			m.FitsAt(3, 3, 9, 6)
+			m.SubFree(SubAt(3, 3, 9, 6))
 			m.FirstFit(9, 6)
 			m.BestFit(9, 6)
 			drain()
@@ -232,7 +232,7 @@ func TestBitboard3DZeroAllocSteadyState(t *testing.T) {
 	m.FirstFit3D(7, 4, 2)
 	m.BestFit3D(7, 4, 2) // warm the scratch
 	avg := testing.AllocsPerRun(100, func() {
-		m.FitsAt3D(2, 2, 1, 7, 4, 2)
+		m.SubFree(SubAt3D(2, 2, 1, 7, 4, 2))
 		m.FirstFit3D(7, 4, 2)
 		m.BestFit3D(7, 4, 2)
 	})

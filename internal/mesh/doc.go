@@ -38,19 +38,21 @@
 // off the words; the scan stops at the first candidate whose score
 // reaches its geometric ceiling.
 //
-// The constrained-largest search (LargestFree, the heart of GABL's
-// carving) runs as a best-first shape-probe phase, its divisor pairs
-// taken off a max-heap, backed by a maximal-rectangle-in-histogram
-// sweep that keeps column heights as segments of equal height and
-// steps its stack once per segment — over the doubled seam band on a
-// torus — with release-epoch memoization of alloc-monotone facts;
-// the pre-histogram per-anchor scan is kept in the tests as the
-// reference its differential tests compare against (histogram.go,
-// docs/occupancy-index.md §6). Its volumetric counterpart
-// (LargestFree3D) runs the same sweep kernel per AND-projected plane
-// under a z-extent outer loop, with the naive volumetric scan kept in
-// the tests as largestFreeScan3D (volume.go, docs/occupancy-index.md
-// §7).
+// The constrained-largest search (LargestFree3D, and LargestFree, its
+// depth-1 call — the heart of GABL's carving) is one engine for every
+// fabric (histogram.go, docs/occupancy-index.md §6). One
+// maximal-rectangle-in-histogram sweep reads the slabs the window walk
+// reads — every (base plane, depth) AND-projection, each row rotated
+// into the doubled seam band on a torus — keeps column heights as
+// segments of equal height and steps its stack once per segment,
+// filling one MW(depth, length) table; one fold picks the best capped
+// (volume, spread) pair off the table and one first-fit locate places
+// it. On depth-1 meshes a best-first shape-probe phase, its divisor
+// pairs taken off a max-heap, usually answers before any sweep, with
+// release-epoch memoization of alloc-monotone facts. The per-anchor
+// scans it replaced are kept in the tests as largestFreeScan and
+// largestFreeScan3D, the references its differential tests compare
+// against.
 //
 // # Topologies
 //
@@ -69,12 +71,10 @@
 // invariants identical on both topologies.
 //
 // On a 3D mesh the searches gain the depth axis (FirstFit3D, BestFit3D,
-// LargestFree3D, FitsAt3D) scanning candidate bases in (z, y, x) order.
-// FirstFit and BestFit run one loop for every fabric — the planar and
-// torus searches are its depth-1 case — while LargestFree3D delegates
-// to the planar LargestFree on depth-1 meshes, so 2D placements,
-// tie-breaking and memoization are those of the planar engine
-// (volume.go).
+// LargestFree3D) scanning candidate bases in (z, y, x) order. Each runs
+// one loop for every fabric, and the planar and torus FirstFit,
+// BestFit and LargestFree are its depth-1 calls, so 2D placements and
+// tie-breaking are those of the same engine (volume.go).
 //
 // # Coordinates
 //

@@ -308,13 +308,13 @@ func TestTorusSeamPinSurvivesWrappedRelease(t *testing.T) {
 	if !m.Busy(dead) || !m.Pinned(dead) {
 		t.Fatalf("seam pin freed by wrapped release\n%s", m)
 	}
-	if m.FitsAt(6, 0, 4, 2) {
-		t.Fatal("FitsAt crosses the seam over a pinned cell")
+	if m.SubFree(SubAt(6, 0, 4, 2)) {
+		t.Fatal("SubFree crosses the seam over a pinned cell")
 	}
 	if err := m.Recover(dead); err != nil {
 		t.Fatal(err)
 	}
-	if !m.FitsAt(6, 0, 4, 2) {
-		t.Fatal("FitsAt refuses the seam band after recovery")
+	if !m.SubFree(SubAt(6, 0, 4, 2)) {
+		t.Fatal("SubFree refuses the seam band after recovery")
 	}
 }

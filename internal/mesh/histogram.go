@@ -1,38 +1,39 @@
 package mesh
 
-// This file implements the histogram-based constrained-largest search
-// behind LargestFree. The per-anchor downward-growth scan it replaces
-// (kept in the tests as largestFreeScan / torusLargestFreeScan, the
-// differential reference) is O(W·L·maxL) worst case even after pruning;
-// the sweep here is one maximal-rectangle-in-histogram pass per row
-// band over column heights derived from the bitboard, on the planar
-// mesh or over the doubled seam band on the torus. The heights are
-// kept as segments — runs of equal height — so the stack steps once
-// per segment, not once per column (sweepRow).
+// This file implements the constrained-largest search behind
+// LargestFree and LargestFree3D: one engine for the planar mesh, the
+// torus and the 3D mesh. The per-anchor scans it replaces (kept in the
+// tests as largestFreeScan and its torus and 3D forms, the
+// differential references) are O(W·L·maxL) per plane even after
+// pruning; the sweep here is one maximal-rectangle-in-histogram pass
+// per slab (slabOf: the AND of d planes from a base plane z) over
+// column heights read off the bitboard, over the doubled seam band on
+// the torus. The heights are kept as segments — runs of equal height —
+// so the stack steps once per segment, not once per column (sweepRow).
 //
 // The search must return exactly what the scan returns — max capped
-// area, then squarest, then row-major-first base, first-found winning
-// remaining ties — so it runs in two phases built on one reduction (the
-// equivalence argument lives in docs/occupancy-index.md §6):
+// volume, then the smallest side spread (spread3), then the
+// (z, y, x)-first base, smaller depths then lengths winning at an equal
+// base — so it runs in phases built on one reduction (the equivalence
+// argument lives in docs/occupancy-index.md §6):
 //
-//  1. The sweep computes MW(l), the widest free (wrap-aware on a torus)
-//     rectangle of each height l <= maxL. Every capped candidate of the
-//     scan at height l has width min(minRun, maxW, maxArea/l) — at most
-//     fw(l) = min(MW(l), maxW, maxArea/l) — so the best capped
-//     (area, skew) pair over all anchors is the best over l of
-//     (fw(l)·l, |fw(l)−l|), an O(maxL) fold.
+//  1. The sweep computes MW(d, l), the widest free (wrap-aware on a
+//     torus) cuboid at least d deep and l long. Every capped candidate
+//     of the scan at (d, l) is at most fw(d, l) = min(MW(d, l), maxW,
+//     maxVol/(l·d)) wide, and fw is achieved inside that cuboid, so the
+//     best capped (volume, spread) pair over all anchors is an
+//     O(maxH·maxL) fold over the table.
 //  2. A scan candidate ties the winning pair only if its anchor admits
-//     a free fw(l) x l rectangle for one of the winning heights (at
-//     most two: l·(l±skew) = area each has one root), so the
-//     row-major-first tying anchor is the row-major-first FirstFit
-//     base among those shapes — the searches the index already has.
+//     a free fw(d, l) x l x d cuboid for one of the winning (d, l) — at
+//     most two mirror shapes on a depth-1 mesh — so the scan's winner is
+//     the (z, y, x)-first FirstFit base among those shapes.
 //
-// Phase 0 short-circuits both: candidate (area, skew) pairs are probed
-// best-first, descending from the occupancy-blind ideal (largestIdeal)
-// off a max-heap of divisor pairs (pairHeap), and the first pair with
-// a placeable shape is the answer — the sweep
-// never runs, the common case for lightly loaded meshes and, through
-// the release-epoch memoization below, for the tail carves of a GABL
+// On a depth-1 mesh phase 0 short-circuits both: candidate (area, skew)
+// pairs are probed best-first, descending from the occupancy-blind
+// ideal (largestIdeal) off a max-heap of divisor pairs (pairHeap), and
+// the first pair with a placeable shape is the answer — the sweep never
+// runs, the common case for lightly loaded meshes and, through the
+// release-epoch memoization below, for the tail carves of a GABL
 // request.
 
 // histScratch holds the sweep's reusable buffers plus the searches'
@@ -51,10 +52,10 @@ type histScratch struct {
 	// closed by a sentinel segment at the band width. Each row rebuilds
 	// seg into next and swaps the two; stack holds the row's open bars.
 	seg, next, stack []segment
-	byH              []int // MW of the last sweep, indexed by height 1..sweepMaxL
+	mw               []int // MW(d, l) of the last sweep, at d*(sweepMaxL+1)+l
 
-	sweepMaxL  int    // heights byH covers; 0 = no sweep cached
-	sweepEpoch uint64 // release epoch byH was swept at
+	sweepMaxL  int    // lengths mw covers; 0 = no sweep cached
+	sweepEpoch uint64 // release epoch mw was swept at
 
 	pairs pairHeap // the probe phase's pending shape pairs
 
@@ -63,22 +64,16 @@ type histScratch struct {
 	failedEpoch uint64
 
 	// Window-walk scratch (walk.go): the walk of the FirstFit and
-	// BestFit searches, its acc and suffix rows, and the doubled seam
-	// band shared by the torus walk and the torus sweep — safe to share
-	// because the probe phase's searches always complete before a sweep
-	// starts (largestFreeHist runs its phases strictly in sequence).
+	// BestFit searches and its acc and suffix rows; the doubled seam
+	// band, shared by the torus walk and the torus sweep; and the slab
+	// of depth > 1 (slabOf), shared by the walks and the sweep. Sharing
+	// is safe because a search's phases run strictly in sequence: its
+	// probes complete before the sweep starts, and the sweep before
+	// the locate.
 	walk     walk
 	suf      []uint64
 	bandMask []uint64
-
-	// 3D-search scratch (volume.go): the word-AND projected plane —
-	// the 3D sweep's, and the slab a deeper-than-one FirstFit or BestFit
-	// walks (slabOf), which only runs once a sweep is done — the MW(d, l)
-	// table and the per-projection sweep records. The segment buffers
-	// above serve both sweeps; a mesh only ever exercises one.
-	proj  []uint64
-	mw3   []int
-	cand3 []int
+	proj     []uint64
 
 	// fit is the BestFit searches' scoring kernel (bestfit.go) with its
 	// filter scratch, allocated by the first BestFit: held by value it
@@ -139,32 +134,27 @@ func (m *Mesh) noteRefuted(w, l int) {
 	}
 }
 
-// sweepUpperArea bounds the best capped (area) achievable under the
-// caps using the cached MW table: while no release intervened, MW only
-// shrinks, so the cached value bounds the current one from above (for
-// heights past the cached range, MW's monotonicity in height extends
-// the last entry). Returns area upper bound and whether a cache was
-// usable.
+// sweepUpperArea bounds the best capped area achievable under the caps
+// using the cached MW table's d = 1 row: while no release intervened,
+// MW only shrinks, so the cached value bounds the current one from
+// above (for lengths past the cached range, MW's monotonicity in length
+// extends the last entry). Returns area upper bound and whether a cache
+// was usable.
 func (m *Mesh) sweepUpperArea(maxW, maxL, maxArea int) (int, bool) {
 	h := &m.hist
 	if h.sweepMaxL == 0 || h.sweepEpoch != m.releaseEpoch {
 		return 0, false
 	}
-	ub := 0
+	mw, ub := h.mw[h.sweepMaxL+1:], 0
 	for l := 1; l <= maxL; l++ {
-		w := h.byH[min(l, h.sweepMaxL)]
+		w := min(mw[min(l, h.sweepMaxL)], maxW)
 		if w == 0 {
-			break // suffix max: taller is never wider
-		}
-		if w > maxW {
-			w = maxW
+			break // suffix max: longer is never wider
 		}
 		if w*l > maxArea {
 			w = maxArea / l
 		}
-		if w*l > ub {
-			ub = w * l
-		}
+		ub = max(ub, w*l)
 	}
 	return ub, true
 }
@@ -179,67 +169,106 @@ const (
 	areaBudget  = 1024
 )
 
-// largestFreeHist is the histogram-backed LargestFree. Caps must be
-// positive and already clamped to the mesh sides.
-func (m *Mesh) largestFreeHist(maxW, maxL, maxArea int) (Submesh, bool) {
-	// The cached sweep bounds this call's best area from above while no
-	// release intervened; zero means no candidate can exist under the
-	// caps at all.
-	startArea, _ := largestIdeal(maxW, maxL, maxArea)
-	if ub, ok := m.sweepUpperArea(maxW, maxL, maxArea); ok {
-		if ub == 0 {
-			return Submesh{}, false
+// largestFree is LargestFree3D on positive caps clamped to the mesh
+// sides.
+func (m *Mesh) largestFree(maxW, maxL, maxH, maxVol int) (Submesh, bool) {
+	if m.h == 1 {
+		// Phase 0, on depth-1 meshes (on deeper ones probing measured
+		// slower end to end): the cached sweep bounds this call's best
+		// area from above while no release intervened — zero means no
+		// candidate can exist under the caps at all — and candidate
+		// (area, skew) pairs are probed best-first. The first pair with
+		// a placeable shape is the optimum — every strictly better pair
+		// was just proven empty — so a hit answers the call in a
+		// handful of pruned first-fit searches instead of a mesh sweep.
+		startArea, _ := largestIdeal(maxW, maxL, maxVol)
+		if ub, ok := m.sweepUpperArea(maxW, maxL, maxVol); ok {
+			if ub == 0 {
+				return Submesh{}, false
+			}
+			startArea = min(startArea, ub)
 		}
-		if ub < startArea {
-			startArea = ub
+		if s, ok, decided := m.bestFirstProbe(startArea, maxW, maxL); decided {
+			return s, ok
 		}
 	}
 
-	// Phase 0: probe candidate (area, skew) pairs best-first. The first
-	// pair with a placeable shape is the optimum — every strictly
-	// better pair was just proven empty — so a hit answers the call in
-	// a handful of pruned first-fit searches instead of a mesh sweep.
-	if s, ok, decided := m.bestFirstProbe(startArea, maxW, maxL); decided {
-		return s, ok
+	// Phase 1: sweep the slabs for MW(d, l), then fold the capped
+	// (volume, spread) optimum over (d, l). The capped width fw never
+	// grows with l, so its first zero ends a depth's row of the table.
+	mw := m.maxWidths(maxL, maxH)
+	fw := func(d, l int) int {
+		w := min(mw[d*(maxL+1)+l], maxW)
+		if w*l*d > maxVol {
+			w = maxVol / (l * d)
+		}
+		return w
 	}
-
-	// Phase 1: sweep the row bands for MW(l), then fold the capped
-	// (area, skew) optimum over heights.
-	mw := m.maxWidthByHeight(maxL)
-	bestArea, bestSkew := 0, 0
-	for l := 1; l <= maxL; l++ {
-		w := mw[l]
-		if w == 0 {
-			break // MW is a suffix max: taller rectangles only narrower
-		}
-		if w > maxW {
-			w = maxW
-		}
-		if w*l > maxArea {
-			w = maxArea / l
-		}
-		if w == 0 {
-			continue
-		}
-		area, skew := w*l, abs(w-l)
-		if area > bestArea || (area == bestArea && skew < bestSkew) {
-			bestArea, bestSkew = area, skew
+	bestVol, bestSpr := 0, 0
+	for d := 1; d <= maxH; d++ {
+		for l := 1; l <= maxL; l++ {
+			w := fw(d, l)
+			if w == 0 {
+				break
+			}
+			if vol, spr := w*l*d, spread3(w, l, d); vol > bestVol || (vol == bestVol && spr < bestSpr) {
+				bestVol, bestSpr = vol, spr
+			}
 		}
 	}
-	if bestArea == 0 {
+	if bestVol == 0 {
 		return Submesh{}, false
 	}
 
-	// Phase 2: the scan's winner is the row-major-first anchor
-	// admitting a winning shape.
-	s, ok := m.firstShapeBase(bestArea, bestSkew, maxW, maxL, maxArea, mw)
-	if !ok {
-		// MW(l) >= fw(l) guarantees a free fw(l) x l rectangle exists
-		// for every winning height; FirstFit not finding one means the
-		// sweep and the search disagree on occupancy.
-		panic("mesh: histogram sweep found no base for its best shape")
+	// Phase 2: the scan's winner is the (z, y, x)-first base admitting
+	// a winning shape; d then l ascending keeps equal-base ties on the
+	// scan's within-anchor order.
+	var best Submesh
+	found := false
+	for d := 1; d <= maxH; d++ {
+		for l := 1; l <= maxL; l++ {
+			w := fw(d, l)
+			if w*l*d != bestVol || spread3(w, l, d) != bestSpr {
+				continue
+			}
+			s, ok := m.firstFit3D(w, l, d)
+			if !ok {
+				// MW(d, l) >= w guarantees a free w x l x d cuboid exists;
+				// firstFit3D not finding one means the sweep and the
+				// search disagree on occupancy.
+				panic("mesh: sweep found no base for its best shape")
+			}
+			if !found || m.Index(s.Base()) < m.Index(best.Base()) {
+				best, found = s, true
+			}
+		}
 	}
-	return s, true
+	return best, true
+}
+
+// largestIdeal returns the best conceivable (area, skew) under the
+// caps, occupancy aside: the probe phase descends from that area, and
+// the reference scans stop the moment they record a candidate this
+// good, since later candidates can at best tie and first-found wins.
+func largestIdeal(maxW, maxL, maxArea int) (idealArea, idealSkew int) {
+	for l := 1; l <= maxL; l++ {
+		w := maxW
+		if w*l > maxArea {
+			w = maxArea / l
+		}
+		if w*l > idealArea {
+			idealArea = w * l
+		}
+	}
+	idealSkew = idealArea // worse than any real candidate's skew
+	for l := 1; l <= maxL; l++ {
+		if idealArea%l == 0 {
+			if w := idealArea / l; w <= maxW && abs(w-l) < idealSkew {
+				idealSkew = abs(w - l)
+			}
+		}
+	}
+	return idealArea, idealSkew
 }
 
 // bestFirstProbe enumerates candidate (area, skew) pairs best first —
@@ -301,8 +330,7 @@ func (m *Mesh) bestFirstProbe(startArea, maxW, maxL int) (best Submesh, found, d
 			tall, tallOK = probe(a, b)
 		}
 		switch {
-		case wideOK && (!tallOK || wide.Y1 < tall.Y1 ||
-			(wide.Y1 == tall.Y1 && wide.X1 <= tall.X1)):
+		case wideOK && (!tallOK || m.Index(wide.Base()) <= m.Index(tall.Base())):
 			return wide, true, true // equal base ties to smaller l = a
 		case tallOK:
 			return tall, true, true
@@ -387,96 +415,77 @@ func (h *pairHeap) down(i int) {
 	}
 }
 
-// firstShapeBase returns the row-major-first base of the at-most-two
-// capped shapes achieving exactly (area, skew): heights l whose capped
-// width fw(l) = min(mw[l], maxW, maxArea/l) satisfies fw(l)·l == area
-// and |fw(l)−l| == skew. Ties between shapes at the same base go to
-// the smaller height, matching the scan's within-anchor order.
-func (m *Mesh) firstShapeBase(area, skew, maxW, maxL, maxArea int, mw []int) (Submesh, bool) {
-	var best Submesh
-	found := false
-	for l := 1; l <= maxL; l++ {
-		w := maxW
-		if mw[l] < w {
-			w = mw[l]
-		}
-		if w*l > maxArea {
-			w = maxArea / l
-		}
-		if w == 0 || w*l != area || abs(w-l) != skew {
-			continue
-		}
-		s, ok := m.FirstFit(w, l)
-		if !ok {
-			continue
-		}
-		if !found || s.Y1 < best.Y1 || (s.Y1 == best.Y1 && s.X1 < best.X1) {
-			best, found = s, true
-		}
-	}
-	return best, found
-}
-
-// maxWidthByHeight sweeps every row band with a monotonic stack and
-// returns MW indexed by height: MW[l] is the width of the widest free
-// rectangle of height exactly-or-more l, for l in 1..maxL (MW[l] == 0
-// when no free rectangle is l tall). On a torus the sweep runs over the
-// doubled seam band — 2W−wide columns and 2L−1 rows, widths capped at W
-// and heights at maxL <= L — so wrap-crossing rectangles appear as
-// contiguous spans; every doubled-band rectangle maps back to a genuine
-// wrapped placement and vice versa (docs/occupancy-index.md §6).
+// maxWidths sweeps every slab of at most maxH planes row by row with
+// a monotonic stack and returns the MW table, indexed d*(maxL+1)+l:
+// the width of the widest free cuboid at least d deep and l long, for d
+// in 1..maxH and l in 1..maxL (0 when there is none). On a torus each
+// slab row is rotated into the doubled seam band (doubleRowInto) — 2W
+// columns and 2L−1 rows, widths capped at W and lengths at maxL <= L —
+// so wrap-crossing rectangles appear as contiguous spans; every band
+// rectangle maps back to a genuine wrapped placement and vice versa
+// (docs/occupancy-index.md §6).
 //
-// Rows come off the bitboard: a planar band row is its free words
-// verbatim, a torus band row is one word rotation into the doubled
-// seam band (doubleRowInto), and sweepRow advances the heights as
-// segments, one stack step per segment rather than per column, with
-// the same per-height maxima (§6). O(W·L/64 + segments),
-// allocation-free after the scratch buffers exist.
-func (m *Mesh) maxWidthByHeight(maxL int) []int {
+// sweepRow advances the column heights as segments, one stack step per
+// segment, and its records are maxima, so every slab of depth d records
+// straight into row d of the table, and one suffix max per row turns
+// the records into MW. A fully busy slab row zeroes every height and
+// records nothing. When the next slab row is fully free, every
+// rectangle this row would record recurs there with the same width and
+// a length one larger (or capped equal), so its record is dominated
+// and only the heights need maintaining. A fully busy slab ends the
+// deepening from its base plane: deeper slabs are subsets of it. A
+// slab of depth d costs d·L·W/64 word operations to build (slabOf)
+// and one sweepRow pass per row; allocation-free after the scratch
+// buffers exist.
+func (m *Mesh) maxWidths(maxL, maxH int) []int {
+	hs := &m.hist
 	cols, rows := m.w, m.l
 	var band []uint64
 	if m.torus {
 		cols, rows = 2*m.w, 2*m.l-1
-		band = sizedScratch(&m.hist.bandMask, wordsPerRow(cols))
+		band = sizedScratch(&hs.bandMask, wordsPerRow(cols))
 	}
-	hs := &m.hist
-	hs.resetSweep(cols)
-	cand := sizedScratch(&hs.byH, maxL+1)
-	clear(cand)
-	for r := 0; r < rows; r++ {
-		ry := r
-		if ry >= m.l {
-			ry -= m.l
+	mw := sizedScratch(&hs.mw, (maxH+1)*(maxL+1))
+	clear(mw)
+	var slab []uint64
+	row := func(r int) []uint64 { // band row r of the slab: row r mod L
+		if r >= m.l {
+			r -= m.l
 		}
-		// Degenerate rows shortcut the stack. A fully busy row — every
-		// word zero — zeroes every height and records nothing. And when
-		// the NEXT band row is fully free (a handful of word compares,
-		// rowFullyFree), every rectangle this row would record recurs
-		// there with the same width and a height one larger (or capped
-		// equal), so its record is dominated through the suffix max —
-		// only the heights need maintaining here.
-		words := m.rowWords(ry)
-		if !anyBit(words) {
+		return slab[r*m.wpr:][:m.wpr]
+	}
+	for z := 0; z < m.h; z++ {
+		for d := 1; d <= min(maxH, m.h-z); d++ {
+			slab = m.slabOf(z, d)
+			rec, busy := mw[d*(maxL+1):(d+1)*(maxL+1)], true
 			hs.resetSweep(cols)
-			continue
+			for r := 0; r < rows; r++ {
+				words := row(r)
+				if !anyBit(words) {
+					hs.resetSweep(cols)
+					continue
+				}
+				busy = false
+				record := r+1 == rows || !m.rowFullyFree(row(r+1))
+				if m.torus {
+					m.doubleRowInto(band, words)
+					words = band
+				}
+				hs.sweepRow(words, cols, maxL, m.w, record, rec)
+			}
+			if busy {
+				break
+			}
 		}
-		if m.torus {
-			m.doubleRowInto(band, words)
-			words = band
-		}
-		ny := r + 1
-		if ny >= m.l {
-			ny -= m.l
-		}
-		hs.sweepRow(words, cols, maxL, m.w, r+1 == rows || !m.rowFullyFree(ny), cand)
 	}
-	suffixMax(cand)
+	for d := 1; d <= maxH; d++ {
+		suffixMax(mw[d*(maxL+1) : (d+1)*(maxL+1)])
+	}
 	// Remember the sweep: until the next release, allocations only
 	// shrink MW, so this table upper-bounds every later call's search
 	// (sweepUpperArea) — often proving the next carve needs no sweep.
-	m.hist.sweepMaxL = maxL
-	m.hist.sweepEpoch = m.releaseEpoch
-	return cand
+	hs.sweepMaxL, hs.sweepEpoch = maxL, m.releaseEpoch
+	return mw
 }
 
 // segment is one bar of the sweep's histogram: the columns from x up

@@ -299,17 +299,11 @@ func checkQueries(t *testing.T, m *Mesh, rng *rand.Rand) {
 		x1, y1 := rng.Intn(m.w), rng.Intn(m.l)
 		s := Sub(x1, y1, x1+rng.Intn(m.w-x1), y1+rng.Intn(m.l-y1))
 		want := naiveBusyInRect(m, s)
-		if got := m.BusyInRect(s); got != want {
-			t.Fatalf("BusyInRect(%v) = %d, scan says %d\n%s", s, got, want, m)
-		}
 		if got := m.FreeInRect(s); got != s.Area()-want {
 			t.Fatalf("FreeInRect(%v) = %d, scan says %d", s, got, s.Area()-want)
 		}
 		if got := m.SubFree(s); got != (want == 0) {
 			t.Fatalf("SubFree(%v) = %v, scan says %v", s, got, want == 0)
-		}
-		if got := m.FitsAt(s.X1, s.Y1, s.W(), s.L()); got != (want == 0) {
-			t.Fatalf("FitsAt(%v) = %v, scan says %v", s, got, want == 0)
 		}
 	}
 	w, l := 1+rng.Intn(m.w), 1+rng.Intn(m.l)
@@ -604,17 +598,11 @@ func checkTorusQueries(t *testing.T, m *Mesh, rng *rand.Rand) {
 		rw, rl := 1+rng.Intn(m.w), 1+rng.Intn(m.l)
 		s := SubAt(x, y, rw, rl)
 		wantBusy := naiveTorusBusy(m, x, y, rw, rl)
-		if got := m.BusyInRect(s); got != wantBusy {
-			t.Fatalf("torus BusyInRect(%v) = %d, naive says %d\n%s", s, got, wantBusy, m)
-		}
 		if got := m.FreeInRect(s); got != s.Area()-wantBusy {
 			t.Fatalf("torus FreeInRect(%v) = %d, naive says %d", s, got, s.Area()-wantBusy)
 		}
 		if got := m.SubFree(s); got != (wantBusy == 0) {
 			t.Fatalf("torus SubFree(%v) = %v, naive says %v\n%s", s, got, wantBusy == 0, m)
-		}
-		if got := m.FitsAt(x, y, rw, rl); got != (wantBusy == 0) {
-			t.Fatalf("torus FitsAt(%d,%d,%d,%d) = %v, naive says %v", x, y, rw, rl, got, wantBusy == 0)
 		}
 		checkSplitWrap(t, m, s)
 	}
@@ -626,9 +614,9 @@ func checkTorusQueries(t *testing.T, m *Mesh, rng *rand.Rand) {
 		if s.Z1 == 0 && s.Z2 == 0 {
 			continue
 		}
-		if m.SubFree(s) || m.BusyInRect(s) != 0 || m.FreeInRect(s) != 0 {
-			t.Fatalf("torus box %v off plane 0: SubFree %v, BusyInRect %d, FreeInRect %d; want false, 0, 0",
-				s, m.SubFree(s), m.BusyInRect(s), m.FreeInRect(s))
+		if m.SubFree(s) || m.FreeInRect(s) != 0 {
+			t.Fatalf("torus box %v off plane 0: SubFree %v, FreeInRect %d; want false, 0",
+				s, m.SubFree(s), m.FreeInRect(s))
 		}
 	}
 	w, l := 1+rng.Intn(m.w), 1+rng.Intn(m.l)

@@ -141,46 +141,23 @@ func (m *Mesh) CoordOf(i int) Coord {
 // Busy reports whether processor c is allocated: one bit test.
 func (m *Mesh) Busy(c Coord) bool { return !m.freeBitAt(m.rowIdx(c.Y, c.Z), c.X) }
 
-// BusyInRect returns the number of allocated processors inside s: a
-// masked popcount per touched word of each plane-row off the bitboard
+// FreeInRect returns the number of free processors inside s: a masked
+// popcount per touched word of each plane-row off the bitboard
 // (boxFree). On a torus, s may cross the wrap-around seams (X2 >= W or
 // Y2 >= L) and is answered as its seam-split planar pieces.
 // Out-of-range or invalid sub-meshes return 0.
-func (m *Mesh) BusyInRect(s Submesh) int {
-	if m.torus {
-		if !m.wrapValid(s) {
-			return 0
-		}
-		return m.wrapBusy(s)
-	}
-	if !s.Valid() || !m.InBounds(s.Base()) || !m.InBounds(s.End()) {
-		return 0
-	}
-	return s.Area() - m.boxFree(s)
-}
-
-// FreeInRect returns the number of free processors inside s — the
-// popcount complement of BusyInRect. On a torus, s may cross the
-// wrap-around seams. Out-of-range or invalid sub-meshes return 0.
 func (m *Mesh) FreeInRect(s Submesh) int {
 	if m.torus {
 		if !m.wrapValid(s) {
 			return 0
 		}
-		return s.Area() - m.wrapBusy(s)
+		return m.wrapFree(s)
 	}
 	if !s.Valid() || !m.InBounds(s.Base()) || !m.InBounds(s.End()) {
 		return 0
 	}
 	return m.boxFree(s)
 }
-
-// FitsAt reports whether the w x l sub-mesh based at (x,y) in plane 0
-// lies on the mesh and is entirely free: SubFree of that sub-mesh. On a
-// torus the base must be on the grid but the extent may cross either
-// seam (x+w > W, y+l > L), as long as it does not exceed the ring
-// sizes. FitsAt3D is the cuboid generalization.
-func (m *Mesh) FitsAt(x, y, w, l int) bool { return m.SubFree(SubAt(x, y, w, l)) }
 
 // Allocate marks the processors busy. It returns an error — without
 // side effects — if any is out of bounds or already allocated; a

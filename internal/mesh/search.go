@@ -3,12 +3,13 @@ package mesh
 import "iter"
 
 // This file implements the free-rectangle searches used by the
-// allocation strategies. FirstFit and BestFit are the depth-1 calls of
-// the 3D searches (volume.go), which run the window walk of walk.go on
-// every fabric: the walk ANDs window rows in O(1) row operations per
-// base row, and a window's fit mask (bitboard.go) has bit x set
-// exactly where the whole w x l window based at x is free — bases
-// enumerated by TrailingZeros64 instead of probed one run at a time.
+// allocation strategies. FirstFit, BestFit and LargestFree are the
+// depth-1 calls of the 3D searches (volume.go). The first two run the
+// window walk of walk.go on every fabric: the walk ANDs window rows in
+// O(1) row operations per base row, and a window's fit mask
+// (bitboard.go) has bit x set exactly where the whole w x l window
+// based at x is free — bases enumerated by TrailingZeros64 instead of
+// probed one run at a time.
 // The run-table walks the masks replaced are kept in the tests as
 // blockedUntil and its torus and 3D forms, the references checkWalk
 // holds the walk to.
@@ -67,27 +68,14 @@ func (m *Mesh) SlideFit(w, l, h int) (Submesh, bool) {
 // the search at the heart of GABL: the first piece is capped by the
 // request's sides, later pieces by the previous piece's sides, and all
 // pieces by the processors still owed. On a torus the candidate space
-// includes seam-crossing placements.
+// includes seam-crossing placements; on a 3D mesh the candidates are
+// depth-1 cuboids over the whole volume, in (z, y, x) base order.
 //
-// The search runs as an O(W·L) histogram sweep (histogram.go); the
-// per-anchor scan it replaced is kept in the tests as largestFreeScan
-// — the reference they hold the sweep to, result for result.
+// It is the depth-1 call of LargestFree3D, whose histogram sweep
+// (histogram.go) the tests hold to the per-anchor scan it replaced,
+// kept as largestFreeScan, result for result.
 func (m *Mesh) LargestFree(maxW, maxL, maxArea int) (Submesh, bool) {
-	if maxW <= 0 || maxL <= 0 || maxArea <= 0 {
-		return Submesh{}, false
-	}
-	if maxW > m.w {
-		maxW = m.w
-	}
-	if maxL > m.l {
-		maxL = m.l
-	}
-	if m.h > 1 {
-		// A 2D constrained-largest on a 3D mesh is the depth-capped-at-1
-		// volumetric search (volume.go).
-		return m.largestFree3D(maxW, maxL, 1, maxArea)
-	}
-	return m.largestFreeHist(maxW, maxL, maxArea)
+	return m.LargestFree3D(maxW, maxL, 1, maxArea)
 }
 
 // FreeSeq yields the free processors plane by plane in row-major

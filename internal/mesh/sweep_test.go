@@ -1,12 +1,13 @@
 package mesh
 
 // Tests of the constrained-largest search's two mesh-sized kernels on
-// their own: the segment sweep's MW tables against a brute force over
-// every window of rows, and the probe phase's pair heap against the
-// trial-division enumeration it replaced. LargestFree's results are
-// held to the reference scans elsewhere (histogram_test.go), but a
-// table entry at a height that never wins is never checked there —
-// and sweepUpperArea still reuses such entries as upper bounds.
+// their own: the one slab sweep's MW(d, l) table — planar, torus and
+// 3D alike — against a brute force over every window of rows and
+// planes, and the probe phase's pair heap against the trial-division
+// enumeration it replaced. LargestFree's results are held to the
+// reference scans elsewhere (histogram_test.go), but a table entry at
+// a length that never wins is never checked there — and
+// sweepUpperArea still reuses the d = 1 row as upper bounds.
 
 import (
 	"math/rand"
@@ -83,18 +84,11 @@ func bruteMaxWidths(m *Mesh, maxL, maxH int) []int {
 	return mw
 }
 
-// checkMaxWidths holds the mesh's MW table for the caps to the brute
-// force: maxWidthByHeight on a depth-1 mesh, sweepVolumeSerial
-// otherwise.
+// checkMaxWidths holds the mesh's MW table for the caps (maxH at most
+// the depth) to the brute force: one maxWidths call on every fabric.
 func checkMaxWidths(t *testing.T, m *Mesh, maxL, maxH int) {
 	t.Helper()
-	var got []int
-	if m.h == 1 {
-		maxH = 1
-		got = append(make([]int, maxL+1), m.maxWidthByHeight(maxL)...) // after the d = 0 row
-	} else {
-		got = m.sweepVolumeSerial(maxL, maxH)
-	}
+	got := m.maxWidths(maxL, maxH)
 	if want := bruteMaxWidths(m, maxL, maxH); !slices.Equal(got, want) {
 		t.Fatalf("%dx%dx%d torus=%v maxL=%d maxH=%d: MW table\n got %v\nwant %v\n%s",
 			m.w, m.l, m.h, m.torus, maxL, maxH, got, want, m)

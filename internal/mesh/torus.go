@@ -8,7 +8,7 @@ package mesh
 //   - a rectangle whose extent crosses the x or y seam is split into
 //     two (one seam) or four (both seams) planar rectangles, each
 //     probed or pop-counted off the words by the planar box kernels
-//     (wrapPieces, torusSubFree, wrapBusy);
+//     (wrapPieces, torusSubFree, wrapFree);
 //   - the searches run the planar window walk (walk.go) with base rows
 //     0..L-1 and window rows wrapping past L. Its width check on wide
 //     rows asks whether an AND of rows holds a wrapped free run
@@ -16,7 +16,10 @@ package mesh
 //     reaching the x = W-1 edge) carried across the seam into the
 //     leading run. One-word rows enter the walk as ring fit masks
 //     (ringFold), and a wider window is rotated once into the doubled
-//     seam band (doubleRowInto) and narrowed there.
+//     seam band (doubleRowInto) and narrowed there;
+//   - the constrained-largest sweep (histogram.go) rotates every row
+//     into the same seam band and runs 2L−1 band rows, so a wrapped
+//     rectangle is a contiguous span of the band.
 //
 // Keeping the state planar means every mutation path and invariant of
 // the planar index carries over unchanged, and mesh-mode behaviour
@@ -122,15 +125,15 @@ func (m *Mesh) SplitWrap(dst []Submesh, s Submesh) []Submesh {
 	return append(dst, ps[:n]...)
 }
 
-// wrapBusy returns the busy count of a (wrapValid) possibly
+// wrapFree returns the free count of a (wrapValid) possibly
 // seam-crossing sub-mesh by summing its planar pieces (boxFree).
-func (m *Mesh) wrapBusy(s Submesh) int {
+func (m *Mesh) wrapFree(s Submesh) int {
 	ps, n := m.wrapPieces(s)
-	busy := 0
+	free := 0
 	for _, p := range ps[:n] {
-		busy += p.Area() - m.boxFree(p)
+		free += m.boxFree(p)
 	}
-	return busy
+	return free
 }
 
 // torusSubFree reports whether every processor of the possibly
@@ -147,29 +150,4 @@ func (m *Mesh) torusSubFree(s Submesh) bool {
 		}
 	}
 	return true
-}
-
-// largestIdeal returns the best conceivable (area, skew) under the
-// caps, occupancy aside: the constrained-largest searches stop the
-// moment they record a candidate this good, since later candidates can
-// at best tie and first-found wins.
-func largestIdeal(maxW, maxL, maxArea int) (idealArea, idealSkew int) {
-	for l := 1; l <= maxL; l++ {
-		w := maxW
-		if w*l > maxArea {
-			w = maxArea / l
-		}
-		if w*l > idealArea {
-			idealArea = w * l
-		}
-	}
-	idealSkew = idealArea // worse than any real candidate's skew
-	for l := 1; l <= maxL; l++ {
-		if idealArea%l == 0 {
-			if w := idealArea / l; w <= maxW && abs(w-l) < idealSkew {
-				idealSkew = abs(w - l)
-			}
-		}
-	}
-	return idealArea, idealSkew
 }

@@ -57,11 +57,11 @@ func TestTorusFullRingRow(t *testing.T) {
 		if got := m.runAt(x, 0); got != 6 {
 			t.Errorf("runAt(%d,0) = %d, want full ring 6", x, got)
 		}
-		if !m.FitsAt(x, 0, 6, 1) {
-			t.Errorf("FitsAt(%d,0,6,1) = false on a free ring", x)
+		if !m.SubFree(SubAt(x, 0, 6, 1)) {
+			t.Errorf("SubFree(SubAt(%d,0,6,1)) = false on a free ring", x)
 		}
-		if m.FitsAt(x, 0, 7, 1) {
-			t.Errorf("FitsAt(%d,0,7,1) accepted a width beyond the ring", x)
+		if m.SubFree(SubAt(x, 0, 7, 1)) {
+			t.Errorf("SubFree(SubAt(%d,0,7,1)) accepted a width beyond the ring", x)
 		}
 	}
 }
@@ -171,8 +171,8 @@ func TestTorusSearchRejectsOversize(t *testing.T) {
 	if _, ok := m.FirstFit(1, 6); ok {
 		t.Fatal("FirstFit accepted length beyond the ring")
 	}
-	if m.FitsAt(0, 0, 7, 1) || m.FitsAt(-1, 0, 2, 2) || m.FitsAt(6, 0, 1, 1) {
-		t.Fatal("FitsAt accepted an invalid torus candidate")
+	if m.SubFree(SubAt(0, 0, 7, 1)) || m.SubFree(SubAt(-1, 0, 2, 2)) || m.SubFree(SubAt(6, 0, 1, 1)) {
+		t.Fatal("SubFree accepted an invalid torus candidate")
 	}
 	if m.SubFree(SubAt(2, 2, 7, 1)) {
 		t.Fatal("SubFree accepted width beyond the ring")
@@ -187,11 +187,11 @@ func TestTorusMeshModeUnchanged(t *testing.T) {
 	if m.Torus() {
 		t.Fatal("New built a torus")
 	}
-	if m.FitsAt(6, 0, 4, 2) {
-		t.Fatal("planar FitsAt accepted x+w > W")
+	if m.SubFree(SubAt(6, 0, 4, 2)) {
+		t.Fatal("planar SubFree accepted x+w > W")
 	}
-	if got := m.BusyInRect(SubAt(6, 0, 4, 2)); got != 0 {
-		t.Fatalf("planar BusyInRect of out-of-range rect = %d, want 0", got)
+	if got := m.FreeInRect(SubAt(6, 0, 4, 2)); got != 0 {
+		t.Fatalf("planar FreeInRect of out-of-range rect = %d, want 0", got)
 	}
 	if len(m.SplitWrap(nil, SubAt(6, 0, 4, 2))) != 1 {
 		t.Fatal("planar SplitWrap split a sub-mesh")

@@ -185,23 +185,15 @@ func checkQueries3D(t *testing.T, m *Mesh, rng *rand.Rand) {
 		s := Sub3D(x1, y1, z1,
 			x1+rng.Intn(m.w-x1), y1+rng.Intn(m.l-y1), z1+rng.Intn(m.h-z1))
 		want := naiveBoxBusy(m, s)
-		if got := m.BusyInRect(s); got != want {
-			t.Fatalf("BusyInRect(%v) = %d, scan says %d\n%s", s, got, want, m)
-		}
 		if got := m.FreeInRect(s); got != s.Area()-want {
 			t.Fatalf("FreeInRect(%v) = %d, scan says %d", s, got, s.Area()-want)
 		}
 		if got := m.SubFree(s); got != (want == 0) {
 			t.Fatalf("SubFree(%v) = %v, scan says %v\n%s", s, got, want == 0, m)
 		}
-		if got := m.FitsAt3D(s.X1, s.Y1, s.Z1, s.W(), s.L(), s.H()); got != (want == 0) {
-			t.Fatalf("FitsAt3D(%v) = %v, scan says %v", s, got, want == 0)
-		}
-		// The 2D FitsAt on a 3D mesh must answer for plane 0 only.
-		if got, want := m.FitsAt(s.X1, s.Y1, s.W(), s.L()),
-			m.FitsAt3D(s.X1, s.Y1, 0, s.W(), s.L(), 1); got != want {
-			t.Fatalf("FitsAt(%d,%d,%d,%d) = %v, plane-0 FitsAt3D says %v",
-				s.X1, s.Y1, s.W(), s.L(), got, want)
+		// A 2D sub-mesh on a 3D mesh lies in plane 0.
+		if p := SubAt(s.X1, s.Y1, s.W(), s.L()); m.SubFree(p) != (naiveBoxBusy(m, p) == 0) {
+			t.Fatalf("SubFree(%v) = %v, plane-0 scan says %v", p, m.SubFree(p), naiveBoxBusy(m, p) == 0)
 		}
 	}
 	w, l, h := 1+rng.Intn(m.w), 1+rng.Intn(m.l), 1+rng.Intn(m.h)

@@ -163,7 +163,7 @@ func TestWarmOpsAllocateNothing(t *testing.T) {
 				m := frag(t, New(n, n))
 				i := 0
 				return func() {
-					m.FitsAt(i*31%(n-8), i*17%(n-8), 8, 8)
+					m.SubFree(SubAt(i*31%(n-8), i*17%(n-8), 8, 8))
 					i++
 				}
 			}},
