@@ -211,8 +211,9 @@ func BenchmarkProbes(b *testing.B) {
 // Coarse blocks leave long plateaus of equal column height, few
 // segments per row; fine blocks leave a segment every few columns,
 // where stepping the stack per segment saves little over stepping it
-// per column. The torus case is the only timing of the torus sweep:
-// no workload runs GABL on a torus.
+// per column, and almost no two adjacent rows equal, so bands are one
+// row long. The torus case is the only timing of the torus sweep: no
+// workload runs GABL on a torus.
 func BenchmarkSweep(b *testing.B) {
 	cases := []struct {
 		name  string

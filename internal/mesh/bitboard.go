@@ -239,20 +239,27 @@ func fold(v uint64, w int) uint64 {
 // those planes, so a slab row holds a free run of width w only if all
 // h plane-rows under it do, and a window's AND over l slab rows is its
 // AND over all l·h plane-rows. A depth-1 slab is plane z's own words; a
-// deeper one is built in one scratch buffer, so a slab stays valid
-// until the next slabOf (largestFree sweeps its slabs one at a time and
-// locates its winner only after the sweep is done).
+// deeper one is built in one scratch buffer (deepen), so a slab stays
+// valid until the next slabOf or deepen (largestFree sweeps its slabs
+// one at a time and locates its winner only after the sweep is done).
 func (m *Mesh) slabOf(z, h int) []uint64 {
 	pw := m.l * m.wpr
-	if h == 1 {
-		return m.freeW[z*pw : (z+1)*pw]
-	}
-	proj := sizedScratch(&m.hist.proj, pw)
-	copy(proj, m.freeW[z*pw:(z+1)*pw])
+	slab := m.freeW[z*pw : (z+1)*pw]
 	for zz := z + 1; zz < z+h; zz++ {
-		for i, v := range m.freeW[zz*pw : (zz+1)*pw] {
-			proj[i] &= v
-		}
+		slab = m.deepen(slab, zz)
+	}
+	return slab
+}
+
+// deepen returns slab one plane deeper: its rows ANDed with plane z's,
+// in one pass into the slab scratch. slab is either that scratch or a
+// plane's own words (a depth-1 slab), which the pass copies as it ANDs.
+func (m *Mesh) deepen(slab []uint64, z int) []uint64 {
+	pw := m.l * m.wpr
+	proj := sizedScratch(&m.hist.proj, pw)
+	slab = slab[:pw]
+	for i, v := range m.freeW[z*pw : (z+1)*pw] {
+		proj[i] = slab[i] & v
 	}
 	return proj
 }

@@ -42,17 +42,16 @@
 // depth-1 call — the heart of GABL's carving) is one engine for every
 // fabric (histogram.go, docs/occupancy-index.md §6). One
 // maximal-rectangle-in-histogram sweep reads the slabs the window walk
-// reads — every (base plane, depth) AND-projection, each row rotated
-// into the doubled seam band on a torus — keeps column heights as
-// segments of equal height and steps its stack once per segment,
-// filling one MW(depth, length) table; one fold picks the best capped
-// (volume, spread) pair off the table and one first-fit locate places
-// it. On depth-1 meshes a best-first shape-probe phase, its divisor
-// pairs taken off a max-heap, usually answers before any sweep, with
-// release-epoch memoization of alloc-monotone facts. The per-anchor
-// scans it replaced are kept in the tests as largestFreeScan and
-// largestFreeScan3D, the references its differential tests compare
-// against.
+// reads — every (base plane, depth) AND-projection, deepened one plane
+// at a time, each row rotated into the doubled seam band on a torus —
+// keeps column heights as segments of equal height, steps its stack
+// once per segment, and advances a run of identical slab rows as one
+// band in one pass, filling one MW(depth, length) table; one fold
+// picks the best capped (volume, spread) pair off the table and one
+// first-fit locate places it. Every call sweeps: nothing is cached
+// between calls. The per-anchor scans it replaced are kept in the
+// tests as largestFreeScan and largestFreeScan3D, the references its
+// differential tests compare against.
 //
 // # Topologies
 //

@@ -31,10 +31,7 @@ import (
 //   - Recover unpins: an overlaid cell stays busy (its allocation still
 //     holds it); a bare pin frees the cell (one bit flip).
 //
-// Fail and Recover keep AllocatedCount invariant by construction, and
-// a Fail on a free cell only shrinks the free set, so the histogram
-// memo's alloc-monotone facts stay valid; Recover frees a cell and
-// bumps the release epoch like any other release.
+// Fail and Recover keep AllocatedCount invariant by construction.
 
 // ensureFault allocates the pin marks on first use, so fault-free
 // meshes never carry them.
@@ -92,7 +89,6 @@ func (m *Mesh) Recover(c Coord) error {
 	}
 	m.freeCount++
 	m.freeW[i] |= b
-	m.noteRelease()
 	return nil
 }
 
@@ -168,9 +164,6 @@ func (m *Mesh) releasePinnedAware(nodes []Coord) error {
 		}
 	}
 	m.freeCount += freed
-	if freed > 0 {
-		m.noteRelease()
-	}
 	return nil
 }
 
@@ -222,9 +215,6 @@ func (m *Mesh) releaseSubPinnedAware(s Submesh, sp span) error {
 		}
 	}
 	m.overlayCount -= pins
-	if freed := s.Area() - pins; freed > 0 {
-		m.freeCount += freed
-		m.noteRelease()
-	}
+	m.freeCount += s.Area() - pins
 	return nil
 }

@@ -48,15 +48,10 @@ type Mesh struct {
 
 	freeCount int
 
-	// hist holds the reusable buffers of the histogram-based
-	// constrained-largest searches (histogram.go, volume.go); lazily
-	// sized, never part of the occupancy state.
+	// hist holds the searches' reusable buffers (histogram.go,
+	// walk.go, bestfit.go); lazily sized, never part of the occupancy
+	// state.
 	hist histScratch
-	// releaseEpoch counts mutations that freed processors. The
-	// constrained-largest search memoizes alloc-monotone facts (failed
-	// shapes, sweep upper bounds) against it: allocations preserve
-	// them, any release invalidates (histogram.go).
-	releaseEpoch uint64
 
 	// pinned marks failed processors (fault.go): pinned cells are busy
 	// in the words, and the release paths refuse to free them.
@@ -253,7 +248,6 @@ func (m *Mesh) Release(nodes []Coord) error {
 		m.freeW[i] |= b
 	}
 	m.freeCount += len(nodes)
-	m.noteRelease()
 	return nil
 }
 
@@ -288,7 +282,6 @@ func (m *Mesh) ReleaseSub(s Submesh) error {
 	}
 	m.flipBox(s, sp)
 	m.freeCount += s.Area()
-	m.noteRelease()
 	return nil
 }
 
@@ -324,7 +317,6 @@ func (m *Mesh) Reset() {
 		m.pinnedCount, m.overlayCount = 0, 0
 	}
 	m.freeCount = m.Size()
-	m.noteRelease()
 	m.resetTables()
 }
 

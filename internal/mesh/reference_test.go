@@ -43,6 +43,31 @@ func (m *Mesh) blockedUntil(x, y, w, l int) int {
 	return 0
 }
 
+// largestIdeal returns the best conceivable (area, skew) under the
+// caps, occupancy aside: the reference scans stop the moment they
+// record a candidate this good, since later candidates can at best tie
+// and first-found wins.
+func largestIdeal(maxW, maxL, maxArea int) (idealArea, idealSkew int) {
+	for l := 1; l <= maxL; l++ {
+		w := maxW
+		if w*l > maxArea {
+			w = maxArea / l
+		}
+		if w*l > idealArea {
+			idealArea = w * l
+		}
+	}
+	idealSkew = idealArea // worse than any real candidate's skew
+	for l := 1; l <= maxL; l++ {
+		if idealArea%l == 0 {
+			if w := idealArea / l; w <= maxW && abs(w-l) < idealSkew {
+				idealSkew = abs(w - l)
+			}
+		}
+	}
+	return idealArea, idealSkew
+}
+
 // largestFreeScan is the pre-histogram LargestFree: a per-anchor
 // downward-growth scan with upper-bound pruning, O(W·L·maxL) worst
 // case. It is retained verbatim as the reference implementation the

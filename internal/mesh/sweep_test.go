@@ -1,13 +1,11 @@
 package mesh
 
-// Tests of the constrained-largest search's two mesh-sized kernels on
-// their own: the one slab sweep's MW(d, l) table — planar, torus and
-// 3D alike — against a brute force over every window of rows and
-// planes, and the probe phase's pair heap against the trial-division
-// enumeration it replaced. LargestFree's results are held to the
-// reference scans elsewhere (histogram_test.go), but a table entry at
-// a length that never wins is never checked there — and
-// sweepUpperArea still reuses the d = 1 row as upper bounds.
+// Tests of the constrained-largest search's mesh-sized kernel on its
+// own: the one slab sweep's MW(d, l) table — planar, torus and 3D
+// alike — against a brute force over every window of rows and planes.
+// LargestFree's results are held to the reference scans elsewhere
+// (histogram_test.go), but a table entry at a length that never wins
+// is never checked there.
 
 import (
 	"math/rand"
@@ -56,9 +54,9 @@ func longestFreeRun(free []bool, wrap bool) int {
 // bruteMaxWidths computes MW(d, l) for d in 1..maxH and l in 1..maxL
 // straight off the cells: the widest free run of the AND of every
 // window of d planes and l rows, rows and runs wrapping on a torus.
-// The table is indexed mw[d*(maxL+1)+l], row and column 0 zero.
+// The table is indexed mw[(d-1)*(maxL+1)+l], column 0 zero.
 func bruteMaxWidths(m *Mesh, maxL, maxH int) []int {
-	mw := make([]int, (maxH+1)*(maxL+1))
+	mw := make([]int, maxH*(maxL+1))
 	and := make([]bool, m.w)
 	bases := m.l
 	for d := 1; d <= maxH; d++ {
@@ -76,7 +74,8 @@ func bruteMaxWidths(m *Mesh, maxL, maxH int) []int {
 							}
 						}
 					}
-					mw[d*(maxL+1)+l] = max(mw[d*(maxL+1)+l], longestFreeRun(and, m.torus))
+					i := (d-1)*(maxL+1) + l
+					mw[i] = max(mw[i], longestFreeRun(and, m.torus))
 				}
 			}
 		}
@@ -99,10 +98,14 @@ func checkMaxWidths(t *testing.T, m *Mesh, maxL, maxH int) {
 // sweeps over random meshes 1–70 wide, so rows cross the 64-bit word
 // boundary, at coarse and fine fragmentation, with fully busy rows
 // (the sweep's reset shortcut) and fully free rows (the dominated-row
-// shortcut on the row before) forced in, at several height caps.
+// shortcut on the row before) forced in, at several height caps. A
+// third of the meshes are striped: each plane's rows copy one of 2–3
+// palette rows in runs of 1..l rows, so the sweep's bands of identical
+// slab rows run past every maxL asked, may wrap from row L−1 to row 0
+// on a torus, and on 3D are runs of the slab that no one plane has.
 func TestMaxWidthTablesMatchBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	for trial := 0; trial < 300; trial++ {
+	for trial := 0; trial < 450; trial++ {
 		w, l, h := 1+rng.Intn(70), 1+rng.Intn(9), 1
 		var m *Mesh
 		switch trial % 3 {
@@ -121,6 +124,27 @@ func TestMaxWidthTablesMatchBruteForce(t *testing.T) {
 		for i := range blocks {
 			blocks[i] = rng.Float64() < p
 		}
+		var palette [][]bool // a striped mesh's rows, in g-wide blocks
+		stripe := make([]int, h*l)
+		if (trial/3)%3 == 2 {
+			palette = make([][]bool, 2+rng.Intn(2))
+			busy := false
+			for i := range palette {
+				palette[i] = make([]bool, w)
+				for x := range palette[i] {
+					if x%g == 0 {
+						busy = rng.Float64() < p
+					}
+					palette[i][x] = busy
+				}
+			}
+			for r := 0; r < h*l; { // plane-row r = z·l + y
+				c, n := rng.Intn(len(palette)), 1+rng.Intn(l)
+				for end := min(r+n, (r/l+1)*l); r < end; r++ {
+					stripe[r] = c // a run ends with its plane
+				}
+			}
+		}
 		rowKind := make([]int, l) // 0 blocks, 1 fully busy, 2 fully free
 		for y := range rowKind {
 			if rng.Intn(4) == 0 {
@@ -128,11 +152,11 @@ func TestMaxWidthTablesMatchBruteForce(t *testing.T) {
 			}
 		}
 		occupyWhere(t, m, func(x, y, z int) bool {
-			switch rowKind[y] {
-			case 1:
-				return true
-			case 2:
-				return false
+			switch {
+			case rowKind[y] != 0:
+				return rowKind[y] == 1
+			case palette != nil:
+				return palette[stripe[z*l+y]][x]
 			}
 			return blocks[(z*(l/g+1)+y/g)*(w/g+1)+x/g]
 		})
@@ -142,72 +166,14 @@ func TestMaxWidthTablesMatchBruteForce(t *testing.T) {
 	}
 }
 
-// trialDivisionPairs is the probe phase's enumeration before the pair
-// heap, kept as its reference: areas descending from startArea, each
-// area's short sides a from its integer root down to the shortest
-// whose long side fits within long, tested for divisibility. It
-// returns the pairs (a, b) in order and whether the enumeration ran
-// down to area 1 (decided, nothing fits) rather than stopping at the
-// area budget (the sweep must settle the call).
-func trialDivisionPairs(startArea, long int) (pairs [][2]int, decided bool) {
-	areas := areaBudget
-	root := 0
-	for (root+1)*(root+1) <= startArea {
-		root++
-	}
-	for area := startArea; area >= 1; area-- {
-		for root*root > area {
-			root--
-		}
-		if areas--; areas < 0 {
-			return pairs, false
-		}
-		aMin := (area + long - 1) / long
-		for a := root; a >= aMin; a-- {
-			if area%a == 0 {
-				pairs = append(pairs, [2]int{a, area / a})
-			}
-		}
-	}
-	return pairs, true
-}
-
-// TestPairHeapMatchesTrialDivision holds the pair heap to the trial
-// division: the same (a, b) sequence and the same verdict when it
-// runs dry, over start areas of 1, primes, squares, long², areas up to
-// 1<<20, a long side of 1, and start areas on either side of the area
-// budget's cut.
-func TestPairHeapMatchesTrialDivision(t *testing.T) {
-	var h pairHeap
-	starts := []int{0, 1, 2, 3, 7, 97, 1009, 7919, 4, 49, 1024, 4096, 65536,
-		areaBudget - 1, areaBudget, areaBudget + 1, 2*areaBudget - 1, 2 * areaBudget,
-		2*areaBudget + 1, 1<<20 - 1, 1 << 20}
-	for _, long := range []int{1, 2, 5, 16, 22, 64, 256, 1024} {
-		for _, start := range append(starts, long*long, long*long-1, long*long+1) {
-			want, decided := trialDivisionPairs(start, long)
-			var got [][2]int
-			h.reset(start, long, start-areaBudget)
-			for {
-				a, b, ok := h.pop()
-				if !ok {
-					break
-				}
-				got = append(got, [2]int{a, b})
-			}
-			if !slices.Equal(got, want) || h.covered() != decided {
-				t.Fatalf("start %d long %d: heap %d pairs (covered %v), trial division %d (decided %v)\n got %v\nwant %v",
-					start, long, len(got), h.covered(), len(want), decided, got, want)
-			}
-		}
-	}
-}
-
-// FuzzLargestFree reads the fuzz input as an occupancy: the first byte
-// picks a block size g in 1..4, and bit i of the rest (wrapping) marks
-// the i-th g x g block busy, so one input exercises fine and coarse
-// fragmentation alike. Each of a 65-wide and a small planar mesh, a
-// 65-wide and a small torus and a 3D mesh takes the occupancy, so rows
-// cross the 64-bit word boundary; LargestFree (LargestFree3D)
+// FuzzLargestFree reads the fuzz input as an occupancy: bits 0–1 of
+// the first byte pick a block width g in 1..4 and bits 2–3 a row-height
+// factor f in 1..4, and bit i of the rest (wrapping) marks the i-th
+// g x g·f block busy, so one input exercises fine and coarse
+// fragmentation alike, and runs of identical rows as long as the small
+// meshes (the sweep's bands). Each of a 65-wide and a small planar
+// mesh, a 65-wide and a small torus and a 3D mesh takes the occupancy,
+// so rows cross the 64-bit word boundary; LargestFree (LargestFree3D)
 // must match the reference scan under request-shaped, area-capped and
 // fuzzed caps, and every MW table must match the brute force.
 func FuzzLargestFree(f *testing.F) {
@@ -219,11 +185,12 @@ func FuzzLargestFree(f *testing.F) {
 		if len(data) < 2 {
 			return
 		}
-		g, bits := 1+int(data[0]%4), data[1:]
+		g, bits := 1+int(data[0]&3), data[1:]
+		gl := g * (1 + int(data[0]>>2&3)) // a block's rows
 		for _, m := range []*Mesh{New(65, 4), New(9, 7), NewTorus(8, 9), NewTorus(65, 3), New3D(7, 6, 3)} {
-			bw, bl := (m.w+g-1)/g, (m.l+g-1)/g
+			bw, bl := (m.w+g-1)/g, (m.l+gl-1)/gl
 			occupyWhere(t, m, func(x, y, z int) bool {
-				i := ((z*bl+y/g)*bw + x/g) % (8 * len(bits))
+				i := ((z*bl+y/gl)*bw + x/g) % (8 * len(bits))
 				return bits[i/8]>>(i%8)&1 != 0
 			})
 			rng := rand.New(rand.NewSource(int64(len(data))))
