@@ -20,6 +20,15 @@ import (
 // busy enough that jobs queue, so a moved placement moves the metrics.
 func runFaultCase(t *testing.T, c matrixCase, jobs int, plan *FaultPlan) Result {
 	t.Helper()
+	res, err := Run(faultCase(c, jobs, plan))
+	if err != nil {
+		t.Fatalf("%v: %v", c, err)
+	}
+	return res
+}
+
+// faultCase builds runFaultCase's config and job source.
+func faultCase(c matrixCase, jobs int, plan *FaultPlan) (Config, workload.Source) {
 	cfg := DefaultConfig()
 	cfg.MeshW, cfg.MeshL, cfg.MeshH = c.w, c.l, c.h
 	cfg.Strategy = c.strategy
@@ -30,12 +39,7 @@ func runFaultCase(t *testing.T, c matrixCase, jobs int, plan *FaultPlan) Result 
 	cfg.MaxQueued = 4 * jobs
 	cfg.Seed = 23
 	cfg.Faults = plan
-	src := workload.NewAllocStress3D(stats.NewStream(5), c.w, c.l, max(1, c.h), 0.2, 60)
-	res, err := Run(cfg, src)
-	if err != nil {
-		t.Fatalf("%v: %v", c, err)
-	}
-	return res
+	return cfg, workload.NewAllocStress3D(stats.NewStream(5), c.w, c.l, max(1, c.h), 0.2, 60)
 }
 
 // TestZeroFailurePlanMatchesNoPlan pins the no-op guarantee: a plan
@@ -221,25 +225,59 @@ func TestPlaneOutage3D(t *testing.T) {
 
 // TestRecoveryUnblocksQueueHead starves the queue head on failed
 // capacity: a 4x4 job cannot fit a 4x4 mesh while one corner is out,
-// so it waits from its arrival at t=10 until the repair at t=500.
+// so it waits from its arrival at t=10 until the repair at t=500. The
+// warm start shifts the scenario by 1e6: the faults arm at StartTime,
+// so the same times hold relative to it.
 func TestRecoveryUnblocksQueueHead(t *testing.T) {
-	plan := &FaultPlan{
-		Outages: []Outage{{At: 0, Duration: 500, Region: mesh.SubAt(0, 0, 1, 1)}},
+	for _, shift := range []float64{0, 1e6} {
+		plan := &FaultPlan{
+			Outages: []Outage{{At: shift, Duration: 500, Region: mesh.SubAt(0, 0, 1, 1)}},
+		}
+		cfg := faultCfg(4, 4, 0, plan)
+		cfg.StartTime = shift
+		res, err := Run(cfg, oneJob(workload.Job{Arrival: shift + 10, W: 4, L: 4, Compute: 100}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Completed != 1 || res.JobsKilled != 0 {
+			t.Fatalf("shift %v: recovery-unblock run wrong: %+v", shift, res)
+		}
+		if res.MeanWait != 490 || res.MeanTurnaround != 590 {
+			t.Fatalf("shift %v: recovery-unblock timing wrong: wait=%v turnaround=%v",
+				shift, res.MeanWait, res.MeanTurnaround)
+		}
+		if res.Failures != 1 || res.Recoveries != 1 {
+			t.Fatalf("shift %v: cell counts wrong: %+v", shift, res)
+		}
+		// One cell out for 500 of the window's 600 time units: the
+		// pinned integral opens when the faults arm.
+		if res.MeanPinned != 500.0/600 {
+			t.Fatalf("shift %v: MeanPinned = %v, want 500/600", shift, res.MeanPinned)
+		}
 	}
-	res, err := Run(faultCfg(4, 4, 0, plan),
-		oneJob(workload.Job{Arrival: 10, W: 4, L: 4, Compute: 100}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Completed != 1 || res.JobsKilled != 0 {
-		t.Fatalf("recovery-unblock run wrong: %+v", res)
-	}
-	if res.MeanWait != 490 || res.MeanTurnaround != 590 {
-		t.Fatalf("recovery-unblock timing wrong: wait=%v turnaround=%v",
-			res.MeanWait, res.MeanTurnaround)
-	}
-	if res.Failures != 1 || res.Recoveries != 1 {
-		t.Fatalf("cell counts wrong: %+v", res)
+}
+
+// TestMaxFailuresCapsRandomFailures runs a drain run whose random
+// failures would outnumber the job's few hundred time units many times
+// over (MTBF 50 on every node or link) and holds each kind to its cap.
+func TestMaxFailuresCapsRandomFailures(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		plan *FaultPlan
+		got  func(Result) int64
+	}{
+		{"nodes", &FaultPlan{Seed: 3, MTBF: 50, MTTR: 5, MaxFailures: 3},
+			func(r Result) int64 { return r.Failures }},
+		{"links", &FaultPlan{Seed: 3, Links: &LinkPlan{MTBF: 50, MTTR: 5, MaxFailures: 3}},
+			func(r Result) int64 { return r.LinkFailures }},
+	} {
+		res, err := Run(faultCfg(4, 4, 0, c.plan), oneJob(commJob(2, 2, 40, 300)))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := c.got(res); got != 3 {
+			t.Errorf("%s: %d random failures, want the cap 3: %+v", c.name, got, res)
+		}
 	}
 }
 
@@ -272,24 +310,31 @@ func TestFaultedCommRunKillsMidFlight(t *testing.T) {
 	}
 }
 
-// TestFaultPlanValidate exercises the constructor-time plan checks.
+// TestFaultPlanValidate exercises the constructor-time plan checks:
+// each plan has one defect, and New names it.
 func TestFaultPlanValidate(t *testing.T) {
-	bad := []Config{}
-	for _, plan := range []*FaultPlan{
-		{MTBF: -1},
-		{MTTR: -5},
-		{MaxFailures: -2},
-		{Policy: "retry"},
-		{Outages: []Outage{{At: -1, Region: mesh.SubAt(0, 0, 1, 1)}}},
-		{Outages: []Outage{{Region: mesh.SubAt(3, 3, 4, 4)}}},         // spills off 4x4
-		{Outages: []Outage{{Region: mesh.SubAt3D(0, 0, 1, 1, 1, 1)}}}, // z beyond 2D
+	for _, c := range []struct {
+		start float64 // Config.StartTime
+		plan  *FaultPlan
+		want  string
+	}{
+		{0, &FaultPlan{MTBF: -1}, "sim: negative FaultPlan.MTBF -1"},
+		{0, &FaultPlan{MTTR: -5}, "sim: negative FaultPlan.MTTR -5"},
+		{0, &FaultPlan{MaxFailures: -2}, "sim: negative FaultPlan.MaxFailures -2"},
+		{0, &FaultPlan{Policy: "retry"}, `sim: unknown kill policy "retry" (want "requeue" or "abort")`},
+		{0, &FaultPlan{Outages: []Outage{{At: -1, Region: mesh.SubAt(0, 0, 1, 1)}}},
+			"sim: negative FaultPlan.Outages[0].At -1"},
+		{0, &FaultPlan{Outages: []Outage{{Region: mesh.SubAt(3, 3, 4, 4)}}}, // spills off 4x4
+			"sim: outage 0 region (3,3,6,6) outside 4x4x1 mesh"},
+		{0, &FaultPlan{Outages: []Outage{{Region: mesh.SubAt3D(0, 0, 1, 1, 1, 1)}}}, // z beyond 2D
+			"sim: outage 0 region (0,0,1,0,0,1) outside 4x4x1 mesh"},
+		{10, &FaultPlan{Outages: []Outage{{At: 5, Duration: 100, Region: mesh.SubAt(0, 0, 1, 1)}}},
+			"sim: outage 0 at 5 predates StartTime 10"},
 	} {
-		cfg := faultCfg(4, 4, 0, plan)
-		bad = append(bad, cfg)
-	}
-	for i, cfg := range bad {
-		if _, err := New(cfg, oneJob(workload.Job{W: 1, L: 1, Compute: 1})); err == nil {
-			t.Fatalf("bad plan %d accepted", i)
+		cfg := faultCfg(4, 4, 0, c.plan)
+		cfg.StartTime = c.start
+		if _, err := New(cfg, oneJob(workload.Job{W: 1, L: 1, Compute: 1})); err == nil || err.Error() != c.want {
+			t.Errorf("plan %+v: error %v, want %q", c.plan, err, c.want)
 		}
 	}
 	ok := faultCfg(4, 4, 0, &FaultPlan{MTBF: 10, MTTR: 1, MaxFailures: 3,

@@ -171,27 +171,45 @@ func TestLinkFaultSeedReproducible(t *testing.T) {
 	}
 }
 
-// TestLinkPlanValidate exercises the constructor-time links checks.
+// TestLinkPlanValidate exercises the constructor-time links checks:
+// each plan has one defect, and New names it.
 func TestLinkPlanValidate(t *testing.T) {
-	bad := []*LinkPlan{
-		{MTBF: -1},
-		{MTTR: -2},
-		{MaxFailures: -3},
-		{Outages: []LinkOutage{{At: -1, Links: []LinkRef{{X: 0, Y: 0, Dir: "East"}}}}},
-		{Outages: []LinkOutage{{}}}, // names no links
-		{Outages: []LinkOutage{{Links: []LinkRef{{X: 0, Y: 0, Dir: "Sideways"}}}}},
-		{Outages: []LinkOutage{{Links: []LinkRef{{X: 0, Y: 0, Dir: "Inject"}}}}}, // processor link
-		{Outages: []LinkOutage{{Links: []LinkRef{{X: 9, Y: 0, Dir: "East"}}}}},   // off the mesh
-		{Outages: []LinkOutage{{Links: []LinkRef{{X: 3, Y: 0, Dir: "East"}}}}},   // mesh border
-		{Outages: []LinkOutage{{Links: []LinkRef{{X: 0, Y: 0, Dir: "Up"}}}}},     // 2D fabric
-		{Outages: []LinkOutage{{Row: &LinkRow{Y: 9, Dir: "North"}}}},             // row off the mesh
-		{Outages: []LinkOutage{{Row: &LinkRow{Y: 3, Dir: "North"}}}},             // border row: no links
-		{Outages: []LinkOutage{{Row: &LinkRow{Y: 0, Dir: "Eject"}}}},             // processor links
-	}
-	for i, lp := range bad {
-		cfg := faultCfg(4, 4, 0, &FaultPlan{Links: lp})
-		if _, err := New(cfg, oneJob(workload.Job{W: 1, L: 1, Compute: 1})); err == nil {
-			t.Fatalf("bad links plan %d accepted", i)
+	east := []LinkRef{{X: 0, Y: 0, Dir: "East"}}
+	for _, c := range []struct {
+		start float64 // Config.StartTime
+		lp    *LinkPlan
+		want  string
+	}{
+		{0, &LinkPlan{MTBF: -1}, "sim: negative LinkPlan.MTBF -1"},
+		{0, &LinkPlan{MTTR: -2}, "sim: negative LinkPlan.MTTR -2"},
+		{0, &LinkPlan{MaxFailures: -3}, "sim: negative LinkPlan.MaxFailures -3"},
+		{0, &LinkPlan{Outages: []LinkOutage{{At: -1, Links: east}}}, "sim: negative LinkPlan.Outages[0].At -1"},
+		{0, &LinkPlan{Outages: []LinkOutage{{}}}, "sim: link outage 0 names no links"},
+		{0, &LinkPlan{Outages: []LinkOutage{{Links: []LinkRef{{X: 0, Y: 0, Dir: "Sideways"}}}}},
+			`sim: link outage 0 link 0: network: unknown direction "Sideways"`},
+		{0, &LinkPlan{Outages: []LinkOutage{{Links: []LinkRef{{X: 0, Y: 0, Dir: "Inject"}}}}}, // processor link
+			"sim: link outage 0 link 0: processor links fail with their node, not in a link plan"},
+		{0, &LinkPlan{Outages: []LinkOutage{{Links: []LinkRef{{X: 9, Y: 0, Dir: "East"}}}}}, // off the mesh
+			"sim: link outage 0 link 0 node (9,0) outside 4x4x1 mesh"},
+		{0, &LinkPlan{Outages: []LinkOutage{{Links: []LinkRef{{X: 3, Y: 0, Dir: "East"}}}}}, // mesh border
+			"sim: link outage 0 link 0: no East link at (3,0) on this fabric"},
+		{0, &LinkPlan{Outages: []LinkOutage{{Links: []LinkRef{{X: 0, Y: 0, Dir: "Up"}}}}}, // 2D fabric
+			"sim: link outage 0 link 0: no Up link at (0,0) on this fabric"},
+		{0, &LinkPlan{Outages: []LinkOutage{{Row: &LinkRow{Y: 9, Dir: "North"}}}}, // row off the mesh
+			"sim: link outage 0 row y=9 z=0 outside 4x4x1 mesh"},
+		{0, &LinkPlan{Outages: []LinkOutage{{Row: &LinkRow{Y: 3, Dir: "North"}}}}, // border row: no links
+			"sim: link outage 0 row y=3 has no North links on this fabric"},
+		{0, &LinkPlan{Outages: []LinkOutage{{Row: &LinkRow{Y: 0, Dir: "Eject"}}}}, // processor links
+			"sim: link outage 0 row: processor links fail with their node, not in a link plan"},
+		{0, &LinkPlan{Outages: []LinkOutage{{Row: &LinkRow{Y: 0, Dir: "Sideways"}}}},
+			`sim: link outage 0 row: network: unknown direction "Sideways"`},
+		{10, &LinkPlan{Outages: []LinkOutage{{At: 5, Links: east}}},
+			"sim: link outage 0 at 5 predates StartTime 10"},
+	} {
+		cfg := faultCfg(4, 4, 0, &FaultPlan{Links: c.lp})
+		cfg.StartTime = c.start
+		if _, err := New(cfg, oneJob(workload.Job{W: 1, L: 1, Compute: 1})); err == nil || err.Error() != c.want {
+			t.Errorf("links plan %+v: error %v, want %q", c.lp, err, c.want)
 		}
 	}
 	good := &FaultPlan{Links: &LinkPlan{MTBF: 1000, MTTR: 10, MaxFailures: 5,

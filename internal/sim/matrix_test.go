@@ -2,8 +2,9 @@ package sim
 
 // Pinned-digest Result matrix: every strategy family under both
 // schedulers on the mesh, the torus and the 3D mesh, plus live node
-// faults and link churn, and the paper's real workload at four seeds,
-// each run once and its full Result hashed.
+// faults, link churn, the example fault-plan file and a composed plan
+// that runs every outage path, and the paper's real workload at four
+// seeds, each run once and its full Result hashed.
 // The digests are committed below, so a refactor of the search,
 // allocation, scheduling, fault or network layers that moves a single
 // placement — or any metric — fails here with the digest it produced.
@@ -12,10 +13,14 @@ package sim
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
+	"os"
 	"testing"
 
+	"repro/internal/mesh"
 	"repro/internal/network"
+	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -58,6 +63,100 @@ func faultedMatrix() []matrixCase {
 		{"FirstFit", "SSD", network.TorusTopology, 32, 32, 1},
 		{"BestFit", "FCFS", network.MeshTopology, 16, 16, 4},
 	}
+}
+
+// faultCell is one pinned cell run under a fault plan: its config and
+// job source, and the check that the plan did what the cell pins.
+type faultCell struct {
+	name  string
+	cfg   Config
+	src   workload.Source
+	teeth func(Result) bool
+}
+
+// faultCells lists the pinned cells that run under fault plans, each
+// with a fresh source: live node faults on mesh, torus and 3D, node
+// and link churn on the paper mesh, the example plan file, and a
+// composed plan.
+func faultCells(t *testing.T) []faultCell {
+	t.Helper()
+	var cells []faultCell
+	for _, c := range faultedMatrix() {
+		cfg, src := faultCase(c, 80, faultyPlan(9))
+		cells = append(cells, faultCell{"faulted/" + c.String(), cfg, src,
+			func(r Result) bool { return r.Failures > 0 }})
+	}
+	churn := quickCfg("GABL", "FCFS")
+	churn.Faults = &FaultPlan{Seed: 21,
+		MTBF: 900000, MTTR: 2000, // node kills in the mix too
+		Links: &LinkPlan{MTBF: 500000, MTTR: 1500}}
+	cells = append(cells, faultCell{"linkchurn/GABL/FCFS/mesh/16x22x1", churn, stochasticSrc(3, 0.004),
+		func(r Result) bool { return r.LinkFailures > 0 }})
+	// The example plan's outages end by t = 260,000; 400 jobs run past
+	// it, so every outage starts and ends inside the run.
+	file := quickCfg("GABL", "FCFS")
+	file.MaxCompleted = 400
+	file.Faults = examplePlan(t)
+	fileEnd := lastOutageEnd(file.Faults)
+	cells = append(cells, faultCell{"faultplan/GABL/FCFS/mesh/16x22x1", file, stochasticSrc(3, 0.004),
+		func(r Result) bool { return float64(r.SimTime) > fileEnd }})
+	composed := quickCfg("GABL", "FCFS")
+	composed.Faults = composedPlan()
+	composedEnd := lastOutageEnd(composed.Faults)
+	cells = append(cells, faultCell{"composed/GABL/FCFS/mesh/16x22x1", composed,
+		workload.NewStochastic(stats.NewStream(3), 10, 12, workload.UniformSides, 0.006, 5),
+		func(r Result) bool { return r.JobsAborted > 0 && float64(r.SimTime) > composedEnd }})
+	return cells
+}
+
+// examplePlan reads the documented fault-plan file.
+func examplePlan(t *testing.T) *FaultPlan {
+	t.Helper()
+	b, err := os.ReadFile("../../examples/faultplan.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var plan FaultPlan
+	if err := json.Unmarshal(b, &plan); err != nil {
+		t.Fatal(err)
+	}
+	return &plan
+}
+
+// composedPlan runs every outage path of both kinds under KillAbort:
+// node outages that overlap (the second skips the cells the first
+// holds) and one that is permanent, a link list, a permanent row cut
+// and a later list that names one of the cut links, and random
+// failures of both kinds that reach their caps (6 node and 8 link
+// failures of the 16 and 160 the uncapped rates draw).
+func composedPlan() *FaultPlan {
+	return &FaultPlan{Seed: 5, MTBF: 300000, MTTR: 3000, MaxFailures: 6, Policy: KillAbort,
+		Outages: []Outage{
+			{At: 3000, Duration: 6000, Region: mesh.SubAt(0, 0, 6, 6)},
+			{At: 6000, Duration: 8000, Region: mesh.SubAt(4, 4, 6, 6)},
+			{At: 10000, Region: mesh.SubAt(12, 18, 4, 4)},
+		},
+		Links: &LinkPlan{MTBF: 200000, MTTR: 2500, MaxFailures: 8, Outages: []LinkOutage{
+			{At: 2000, Duration: 7000, Links: []LinkRef{{X: 3, Y: 7, Dir: "East"}, {X: 8, Y: 8, Dir: "South"}}},
+			{At: 5000, Row: &LinkRow{Y: 11, Dir: "North"}},
+			{At: 7000, Duration: 4000, Links: []LinkRef{{X: 5, Y: 11, Dir: "North"}, {X: 5, Y: 12, Dir: "West"}}},
+		}},
+	}
+}
+
+// lastOutageEnd is the latest start or bounded end of any outage of
+// the plan, node or link.
+func lastOutageEnd(p *FaultPlan) float64 {
+	last := 0.0
+	for _, o := range p.Outages {
+		last = max(last, o.At+o.Duration)
+	}
+	if p.Links != nil {
+		for _, o := range p.Links.Outages {
+			last = max(last, o.At+o.Duration)
+		}
+	}
+	return last
 }
 
 // paperRealCase is one cell of the paper's real workload: a paper
@@ -158,6 +257,8 @@ var pinnedResults = map[string]string{
 	"faulted/FirstFit/SSD/torus/32x32x1": "af59313c30f0292e",
 	"faulted/BestFit/FCFS/mesh/16x16x4":  "1f0302dfe940b280",
 	"linkchurn/GABL/FCFS/mesh/16x22x1":   "810b7a01175385b2",
+	"faultplan/GABL/FCFS/mesh/16x22x1":   "398c88811b45a75b",
+	"composed/GABL/FCFS/mesh/16x22x1":    "dd4def8a868c797c",
 	"real/GABL/FCFS/seed1":               "0d6f74c1771ee11f",
 	"real/Paging(0)/FCFS/seed1":          "faddb1424383ad2b",
 	"real/MBS/FCFS/seed1":                "5b896cdafd1aca87",
@@ -195,25 +296,16 @@ func TestResultMatrixPinned(t *testing.T) {
 		}
 		got[c.String()] = res
 	}
-	for _, c := range faultedMatrix() {
-		res := runFaultCase(t, c, 80, faultyPlan(9))
-		if res.Failures == 0 {
-			t.Fatalf("%v: fault plan idle, the cell has no teeth: %+v", c, res)
+	for _, c := range faultCells(t) {
+		res, err := Run(c.cfg, c.src)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
 		}
-		got["faulted/"+c.String()] = res
+		if !c.teeth(res) {
+			t.Fatalf("%s: fault plan idle, the cell has no teeth: %+v", c.name, res)
+		}
+		got[c.name] = res
 	}
-	cfg := quickCfg("GABL", "FCFS")
-	cfg.Faults = &FaultPlan{Seed: 21,
-		MTBF: 900000, MTTR: 2000, // node kills in the mix too
-		Links: &LinkPlan{MTBF: 500000, MTTR: 1500}}
-	res, err := Run(cfg, stochasticSrc(3, 0.004))
-	if err != nil {
-		t.Fatalf("link churn: %v", err)
-	}
-	if res.LinkFailures == 0 {
-		t.Fatalf("link plan idle, the cell has no teeth: %+v", res)
-	}
-	got["linkchurn/GABL/FCFS/mesh/16x22x1"] = res
 	for _, c := range paperRealMatrix() {
 		res := runPaperReal(t, c)
 		if res.Completed == 0 || res.PacketCount == 0 {
