@@ -1,18 +1,24 @@
 package sim
 
-// Failure/recovery engine: a seeded FaultPlan drives DES-scheduled
-// processor failures (per-node exponential MTBF/MTTR via Poisson
-// superposition) and scheduled zone outages. A failing processor is
-// pinned on the mesh (mesh.Fail); if a live allocation holds it, the
-// victim job is killed on the spot and requeued or aborted per policy.
-// Recoveries unpin (mesh.Recover) and wake the scheduler.
+// Failure/recovery engine. One failureProcess type runs a FaultPlan's
+// seeded failure machine twice: once over the processors (id = mesh
+// index) and, when the plan's links section can fail something, once
+// over the network links (linkfault.go). Each process has its own
+// stream, rates, cap, pending random failure and outage runs. Random
+// failures follow per-component exponential MTBF via Poisson
+// superposition, repairs an exponential MTTR, and scheduled outages
+// fail a resolved id list on top. A failing processor is pinned on the
+// mesh (mesh.Fail); if a live allocation holds it, the victim job is
+// killed on the spot and requeued or aborted per policy. Recoveries
+// unpin (mesh.Recover) and wake the scheduler.
 //
-// The fault stream is independent of every workload stream: it draws
-// from stats.NewStream(FaultPlan.Seed), never from cfg.Seed or
-// cfg.Seed+1, so adding, removing or reseeding a plan cannot perturb
-// the arrival process, the think-time draws or the Random strategy's
-// placements. A plan with no failure sources (zero MTBF, no outages)
-// leaves the simulator bit-identical to a nil plan: nothing is wired.
+// The fault streams are independent of every workload stream: the node
+// process draws from stats.NewStream(FaultPlan.Seed), never from
+// cfg.Seed or cfg.Seed+1, so adding, removing or reseeding a plan
+// cannot perturb the arrival process, the think-time draws or the
+// Random strategy's placements. A plan with no failure sources (zero
+// MTBF, no outages) leaves the simulator bit-identical to a nil plan:
+// nothing is wired.
 
 import (
 	"fmt"
@@ -21,6 +27,7 @@ import (
 	"repro/internal/des"
 	"repro/internal/mesh"
 	"repro/internal/network"
+	"repro/internal/stats"
 )
 
 // KillPolicy selects what happens to a job whose allocation a failure
@@ -100,193 +107,284 @@ func (p *FaultPlan) policy() KillPolicy {
 	return p.Policy
 }
 
-// Validate checks the plan against the run geometry and topology (the
-// links section's existence checks depend on torus wrap links). It is
-// called by sim.New so malformed scenario files fail at setup, not
-// mid-run.
-func (p *FaultPlan) Validate(w, l, h int, topo network.Topology) error {
+// resolve checks the plan against the run's mesh, topology and start
+// time, naming the first bad field, and resolves its outages to the id
+// lists the node and link processes run.
+func (p *FaultPlan) resolve(m *mesh.Mesh, topo network.Topology, start float64) (nodeRuns, linkRuns []outageRun, err error) {
 	if p == nil {
-		return nil
+		return nil, nil, nil
 	}
-	if p.MaxFailures < 0 {
-		return fmt.Errorf("sim: negative FaultPlan.MaxFailures %d", p.MaxFailures)
-	}
-	if err := checkTime("FaultPlan.MTBF", p.MTBF); err != nil {
-		return err
-	}
-	if err := checkTime("FaultPlan.MTTR", p.MTTR); err != nil {
-		return err
+	if err := checkRates("FaultPlan", p.MTBF, p.MTTR, p.MaxFailures); err != nil {
+		return nil, nil, err
 	}
 	if p.Policy != "" && p.Policy != KillRequeue && p.Policy != KillAbort {
-		return fmt.Errorf("sim: unknown kill policy %q (want %q or %q)", p.Policy, KillRequeue, KillAbort)
+		return nil, nil, fmt.Errorf("sim: unknown kill policy %q (want %q or %q)", p.Policy, KillRequeue, KillAbort)
 	}
 	for i, o := range p.Outages {
-		if err := checkOutageTimes("FaultPlan", i, o.At, o.Duration); err != nil {
-			return err
+		if err := checkOutage("FaultPlan", "outage", i, o.At, o.Duration, start); err != nil {
+			return nil, nil, err
 		}
 		r := o.Region
-		if !r.Valid() || r.X1 < 0 || r.Y1 < 0 || r.Z1 < 0 ||
-			r.X2 >= w || r.Y2 >= l || r.Z2 >= h {
-			return fmt.Errorf("sim: outage %d region %v outside %dx%dx%d mesh", i, r, w, l, h)
+		if !r.Valid() || !m.InBounds(r.Base()) || !m.InBounds(r.End()) {
+			return nil, nil, fmt.Errorf("sim: outage %d region %v outside %dx%dx%d mesh", i, r, m.W(), m.L(), m.H())
+		}
+		run := outageRun{at: o.At, duration: o.Duration}
+		for _, c := range r.Nodes() {
+			run.ids = append(run.ids, m.Index(c))
+		}
+		nodeRuns = append(nodeRuns, run)
+	}
+	linkRuns, err = p.Links.resolve(m, topo, start)
+	return nodeRuns, linkRuns, err
+}
+
+// checkRates rejects a negative failure cap and a negative, NaN or
+// infinite MTBF or MTTR of the named plan section.
+func checkRates(plan string, mtbf, mttr float64, maxFailures int) error {
+	if maxFailures < 0 {
+		return fmt.Errorf("sim: negative %s.MaxFailures %d", plan, maxFailures)
+	}
+	if !validTime(mtbf) {
+		return checkTime(plan+".MTBF", mtbf)
+	}
+	if !validTime(mttr) {
+		return checkTime(plan+".MTTR", mttr)
+	}
+	return nil
+}
+
+// checkOutage rejects a negative, NaN or infinite At or Duration of
+// outage i of the named plan section, naming the field, and an outage
+// that predates the run's start: a warm start arms the faults at
+// StartTime, so such an outage could never fire.
+func checkOutage(plan, kind string, i int, at, duration, start float64) error {
+	if !validTime(at) {
+		return checkTime(fmt.Sprintf("%s.Outages[%d].At", plan, i), at)
+	}
+	if !validTime(duration) {
+		return checkTime(fmt.Sprintf("%s.Outages[%d].Duration", plan, i), duration)
+	}
+	if at < start {
+		return fmt.Errorf("sim: %s %d at %v predates StartTime %v", kind, i, at, start)
+	}
+	return nil
+}
+
+// outageRun is one scheduled outage of either kind, resolved to
+// component ids by sim.New. Its start fails every id that is still up
+// and records it in held; its end recovers exactly the held ids. An id
+// already down at the start belongs to the failure that took it down.
+type outageRun struct {
+	at, duration float64 // zero duration: permanent
+	ids          []int
+	held         []int
+	on           bool // started and not yet ended
+}
+
+// parts is one kind of component a failureProcess fails: processors
+// or links. The process only fails up components and only recovers
+// down ones.
+type parts interface {
+	up(id int) bool // the component exists and works
+	fail(id int)    // take it down
+	recover(id int) // bring it back
+	settle()        // after a repair: let the freed capacity work
+}
+
+// failureProcess is the seeded failure machine over one kind of
+// component, numbered 0..ids-1. Random failures superpose per-component
+// exponential lifetimes into a Poisson process of rate up/MTBF, and
+// exponential memorylessness makes cancelling and redrawing on every
+// up-count change statistically exact. The victim is the k-th up id in
+// id order, and each failure draws, in order, its victim, its repair
+// delay and the next interval. Scheduled outage runs fail on top.
+type failureProcess struct {
+	parts parts
+	eng   *des.Engine
+	fn    des.EventFunc // event, bound at arm so that sim.New allocates no closure
+
+	rng         *stats.Stream
+	mtbf, mttr  float64
+	maxFailures int // cap on random failures; zero is unlimited
+
+	ids    int // size of the id space
+	n      int // components that exist, counted when the process arms
+	down   int // components down now
+	random int // random failures so far
+
+	// pending counts scheduled repairs, random repairs and bounded
+	// outage ends alike; only the node process's count gates the end
+	// of a drain run (maybeFinishFaulted).
+	pending int
+	next    des.Handle // the pending random failure
+	runs    []outageRun
+}
+
+// arm binds the event function, counts the components (every one is
+// up before the faults arm), schedules each outage's start and draws
+// the first random failure.
+func (p *failureProcess) arm() {
+	p.fn = p.event
+	for id := 0; id < p.ids; id++ {
+		if p.parts.up(id) {
+			p.n++
 		}
 	}
-	return p.Links.validate(w, l, h, topo)
+	for i := range p.runs {
+		p.eng.AtEvent(p.runs[i].at, p.fn, &p.runs[i])
+	}
+	p.scheduleNext()
 }
 
-// checkOutageTimes rejects a negative, NaN or infinite At or Duration
-// of outage i of the named plan, naming the field.
-func checkOutageTimes(plan string, i int, at, duration float64) error {
-	if err := checkTime(fmt.Sprintf("%s.Outages[%d].At", plan, i), at); err != nil {
-		return err
-	}
-	return checkTime(fmt.Sprintf("%s.Outages[%d].Duration", plan, i), duration)
-}
-
-// outageState tracks one outage's own pins so its end event recovers
-// exactly the cells it failed: cells already failed at the start (by
-// the random process or an overlapping outage) belong to their own
-// recovery owner and are skipped.
-type outageState struct {
-	spec  Outage
-	cells []mesh.Coord
-}
-
-// startFaults arms the fault engine at the current engine time (zero
-// classically, StartTime on a warm start): every outage's start event
-// plus the first random failure.
-func (s *Simulator) startFaults() {
-	s.pinnedInt.Observe(s.eng.Now(), 0)
-	for i := range s.faults.Outages {
-		st := &outageState{spec: s.faults.Outages[i]}
-		s.eng.AtEvent(st.spec.At, s.outageFn, st)
-	}
-	s.scheduleNextFailure()
-}
-
-// scheduleNextFailure (re)arms the single pending random-failure event.
-// Per-node exponential lifetimes superpose into a Poisson process of
-// rate alive/MTBF, and exponential memorylessness makes cancelling and
-// redrawing on every alive-count change statistically exact.
-func (s *Simulator) scheduleNextFailure() {
-	if s.faults.MTBF <= 0 {
-		return
-	}
-	if s.nextFail.Valid() {
-		s.eng.Cancel(s.nextFail)
-	}
-	if s.faults.MaxFailures > 0 && s.randomFails >= s.faults.MaxFailures {
-		return
-	}
-	alive := s.mesh.Size() - s.mesh.PinnedCount()
-	if alive == 0 {
-		return
-	}
-	s.nextFail = s.eng.ScheduleEvent(s.faultRng.Exp(s.faults.MTBF/float64(alive)), s.failFn, nil)
-}
-
-// nthAlive returns the k-th non-failed processor in index order — the
-// uniform victim choice of the superposed process.
-func (s *Simulator) nthAlive(k int) mesh.Coord {
-	for i := 0; i < s.mesh.Size(); i++ {
-		c := s.mesh.CoordOf(i)
-		if s.mesh.Pinned(c) {
-			continue
+// event is the process's one event function: a nil argument is the
+// next random failure, an int the repair of that component, and an
+// *outageRun an outage's start or, once it is on, its end.
+func (p *failureProcess) event(arg any) {
+	switch a := arg.(type) {
+	case nil:
+		p.failRandom()
+	case int:
+		p.repair(a)
+	case *outageRun:
+		if a.on {
+			a.on = false
+			p.repair(a.held...)
+		} else {
+			p.startRun(a)
 		}
-		if k == 0 {
-			return c
-		}
-		k--
 	}
-	panic("sim: nthAlive past the alive count")
 }
 
-// randomFailure fails one uniformly chosen alive processor and re-arms
-// the process. Draw order — victim, repair delay, next interval — is
-// part of the seeded schedule.
-func (s *Simulator) randomFailure() {
-	alive := s.mesh.Size() - s.mesh.PinnedCount()
-	if alive == 0 {
+// scheduleNext (re)arms the single pending random failure at rate
+// up/MTBF, unless the cap is reached or nothing is up.
+func (p *failureProcess) scheduleNext() {
+	if p.mtbf <= 0 {
 		return
 	}
-	victim := s.nthAlive(s.faultRng.Intn(alive))
-	s.randomFails++
-	repair := -1.0
-	if s.faults.MTTR > 0 {
-		repair = s.faultRng.Exp(s.faults.MTTR)
+	if p.next.Valid() {
+		p.eng.Cancel(p.next)
 	}
-	s.applyFailure(victim, repair)
-	s.scheduleNextFailure()
+	if p.maxFailures > 0 && p.random >= p.maxFailures {
+		return
+	}
+	up := p.n - p.down
+	if up == 0 {
+		return
+	}
+	p.next = p.eng.ScheduleEvent(p.rng.Exp(p.mtbf/float64(up)), p.fn, nil)
 }
 
-// applyFailure pins one processor, kills the job holding it (if any),
-// and schedules its recovery when repairAfter is non-negative.
-func (s *Simulator) applyFailure(c mesh.Coord, repairAfter float64) {
-	if err := s.mesh.Fail(c); err != nil {
-		panic(fmt.Sprintf("sim: %v", err)) // callers only pass alive cells
+// failRandom fails one uniformly chosen up component and re-arms the
+// process. The repair is scheduled before the failure: a processor
+// failure can kill a job, and the kill's drain-end check must see the
+// pending repair or it would end the run with the victim still queued.
+func (p *failureProcess) failRandom() {
+	id := p.nth(p.rng.Intn(p.n - p.down))
+	p.random++
+	if p.mttr > 0 {
+		p.pending++
+		p.eng.ScheduleEvent(p.rng.Exp(p.mttr), p.fn, id)
 	}
+	p.down++
+	p.parts.fail(id)
+	p.scheduleNext()
+}
+
+// nth returns the k-th up component in id order.
+func (p *failureProcess) nth(k int) int {
+	for id := 0; id < p.ids; id++ {
+		if p.parts.up(id) {
+			if k == 0 {
+				return id
+			}
+			k--
+		}
+	}
+	panic("sim: failure victim past the up count")
+}
+
+// startRun fails every id of the run that is still up. A bounded run
+// registers its end first, for the same reason failRandom schedules
+// its repair first.
+func (p *failureProcess) startRun(r *outageRun) {
+	r.on = true
+	if r.duration > 0 {
+		p.pending++
+		p.eng.ScheduleEvent(r.duration, p.fn, r)
+	}
+	for _, id := range r.ids {
+		if p.parts.up(id) {
+			r.held = append(r.held, id)
+			p.down++
+			p.parts.fail(id)
+		}
+	}
+	p.scheduleNext()
+}
+
+// repair recovers components whose repair was pending: a random
+// failure's one, or every id an ending outage holds.
+func (p *failureProcess) repair(ids ...int) {
+	p.pending--
+	for _, id := range ids {
+		p.down--
+		p.parts.recover(id)
+	}
+	p.scheduleNext()
+	p.parts.settle()
+}
+
+// must panics on an error the failure process rules out: it fails only
+// up components and recovers only down ones.
+func must(err error) {
+	if err != nil {
+		panic(fmt.Sprintf("sim: %v", err))
+	}
+}
+
+// nodeParts are the mesh's processors, id = mesh index.
+type nodeParts struct{ s *Simulator }
+
+func (p nodeParts) up(id int) bool { return !p.s.mesh.Pinned(p.s.mesh.CoordOf(id)) }
+
+// fail pins the processor and kills the job that holds it, if any.
+func (p nodeParts) fail(id int) {
+	s := p.s
+	c := s.mesh.CoordOf(id)
+	must(s.mesh.Fail(c))
 	s.failures++
 	s.pinnedInt.Observe(s.eng.Now(), float64(s.mesh.PinnedCount()))
-	// Schedule the repair before the kill: finalizing a killed job
-	// checks whether the run can end, and must see this pending
-	// repair or it would finish with the victim still queued.
-	if repairAfter >= 0 {
-		s.pendingRepairs++
-		s.eng.ScheduleEvent(repairAfter, s.recoverFn, s.mesh.Index(c))
-	}
 	if j := s.ownerOf(c); j != nil {
 		s.killJob(j)
 	}
 }
 
-// recoverCell unpins one randomly failed processor and wakes the
-// scheduler: the freed cell may unblock the queue head.
-func (s *Simulator) recoverCell(idx int) {
-	s.pendingRepairs--
-	c := s.mesh.CoordOf(idx)
-	if err := s.mesh.Recover(c); err != nil {
-		panic(fmt.Sprintf("sim: %v", err))
-	}
+func (p nodeParts) recover(id int) {
+	s := p.s
+	must(s.mesh.Recover(s.mesh.CoordOf(id)))
 	s.recoveries++
 	s.pinnedInt.Observe(s.eng.Now(), float64(s.mesh.PinnedCount()))
-	s.scheduleNextFailure()
-	s.trySchedule()
-	s.maybeFinishFaulted()
 }
 
-// beginOutage pins every alive processor of the region, killing any
-// jobs it lands in, and schedules the outage's end when bounded.
-func (s *Simulator) beginOutage(st *outageState) {
-	// Register the repair before pinning anything: applyFailure can
-	// kill and requeue jobs, and the kill's drain-termination check
-	// must see that this outage will end (pendingRepairs > 0) or it
-	// would finish the run with the victims still queued.
-	if st.spec.Duration > 0 {
-		s.pendingRepairs++
-		s.eng.ScheduleEvent(st.spec.Duration, s.outageEndFn, st)
-	}
-	for _, c := range st.spec.Region.Nodes() {
-		if s.mesh.Pinned(c) {
-			continue // already failed: owned by its own recovery
-		}
-		st.cells = append(st.cells, c)
-		s.applyFailure(c, -1)
-	}
-	s.scheduleNextFailure()
+// settle wakes the scheduler: the freed processors may unblock the
+// queue head, or end a drain run.
+func (p nodeParts) settle() {
+	p.s.trySchedule()
+	p.s.maybeFinishFaulted()
 }
 
-// endOutage recovers exactly the cells this outage pinned.
-func (s *Simulator) endOutage(st *outageState) {
-	s.pendingRepairs--
-	for _, c := range st.cells {
-		if err := s.mesh.Recover(c); err != nil {
-			panic(fmt.Sprintf("sim: %v", err))
-		}
+// armFaults starts the failure processes at the current engine time —
+// time zero classically, StartTime on a warm start (begin defers the
+// call through an event).
+func (s *Simulator) armFaults() {
+	s.pinnedInt.Observe(s.eng.Now(), 0)
+	s.nodes.arm()
+	if s.links != nil {
+		// Link state lives on the network, so it is built here, not on
+		// first Send: construction is pure allocation, no event.
+		s.network()
+		s.links.arm()
 	}
-	s.recoveries += int64(len(st.cells))
-	s.pinnedInt.Observe(s.eng.Now(), float64(s.mesh.PinnedCount()))
-	s.scheduleNextFailure()
-	s.trySchedule()
-	s.maybeFinishFaulted()
 }
 
 // ownerOf returns the running job whose allocation holds c, if any.
@@ -405,7 +503,7 @@ func (s *Simulator) maybeFinishFaulted() {
 	if s.faults == nil || s.done || !s.srcExhausted || len(s.running) > 0 || s.draining > 0 {
 		return
 	}
-	if s.queue.Len() == 0 || s.pendingRepairs == 0 {
+	if s.queue.Len() == 0 || s.nodes.pending == 0 {
 		s.finish()
 	}
 }

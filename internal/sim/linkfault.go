@@ -1,12 +1,11 @@
 package sim
 
-// Link-failure engine: the FaultPlan's links section drives
-// DES-scheduled link (channel) failures beside the node schedule in
-// fault.go. Random link failures follow per-link exponential MTBF via
-// the same Poisson superposition as node failures (aggregate rate
-// up/MTBF, memorylessly redrawn whenever the up count changes), with
-// exponential MTTR repairs; LinkOutages add scheduled link or
-// row-of-links cuts. Failing and recovering delegate to
+// Link failures: the FaultPlan's links section runs a second
+// failureProcess (fault.go) over the network's links, id = node index
+// × 6 + direction − East, beside the node process. Random link
+// failures follow the same Poisson superposition (aggregate rate
+// up/MTBF) with exponential MTTR repairs; LinkOutages add scheduled
+// link or row-of-links cuts. Failing and recovering delegate to
 // network.FailLink/RecoverLink: bounced worms, detour routing, retry
 // backoff and deterministic loss all live in internal/network.
 //
@@ -17,13 +16,16 @@ package sim
 //
 // Termination: lost packets of live jobs advance the send chain (the
 // loss resolves the delivery, packetLost), killed jobs' losses drain
-// through the PR 7 drain counter, and a job waiting out a retry
+// through the kill drain counter, and a job waiting out a retry
 // backoff is still in running — so the drain-run accounting in
 // maybeFinishFaulted needs no link-specific cases, and a run can never
 // end with a packet outstanding. Run audits exactly that
-// (network.CheckConservation).
+// (network.CheckConservation). A link repair wakes nothing: it cannot
+// unblock the queue, so it neither retries the scheduler nor gates the
+// end of a drain run.
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/mesh"
@@ -33,6 +35,10 @@ import (
 // linkSeedMix decorrelates the link-fault stream from the node-fault
 // stream sharing FaultPlan.Seed (an arbitrary odd 63-bit constant).
 const linkSeedMix int64 = 0x5851f42d4c957f2d
+
+// linkDirs is the number of fabric directions a node's links leave in,
+// East through Down: the stride of the link id space.
+const linkDirs = int(network.Down-network.East) + 1
 
 // LinkRef names one physical link in a fault plan: the channel pair
 // leaving node (X,Y,Z) in direction Dir ("East", "West", "North",
@@ -89,220 +95,91 @@ func (lp *LinkPlan) active() bool {
 	return lp != nil && (lp.MTBF > 0 || len(lp.Outages) > 0)
 }
 
-// validate checks the links section against the run geometry; part of
-// FaultPlan.Validate.
-func (lp *LinkPlan) validate(w, l, h int, topo network.Topology) error {
+// resolve checks the links section like FaultPlan.resolve and
+// resolves each outage to link ids: its Links list in order, then the
+// Row's links in x order.
+func (lp *LinkPlan) resolve(m *mesh.Mesh, topo network.Topology, start float64) ([]outageRun, error) {
 	if lp == nil {
-		return nil
+		return nil, nil
 	}
-	if lp.MaxFailures < 0 {
-		return fmt.Errorf("sim: negative LinkPlan.MaxFailures %d", lp.MaxFailures)
+	if err := checkRates("LinkPlan", lp.MTBF, lp.MTTR, lp.MaxFailures); err != nil {
+		return nil, err
 	}
-	if err := checkTime("LinkPlan.MTBF", lp.MTBF); err != nil {
-		return err
-	}
-	if err := checkTime("LinkPlan.MTTR", lp.MTTR); err != nil {
-		return err
-	}
+	w, l, h := m.W(), m.L(), m.H()
+	var runs []outageRun
 	for i, o := range lp.Outages {
-		if err := checkOutageTimes("LinkPlan", i, o.At, o.Duration); err != nil {
-			return err
+		if err := checkOutage("LinkPlan", "link outage", i, o.At, o.Duration, start); err != nil {
+			return nil, err
 		}
 		if len(o.Links) == 0 && o.Row == nil {
-			return fmt.Errorf("sim: link outage %d names no links", i)
+			return nil, fmt.Errorf("sim: link outage %d names no links", i)
 		}
+		run := outageRun{at: o.At, duration: o.Duration}
 		for j, ref := range o.Links {
-			d, err := network.ParseDirection(ref.Dir)
+			d, err := linkDir(ref.Dir)
 			if err != nil {
-				return fmt.Errorf("sim: link outage %d link %d: %v", i, j, err)
-			}
-			if d == network.Inject || d == network.Eject {
-				return fmt.Errorf("sim: link outage %d link %d: processor links fail with their node, not in a link plan", i, j)
+				return nil, fmt.Errorf("sim: link outage %d link %d: %v", i, j, err)
 			}
 			c := mesh.Coord{X: ref.X, Y: ref.Y, Z: ref.Z}
-			if c.X < 0 || c.X >= w || c.Y < 0 || c.Y >= l || c.Z < 0 || c.Z >= h {
-				return fmt.Errorf("sim: link outage %d link %d node %v outside %dx%dx%d mesh", i, j, c, w, l, h)
+			if !m.InBounds(c) {
+				return nil, fmt.Errorf("sim: link outage %d link %d node %v outside %dx%dx%d mesh", i, j, c, w, l, h)
 			}
 			if !network.LinkExistsOn(w, l, h, topo, c, d) {
-				return fmt.Errorf("sim: link outage %d link %d: no %s link at %v on this fabric", i, j, ref.Dir, c)
+				return nil, fmt.Errorf("sim: link outage %d link %d: no %s link at %v on this fabric", i, j, ref.Dir, c)
 			}
+			run.ids = append(run.ids, m.Index(c)*linkDirs+int(d-network.East))
 		}
 		if r := o.Row; r != nil {
-			d, err := network.ParseDirection(r.Dir)
+			d, err := linkDir(r.Dir)
 			if err != nil {
-				return fmt.Errorf("sim: link outage %d row: %v", i, err)
-			}
-			if d == network.Inject || d == network.Eject {
-				return fmt.Errorf("sim: link outage %d row: processor links fail with their node, not in a link plan", i)
+				return nil, fmt.Errorf("sim: link outage %d row: %v", i, err)
 			}
 			if r.Y < 0 || r.Y >= l || r.Z < 0 || r.Z >= h {
-				return fmt.Errorf("sim: link outage %d row y=%d z=%d outside %dx%dx%d mesh", i, r.Y, r.Z, w, l, h)
+				return nil, fmt.Errorf("sim: link outage %d row y=%d z=%d outside %dx%dx%d mesh", i, r.Y, r.Z, w, l, h)
 			}
-			any := false
+			listed := len(run.ids)
 			for x := 0; x < w; x++ {
-				if network.LinkExistsOn(w, l, h, topo, mesh.Coord{X: x, Y: r.Y, Z: r.Z}, d) {
-					any = true
-					break
+				if c := (mesh.Coord{X: x, Y: r.Y, Z: r.Z}); network.LinkExistsOn(w, l, h, topo, c, d) {
+					run.ids = append(run.ids, m.Index(c)*linkDirs+int(d-network.East))
 				}
 			}
-			if !any {
-				return fmt.Errorf("sim: link outage %d row y=%d has no %s links on this fabric", i, r.Y, r.Dir)
+			if len(run.ids) == listed {
+				return nil, fmt.Errorf("sim: link outage %d row y=%d has no %s links on this fabric", i, r.Y, r.Dir)
 			}
 		}
+		runs = append(runs, run)
 	}
-	return nil
+	return runs, nil
 }
 
-// netLink identifies one physical link at runtime.
-type netLink struct {
-	c mesh.Coord
-	d network.Direction
+// linkDir parses a link plan direction: a fabric link, not a
+// processor's Inject or Eject link.
+func linkDir(name string) (network.Direction, error) {
+	d, err := network.ParseDirection(name)
+	if err == nil && (d == network.Inject || d == network.Eject) {
+		err = errors.New("processor links fail with their node, not in a link plan")
+	}
+	return d, err
 }
 
-// linkOutageState tracks one link outage's own cuts so its end event
-// recovers exactly the links it failed: links already down at the
-// start belong to their own recovery owner and are skipped.
-type linkOutageState struct {
-	spec  LinkOutage
-	refs  []netLink // the outage's resolved link set
-	links []netLink // the subset this outage actually failed
+// linkParts are the network's links, id = node index × linkDirs +
+// direction − East. The network exists once the link process arms.
+type linkParts struct{ s *Simulator }
+
+func (p linkParts) link(id int) (mesh.Coord, network.Direction) {
+	return p.s.mesh.CoordOf(id / linkDirs), network.East + network.Direction(id%linkDirs)
 }
 
-// startLinkFaults arms the link-failure engine at time zero. The
-// network is built eagerly here — link state lives on it — which
-// changes no event order (construction is pure allocation).
-func (s *Simulator) startLinkFaults() {
-	net := s.network()
-	s.totalLinks = 0
-	for i := 0; i < s.mesh.Size(); i++ {
-		c := s.mesh.CoordOf(i)
-		for d := network.East; d <= network.Down; d++ {
-			if net.LinkExists(c, d) {
-				s.totalLinks++
-			}
-		}
-	}
-	for i := range s.faults.Links.Outages {
-		st := &linkOutageState{spec: s.faults.Links.Outages[i]}
-		for _, ref := range st.spec.Links {
-			d, err := network.ParseDirection(ref.Dir)
-			if err != nil {
-				panic(fmt.Sprintf("sim: %v", err)) // Validate ran at New
-			}
-			st.refs = append(st.refs, netLink{mesh.Coord{X: ref.X, Y: ref.Y, Z: ref.Z}, d})
-		}
-		if r := st.spec.Row; r != nil {
-			d, err := network.ParseDirection(r.Dir)
-			if err != nil {
-				panic(fmt.Sprintf("sim: %v", err))
-			}
-			for x := 0; x < s.cfg.MeshW; x++ {
-				c := mesh.Coord{X: x, Y: r.Y, Z: r.Z}
-				if net.LinkExists(c, d) {
-					st.refs = append(st.refs, netLink{c, d})
-				}
-			}
-		}
-		s.eng.AtEvent(st.spec.At, s.linkOutageFn, st)
-	}
-	s.scheduleNextLinkFailure()
+func (p linkParts) up(id int) bool {
+	c, d := p.link(id)
+	return p.s.net.LinkExists(c, d) && !p.s.net.LinkDown(c, d)
 }
 
-// scheduleNextLinkFailure (re)arms the single pending random
-// link-failure event — rate up/MTBF, redrawn memorylessly whenever the
-// up-link count changes, exactly like the node process.
-func (s *Simulator) scheduleNextLinkFailure() {
-	if s.faults.Links == nil || s.faults.Links.MTBF <= 0 {
-		return
-	}
-	if s.nextLinkFail.Valid() {
-		s.eng.Cancel(s.nextLinkFail)
-	}
-	if s.faults.Links.MaxFailures > 0 && s.randomLinkFails >= s.faults.Links.MaxFailures {
-		return
-	}
-	up := s.totalLinks - s.net.DownLinks()
-	if up == 0 {
-		return
-	}
-	s.nextLinkFail = s.eng.ScheduleEvent(s.linkRng.Exp(s.faults.Links.MTBF/float64(up)), s.linkFailFn, nil)
-}
+func (p linkParts) fail(id int) { must(p.s.net.FailLink(p.link(id))) }
 
-// nthUpLink returns the k-th up link in node-index, direction order —
-// the uniform victim choice of the superposed link process.
-func (s *Simulator) nthUpLink(k int) netLink {
-	net := s.net
-	for i := 0; i < s.mesh.Size(); i++ {
-		c := s.mesh.CoordOf(i)
-		for d := network.East; d <= network.Down; d++ {
-			if !net.LinkExists(c, d) || net.LinkDown(c, d) {
-				continue
-			}
-			if k == 0 {
-				return netLink{c, d}
-			}
-			k--
-		}
-	}
-	panic("sim: nthUpLink past the up-link count")
-}
+func (p linkParts) recover(id int) { must(p.s.net.RecoverLink(p.link(id))) }
 
-// randomLinkFailure fails one uniformly chosen up link and re-arms the
-// process. Draw order — victim, repair delay, next interval — is part
-// of the seeded schedule.
-func (s *Simulator) randomLinkFailure() {
-	up := s.totalLinks - s.net.DownLinks()
-	if up == 0 {
-		return
-	}
-	victim := s.nthUpLink(s.linkRng.Intn(up))
-	s.randomLinkFails++
-	if err := s.net.FailLink(victim.c, victim.d); err != nil {
-		panic(fmt.Sprintf("sim: %v", err)) // victim was up
-	}
-	if s.faults.Links.MTTR > 0 {
-		lk := victim // escapes into the event argument; failures are rare
-		s.eng.ScheduleEvent(s.linkRng.Exp(s.faults.Links.MTTR), s.linkRecoverFn, &lk)
-	}
-	s.scheduleNextLinkFailure()
-}
-
-// recoverLink repairs one randomly failed link.
-func (s *Simulator) recoverLink(lk *netLink) {
-	if err := s.net.RecoverLink(lk.c, lk.d); err != nil {
-		panic(fmt.Sprintf("sim: %v", err))
-	}
-	s.scheduleNextLinkFailure()
-}
-
-// beginLinkOutage cuts every named link that is still up and schedules
-// the outage's end when bounded.
-func (s *Simulator) beginLinkOutage(st *linkOutageState) {
-	if st.spec.Duration > 0 {
-		s.eng.ScheduleEvent(st.spec.Duration, s.linkOutageEndFn, st)
-	}
-	for _, lk := range st.refs {
-		if s.net.LinkDown(lk.c, lk.d) {
-			continue // already down: owned by its own recovery
-		}
-		if err := s.net.FailLink(lk.c, lk.d); err != nil {
-			panic(fmt.Sprintf("sim: %v", err))
-		}
-		st.links = append(st.links, lk)
-	}
-	s.scheduleNextLinkFailure()
-}
-
-// endLinkOutage recovers exactly the links this outage cut.
-func (s *Simulator) endLinkOutage(st *linkOutageState) {
-	for _, lk := range st.links {
-		if err := s.net.RecoverLink(lk.c, lk.d); err != nil {
-			panic(fmt.Sprintf("sim: %v", err))
-		}
-	}
-	st.links = st.links[:0]
-	s.scheduleNextLinkFailure()
-}
+func (linkParts) settle() {}
 
 // packetLost resolves a failed delivery: for a live job the loss
 // counts as the delivery for send-chain and completion purposes —

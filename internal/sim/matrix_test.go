@@ -128,7 +128,7 @@ func examplePlan(t *testing.T) *FaultPlan {
 // holds) and one that is permanent, a link list, a permanent row cut
 // and a later list that names one of the cut links, and random
 // failures of both kinds that reach their caps (6 node and 8 link
-// failures of the 16 and 160 the uncapped rates draw).
+// failures; uncapped, the same run draws about 16 and 150).
 func composedPlan() *FaultPlan {
 	return &FaultPlan{Seed: 5, MTBF: 300000, MTTR: 3000, MaxFailures: 6, Policy: KillAbort,
 		Outages: []Outage{

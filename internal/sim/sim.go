@@ -284,20 +284,14 @@ type Simulator struct {
 
 	// Fault engine (fault.go). faults is nil unless the configured
 	// plan can actually fail something, so fault-free runs skip every
-	// fault branch.
-	faults         *FaultPlan
-	faultRng       *stats.Stream
-	nextFail       des.Handle
-	randomFails    int
-	pendingRepairs int
-	running        []*jobState // jobs with live allocations (faulted runs only)
-	draining       int         // killed jobs with packets still in flight
-	srcExhausted   bool
-	failFn         des.EventFunc
-	recoverFn      des.EventFunc
-	outageFn       des.EventFunc
-	outageEndFn    des.EventFunc
-	finalizeFn     des.EventFunc
+	// fault branch. The failure process over the links is nil unless
+	// the plan's links section can fail something.
+	faults       *FaultPlan
+	nodes, links *failureProcess
+	running      []*jobState // jobs with live allocations (faulted runs only)
+	draining     int         // killed jobs with packets still in flight
+	srcExhausted bool
+	finalizeFn   des.EventFunc
 
 	failures   int64
 	recoveries int64
@@ -306,17 +300,6 @@ type Simulator struct {
 	aborts     int64
 	lostWork   float64
 	pinnedInt  stats.TimeWeighted
-
-	// Link-fault engine (linkfault.go); wired only when the plan's
-	// links section can fail something.
-	linkRng         *stats.Stream
-	nextLinkFail    des.Handle
-	randomLinkFails int
-	totalLinks      int
-	linkFailFn      des.EventFunc
-	linkRecoverFn   des.EventFunc
-	linkOutageFn    des.EventFunc
-	linkOutageEndFn des.EventFunc
 }
 
 // New builds a simulator for the configuration and job source.
@@ -342,26 +325,6 @@ func New(cfg Config, src workload.Source) (*Simulator, error) {
 	if err := cfg.Timeline.validate(cfg.Duration); err != nil {
 		return nil, err
 	}
-	// A malformed fault plan (scenario file) must fail at setup.
-	if err := cfg.Faults.Validate(cfg.MeshW, cfg.MeshL, depth, cfg.Network.Topology); err != nil {
-		return nil, err
-	}
-	// A warm start arms the fault engine at StartTime, so an outage
-	// scheduled before it could never fire; reject the contradiction.
-	if cfg.StartTime > 0 && cfg.Faults != nil {
-		for i, o := range cfg.Faults.Outages {
-			if o.At < cfg.StartTime {
-				return nil, fmt.Errorf("sim: outage %d at %v predates StartTime %v", i, o.At, cfg.StartTime)
-			}
-		}
-		if cfg.Faults.Links != nil {
-			for i, o := range cfg.Faults.Links.Outages {
-				if o.At < cfg.StartTime {
-					return nil, fmt.Errorf("sim: link outage %d at %v predates StartTime %v", i, o.At, cfg.StartTime)
-				}
-			}
-		}
-	}
 	eng := des.NewEngine()
 	// The interconnect topology governs the occupancy model too: on a
 	// torus the allocators may place sub-meshes across the wrap-around
@@ -377,6 +340,12 @@ func New(cfg Config, src workload.Source) (*Simulator, error) {
 		m = mesh.NewTorus(cfg.MeshW, cfg.MeshL)
 	default:
 		m = mesh.New3D(cfg.MeshW, cfg.MeshL, depth)
+	}
+	// A malformed fault plan (scenario file) must fail at setup; a good
+	// one resolves to the outage runs of the two failure processes.
+	nodeRuns, linkRuns, err := cfg.Faults.resolve(m, cfg.Network.Topology, cfg.StartTime)
+	if err != nil {
+		return nil, err
 	}
 	// The network itself is built lazily on first Send (see network),
 	// but its configuration must fail here, at setup, not mid-run.
@@ -422,22 +391,16 @@ func New(cfg Config, src workload.Source) (*Simulator, error) {
 	}
 	// Wire the fault engine only when the plan can fail something: an
 	// inactive plan stays bit-identical to no plan at all.
-	if cfg.Faults.Active() {
-		s.faults = cfg.Faults
-		s.faultRng = stats.NewStream(cfg.Faults.Seed)
-		s.failFn = func(any) { s.randomFailure() }
-		s.recoverFn = func(a any) { s.recoverCell(a.(int)) }
-		s.outageFn = func(a any) { s.beginOutage(a.(*outageState)) }
-		s.outageEndFn = func(a any) { s.endOutage(a.(*outageState)) }
+	if p := cfg.Faults; p.Active() {
+		s.faults = p
 		s.finalizeFn = func(a any) { s.finalizeKill(a.(*jobState)) }
-		if cfg.Faults.Links.active() {
+		s.nodes = &failureProcess{parts: nodeParts{s}, eng: eng, rng: stats.NewStream(p.Seed),
+			mtbf: p.MTBF, mttr: p.MTTR, maxFailures: p.MaxFailures, ids: m.Size(), runs: nodeRuns}
+		if lp := p.Links; lp.active() {
 			// The link stream is decorrelated from the node stream
 			// sharing the plan seed (linkfault.go).
-			s.linkRng = stats.NewStream(cfg.Faults.Seed ^ linkSeedMix)
-			s.linkFailFn = func(any) { s.randomLinkFailure() }
-			s.linkRecoverFn = func(a any) { s.recoverLink(a.(*netLink)) }
-			s.linkOutageFn = func(a any) { s.beginLinkOutage(a.(*linkOutageState)) }
-			s.linkOutageEndFn = func(a any) { s.endLinkOutage(a.(*linkOutageState)) }
+			s.links = &failureProcess{parts: linkParts{s}, eng: eng, rng: stats.NewStream(p.Seed ^ linkSeedMix),
+				mtbf: lp.MTBF, mttr: lp.MTTR, maxFailures: lp.MaxFailures, ids: m.Size() * linkDirs, runs: linkRuns}
 		}
 	}
 	return s, nil
@@ -464,6 +427,10 @@ func checkTime(field string, v float64) error {
 	}
 	return nil
 }
+
+// validTime reports whether checkTime accepts v, so a caller that
+// builds the field name builds it only for a bad value.
+func validTime(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
 
 // network returns the interconnect, building it on first use: the
 // channel state of a large mesh is tens of megabytes, and workloads
@@ -555,6 +522,12 @@ func (s *Simulator) Run() (Result, error) {
 	s.begin()
 	for !s.done && s.eng.Step() {
 	}
+	return s.end()
+}
+
+// end closes the measurement window once the event loop has stopped,
+// audits packet conservation and returns the metrics.
+func (s *Simulator) end() (Result, error) {
 	if s.srcErr != nil {
 		return Result{}, s.srcErr
 	}
@@ -903,14 +876,4 @@ func (s *Simulator) complete(j *jobState) {
 // finish closes measurement; the run loop exits on the next step.
 func (s *Simulator) finish() {
 	s.done = true
-}
-
-// armFaults starts the node (and, if planned, link) failure engines at
-// the current engine time — time zero classically, StartTime on a warm
-// start (Run defers the call through an event).
-func (s *Simulator) armFaults() {
-	s.startFaults()
-	if s.faults.Links.active() {
-		s.startLinkFaults()
-	}
 }
